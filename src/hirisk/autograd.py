@@ -444,20 +444,3 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
 
     return Tensor._from_op(data, (a, b), backward, "maximum")
 
-
-def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Select rows along axis 1 with a per-batch index array.
-
-    a: [B, T, ...]; idx: int array [B, S] -> result [B, S, ...].
-    """
-    idx = np.asarray(idx)
-    bidx = np.arange(a.shape[0])[:, None]
-    data = a.data[bidx, idx]
-
-    def backward(g):
-        if a.requires_grad:
-            ga = np.zeros_like(a.data)
-            np.add.at(ga, (bidx, idx), g)
-            a._accum(ga)
-
-    return Tensor._from_op(data, (a,), backward, "gather_rows")

@@ -31,6 +31,18 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = No
     return ops.softmax_rows(scores) @ v
 
 
+def split_heads(x: Tensor, heads: int) -> Tensor:
+    """[B, T, H*dh] -> [B, H, T, dh]."""
+    b, t, d = x.shape
+    return swapaxes(x.reshape(b, t, heads, d // heads), 1, 2)
+
+
+def merge_heads(x: Tensor) -> Tensor:
+    """[B, H, T, dh] -> [B, T, H*dh]; inverse of `split_heads`."""
+    b, h, t, dh = x.shape
+    return swapaxes(x, 1, 2).reshape(b, t, h * dh)
+
+
 class MultiHeadAttention(Module):
     def __init__(self, dim: int, n_heads: int, rng, dtype, kv_dim: int | None = None):
         super().__init__()
@@ -38,24 +50,18 @@ class MultiHeadAttention(Module):
             raise ValueError("dim must divide by n_heads")
         kv_dim = dim if kv_dim is None else kv_dim
         self.n_heads = n_heads
-        self.dh = dim // n_heads
         self.wq = Linear(dim, dim, rng, dtype=dtype)
         self.wk = Linear(kv_dim, dim, rng, dtype=dtype)
         self.wv = Linear(kv_dim, dim, rng, dtype=dtype)
         self.wo = Linear(dim, dim, rng, dtype=dtype)
 
-    def _split(self, x: Tensor) -> Tensor:
-        b, t, _ = x.shape
-        return swapaxes(x.reshape(b, t, self.n_heads, self.dh), 1, 2)
-
     def forward(self, x: Tensor, kv: Tensor | None = None, mask: np.ndarray | None = None) -> Tensor:
         kv = x if kv is None else kv
-        q = self._split(self.wq(x))
-        k = self._split(self.wk(kv))
-        v = self._split(self.wv(kv))
-        out = attention_core(q, k, v, mask)
-        b, _, t, _ = out.shape
-        return self.wo(swapaxes(out, 1, 2).reshape(b, t, self.n_heads * self.dh))
+        h = self.n_heads
+        q = split_heads(self.wq(x), h)
+        k = split_heads(self.wk(kv), h)
+        v = split_heads(self.wv(kv), h)
+        return self.wo(merge_heads(attention_core(q, k, v, mask)))
 
 
 class Mlp(Module):

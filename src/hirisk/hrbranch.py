@@ -19,7 +19,8 @@ import math
 import numpy as np
 
 from . import ops
-from .autograd import Tensor, broadcast_to, clip, concat, maximum, power, swapaxes, tsum
+from .autograd import Tensor, broadcast_to, clip, concat, maximum, power, tsum
+from .encoder import attention_core, merge_heads, split_heads
 from .modules import Linear, Module, ModuleList, Parameter
 
 
@@ -40,6 +41,11 @@ def corners_from_cwh(cwh: Tensor) -> Tensor:
     x2 = maximum(clip(cx + hw, 0.0, 1.0), x1 + MIN_EXTENT)
     y2 = maximum(clip(cy + hh, 0.0, 1.0), y1 + MIN_EXTENT)
     return concat([x1, y1, x2, y2], axis=-1)
+
+
+def box_tail(fc1: Linear, fc2: Linear, x: Tensor) -> Tensor:
+    """Shared regression tail of every box head: fc -> gelu -> fc -> sigmoid -> corners."""
+    return corners_from_cwh(ops.sigmoid(fc2(ops.gelu(fc1(x)))))
 
 
 # -- spatial extractor ---------------------------------------------------------
@@ -94,6 +100,15 @@ class SpatialExtractor(Module):
 # -- enumeration ---------------------------------------------------------------
 
 
+def prompt_cosine(p: Tensor, prompt_vec: np.ndarray) -> Tensor:
+    """Cosine similarity between projected features [B, d_l] and a fixed prompt."""
+    t = np.asarray(prompt_vec, dtype=p.data.dtype)
+    t = t / max(float(np.linalg.norm(t)), 1e-8)
+    dot = tsum(p * Tensor(t), axis=-1)
+    inv_norm = power(tsum(p * p, axis=-1) + 1e-8, -0.5)
+    return dot * inv_norm
+
+
 class ObjectHighlighter(Module):
     """Similarity model and class-activation highlight over a feature grid."""
 
@@ -104,13 +119,7 @@ class ObjectHighlighter(Module):
 
     def similarity(self, feats: Tensor, prompt_vec: np.ndarray) -> Tensor:
         """Cosine similarity between pooled projected features and the prompt."""
-        gap = feats.mean(axis=(1, 2))
-        p = self.proj(gap)
-        t = np.asarray(prompt_vec, dtype=p.data.dtype)
-        t = t / max(float(np.linalg.norm(t)), 1e-8)
-        dot = tsum(p * Tensor(t), axis=-1)
-        inv_norm = power(tsum(p * p, axis=-1) + 1e-8, -0.5)
-        return dot * inv_norm
+        return prompt_cosine(self.proj(feats.mean(axis=(1, 2))), prompt_vec)
 
     def presence_logits(self, feats: Tensor, prompt_vec: np.ndarray) -> Tensor:
         return self.scale * self.similarity(feats, prompt_vec)
@@ -125,11 +134,7 @@ class ObjectHighlighter(Module):
         a = Tensor(np.asarray(feats, dtype=np.float64), requires_grad=True)
         gap = a.mean(axis=(1, 2))
         p = gap @ Tensor(self.proj.weight.data.astype(np.float64))
-        t = np.asarray(prompt_vec, dtype=np.float64)
-        t = t / max(float(np.linalg.norm(t)), 1e-8)
-        dot = tsum(p * Tensor(t), axis=-1)
-        inv_norm = power(tsum(p * p, axis=-1) + 1e-8, -0.5)
-        (dot * inv_norm).sum().backward()
+        prompt_cosine(p, prompt_vec).sum().backward()
         w = a.grad.mean(axis=(1, 2))  # [B, C]
         raw = np.einsum("bhwc,bc->bhw", np.asarray(feats, dtype=np.float64), w)
         raw = np.maximum(raw, 0.0)
@@ -158,14 +163,9 @@ class IncorporationSite(Module):
         self.wk = Linear(d_i, d_s, rng, bias=False, dtype=dtype)
         self.wv = Linear(d_i, d_v, rng, bias=False, dtype=dtype)
         self.alpha = Parameter(np.zeros(()), dtype=dtype)
-        self.d_s = d_s
 
     def forward(self, cls: Tensor, feats: Tensor) -> Tensor:
-        q = self.wq(cls)
-        k = self.wk(feats)
-        v = self.wv(feats)
-        scores = (q @ swapaxes(k, -1, -2)) * (1.0 / math.sqrt(self.d_s))
-        attended = ops.softmax_rows(scores) @ v
+        attended = attention_core(self.wq(cls), self.wk(feats), self.wv(feats))
         return self.alpha * attended + cls
 
 
@@ -184,21 +184,16 @@ class _CrossAttnPool(Module):
         if d_a % heads:
             raise ValueError("d_a must divide by heads")
         self.heads = heads
-        self.dh = d_a // heads
         self.wq = Linear(d_q, d_a, rng, bias=False, dtype=dtype)
         self.wk = Linear(d_i, d_a, rng, bias=False, dtype=dtype)
         self.wv = Linear(d_i, d_a, rng, bias=False, dtype=dtype)
 
     def forward(self, queries: Tensor, feats: Tensor) -> Tensor:
-        b, nq, _ = queries.shape
-        n = feats.shape[1]
-        h, dh = self.heads, self.dh
-        q = swapaxes(self.wq(queries).reshape(b, nq, h, dh), 1, 2)
-        k = swapaxes(self.wk(feats).reshape(b, n, h, dh), 1, 2)
-        v = swapaxes(self.wv(feats).reshape(b, n, h, dh), 1, 2)
-        scores = (q @ swapaxes(k, -1, -2)) * (1.0 / math.sqrt(dh))
-        out = ops.softmax_rows(scores) @ v
-        return swapaxes(out, 1, 2).reshape(b, nq, h * dh)
+        h = self.heads
+        q = split_heads(self.wq(queries), h)
+        k = split_heads(self.wk(feats), h)
+        v = split_heads(self.wv(feats), h)
+        return merge_heads(attention_core(q, k, v))
 
 
 class SpanQueryDetector(Module):
@@ -218,8 +213,7 @@ class SpanQueryDetector(Module):
             pooled = att.mean(axis=1)
         else:
             pooled = ops.masked_mean_rows(att, span_mask)
-        cwh = ops.sigmoid(self.fc2(ops.gelu(self.fc1(pooled))))
-        return corners_from_cwh(cwh)
+        return box_tail(self.fc1, self.fc2, pooled)
 
 
 class BoxMlp(Module):
@@ -235,8 +229,7 @@ class BoxMlp(Module):
             pooled = h_a.mean(axis=1)
         else:
             pooled = ops.masked_mean_rows(h_a, span_mask)
-        cwh = ops.sigmoid(self.fc2(ops.gelu(self.fc1(pooled))))
-        return corners_from_cwh(cwh)
+        return box_tail(self.fc1, self.fc2, pooled)
 
 
 class LearnedQueryDetector(Module):
@@ -256,10 +249,7 @@ class LearnedQueryDetector(Module):
         n, d = self.queries.shape
         q = broadcast_to(self.queries.reshape(1, n, d), (b, n, d))
         att = self.ca(q, feats)
-        cwh = ops.sigmoid(self.fc2(ops.gelu(self.fc1(att))))
-        boxes = corners_from_cwh(cwh)
-        obj = self.obj(att)[..., 0]
-        return boxes, obj
+        return box_tail(self.fc1, self.fc2, att), self.obj(att)[..., 0]
 
     def loss(self, boxes: Tensor, obj: Tensor, gt: np.ndarray) -> Tensor:
         """Min-cost matching against the single ground-truth box."""

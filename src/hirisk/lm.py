@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ops
-from .autograd import Tensor, broadcast_to, concat
+from .autograd import Tensor, concat
 from .modules import Embedding, LayerNorm, Linear, Module, ModuleList, Parameter
 from .encoder import TransformerBlock
 from .rng import named_rng

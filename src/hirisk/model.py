@@ -135,19 +135,15 @@ class DualBranchModel(Module):
         if self.flags.baseline_only:
             return None, None
         b = batch["clip"].shape[0]
-        if self.flags.no_hrse:
-            grid = self.last_frame_grid(tokens, b)
-            if self.flags.no_em:
-                return grid.reshape(b, -1, self.d_i), None
-            heat = self.highlighter.heatmap(grid.data, self.localization_prompt_vec())
-            feats = apply_highlight(heat, grid)
-            return feats.reshape(b, -1, self.d_i), heat
-        feats = self.cnn(Tensor(batch["hr"]))
+        grid = self.last_frame_grid(tokens, b) if self.flags.no_hrse else self.cnn(Tensor(batch["hr"]))
         heat = None
         if not self.flags.no_em:
-            heat = self.highlighter.heatmap(feats.data, self.localization_prompt_vec())
-            feats = apply_highlight(heat, feats)
-        return feats.reshape(b, -1, self.d_i) + self.hr_pos, heat
+            heat = self.highlighter.heatmap(grid.data, self.localization_prompt_vec())
+            grid = apply_highlight(heat, grid)
+        feats = grid.reshape(b, -1, self.d_i)
+        if hasattr(self, "cnn"):
+            feats = feats + self.hr_pos
+        return feats, heat
 
     def encode_scene(self, batch: dict):
         """Shared trunk: clip plus HR frame -> (z_v, feats, highlight)."""
@@ -174,19 +170,21 @@ class DualBranchModel(Module):
         s, e = ANSWER_SPAN
         return self.lm.answer_hidden(hidden, s, e), None
 
+    def predict_box(self, hidden: Tensor, feats, answer_mask: np.ndarray) -> Tensor:
+        """Span-pooling head: box [B, 4] from the answer rows of `hidden`."""
+        h_a, mask = self.answer_rows(hidden, answer_mask)
+        if self.flags.no_qdh:
+            return self.detector(h_a, span_mask=mask)
+        return self.detector(h_a, feats, span_mask=mask)
+
     def box_loss(self, hidden: Tensor, feats, batch: dict):
         if self.variant == "text_coords":
             return None
         gt = batch["box"]
-        if not self.flags.no_qdh and self.variant == "learned_query":
+        if isinstance(self.detector, LearnedQueryDetector):
             boxes, obj = self.detector(feats)
             return self.detector.loss(boxes, obj, gt)
-        h_a, mask = self.answer_rows(hidden, batch["answer_mask"])
-        if self.flags.no_qdh:
-            pred = self.detector(h_a, span_mask=mask)
-        else:
-            pred = self.detector(h_a, feats, span_mask=mask)
-        return ops.l1_loss(pred, gt)
+        return ops.l1_loss(self.predict_box(hidden, feats, batch["answer_mask"]), gt)
 
     def forward_train(self, batch: dict, box_weight: float):
         """Joint loss on one batch. Returns (loss Tensor, float part dict)."""
@@ -231,39 +229,23 @@ class DualBranchModel(Module):
                 out.append({"tokens": toks, "box": parsed.box, "box_source": source})
             return out
 
-        if not self.flags.no_qdh and self.variant == "learned_query":
-            boxes, obj = self.detector(feats)
-            pred = self.detector.predict(boxes, obj)
-            return [
-                {"tokens": toks, "box": tuple(float(v) for v in pred[i]), "box_source": "head"}
-                for i, toks in enumerate(texts)
-            ]
-
-        # Span-pooling heads re-read the generated tokens teacher-forced.
-        # The grammar pins the risk noun phrase to a fixed window, so a
-        # failed parse falls back to that same window rather than skipping
-        # the sample.
-        need = ANSWER_SPAN[1] if self.span_mode == "noun_phrase" else 1
-        ids = gen
-        if ids.shape[1] < need:
-            fill = np.full((ids.shape[0], need - ids.shape[1]), pad, dtype=ids.dtype)
-            ids = np.concatenate([ids, fill], axis=1)
-        hidden, _ = self.lm.forward_hidden(z, ids)
-        if self.span_mode == "full_answer":
+        if isinstance(self.detector, LearnedQueryDetector):
+            pred = self.detector.predict(*self.detector(feats))
+        else:
+            # Span-pooling heads re-read the generated tokens teacher-forced.
+            # The grammar pins the risk noun phrase to a fixed window, so a
+            # failed parse falls back to that same window rather than
+            # skipping the sample.
+            need = ANSWER_SPAN[1] if self.span_mode == "noun_phrase" else 1
+            ids = gen
+            if ids.shape[1] < need:
+                fill = np.full((ids.shape[0], need - ids.shape[1]), pad, dtype=ids.dtype)
+                ids = np.concatenate([ids, fill], axis=1)
+            hidden, _ = self.lm.forward_hidden(z, ids)
+            # an all-pad row still pools its first position
             mask = (ids != pad).astype(np.float64)
-            dead = mask.sum(axis=1) == 0
-            mask[dead, 0] = 1.0
-        else:
-            mask = None
-        h_a, pool_mask = (
-            (self.lm.answer_hidden(hidden, 0, ids.shape[1]), mask)
-            if self.span_mode == "full_answer"
-            else (self.lm.answer_hidden(hidden, *ANSWER_SPAN), None)
-        )
-        if self.flags.no_qdh:
-            pred = self.detector(h_a, span_mask=pool_mask).data
-        else:
-            pred = self.detector(h_a, feats, span_mask=pool_mask).data
+            mask[mask.sum(axis=1) == 0, 0] = 1.0
+            pred = self.predict_box(hidden, feats, mask).data
         return [
             {"tokens": toks, "box": tuple(float(v) for v in pred[i]), "box_source": "head"}
             for i, toks in enumerate(texts)

@@ -11,7 +11,6 @@ import numpy as np
 
 from . import ops
 from .autograd import Tensor
-from .rng import named_rng
 
 
 class Parameter(Tensor):
@@ -128,8 +127,3 @@ class Embedding(Module):
 
     def forward(self, idx: np.ndarray) -> Tensor:
         return ops.embedding_lookup(self.weight, idx)
-
-
-def init_rng(seed: int, name: str) -> np.random.Generator:
-    """Parameter-init stream helper; thin alias kept for call-site brevity."""
-    return named_rng(seed, "init/" + name)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import erf
 
-from .autograd import ShapeError, Tensor, concat, unbroadcast
+from .autograd import ShapeError, Tensor, concat
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -54,16 +54,6 @@ def sigmoid(x: Tensor) -> Tensor:
             x._accum(g * data * (1.0 - data))
 
     return Tensor._from_op(data, (x,), backward, "sigmoid")
-
-
-def tanh(x: Tensor) -> Tensor:
-    data = np.tanh(x.data)
-
-    def backward(g):
-        if x.requires_grad:
-            x._accum(g * (1.0 - data * data))
-
-    return Tensor._from_op(data, (x,), backward, "tanh")
 
 
 # -- normalization and attention helpers ---------------------------------------
@@ -184,54 +174,6 @@ def depthwise_conv3d(x: Tensor, w: Tensor) -> Tensor:
             x._accum(dxp[:, pt : pt + t, ph : ph + h, pw : pw + wd, :])
 
     return Tensor._from_op(data, (x, w), backward, "depthwise_conv3d")
-
-
-# -- resampling ----------------------------------------------------------------
-
-
-def _resize_weights(n_in: int, n_out: int, dtype) -> np.ndarray:
-    """Dense [n_out, n_in] bilinear interpolation matrix, half-pixel centers."""
-    mat = np.zeros((n_out, n_in), dtype=dtype)
-    scale = n_in / n_out
-    for o in range(n_out):
-        src = (o + 0.5) * scale - 0.5
-        src = min(max(src, 0.0), n_in - 1.0)
-        lo = int(np.floor(src))
-        hi = min(lo + 1, n_in - 1)
-        frac = src - lo
-        mat[o, lo] += 1.0 - frac
-        mat[o, hi] += frac
-    return mat
-
-
-def bilinear_upsample(x: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Resize [B, H, W, C] to [B, out_h, out_w, C] with bilinear weights."""
-    if x.ndim != 4:
-        raise ShapeError("bilinear_upsample expects [B, H, W, C]")
-    _, h, w, _ = x.shape
-    rmat = _resize_weights(h, out_h, x.data.dtype)
-    cmat = _resize_weights(w, out_w, x.data.dtype)
-    data = np.einsum("oh,bhwc,pw->bopc", rmat, x.data, cmat, optimize=True)
-
-    def backward(g):
-        if x.requires_grad:
-            x._accum(np.einsum("oh,bopc,pw->bhwc", rmat, g, cmat, optimize=True))
-
-    return Tensor._from_op(data, (x,), backward, "bilinear_upsample")
-
-
-def bilinear_resize_array(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Plain-numpy bilinear resize of [B, H, W] maps (no gradient tracking)."""
-    rmat = _resize_weights(x.shape[1], out_h, x.dtype)
-    cmat = _resize_weights(x.shape[2], out_w, x.dtype)
-    return np.einsum("oh,bhw,pw->bop", rmat, x, cmat, optimize=True)
-
-
-def global_avg_pool(x: Tensor) -> Tensor:
-    """Mean over spatial axes: [B, H, W, C] -> [B, C]."""
-    if x.ndim != 4:
-        raise ShapeError("global_avg_pool expects [B, H, W, C]")
-    return x.mean(axis=(1, 2))
 
 
 # -- losses --------------------------------------------------------------------

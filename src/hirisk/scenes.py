@@ -438,37 +438,3 @@ def load_dataset(out_dir: str, split: str) -> SceneDataset:
         meta.append({k: v for k, v in rec.items() if k != "file"})
     return SceneDataset(np.stack(clips), np.stack(hrs), meta)
 
-
-# -- external annotation import ------------------------------------------------
-
-
-def import_annotations(path: str) -> list[dict]:
-    """Load an external JSON annotation list, normalizing pixel boxes.
-
-    Each record needs `width`, `height`, a `caption`, and either
-    `bbox_xyxy` ([x1, y1, x2, y2] in pixels) or `bbox_xywh`
-    ([x, y, w, h], corner plus size). Output boxes are corner-form floats
-    normalized by the image dimensions and clamped to [0, 1].
-    """
-    with open(path) as fh:
-        records = json.load(fh)
-    out = []
-    for rec in records:
-        w, h = float(rec["width"]), float(rec["height"])
-        if w <= 0 or h <= 0:
-            raise ValueError("image dimensions must be positive")
-        if "bbox_xyxy" in rec:
-            x1, y1, x2, y2 = (float(v) for v in rec["bbox_xyxy"])
-        elif "bbox_xywh" in rec:
-            x, y, bw, bh = (float(v) for v in rec["bbox_xywh"])
-            x1, y1, x2, y2 = x, y, x + bw, y + bh
-        else:
-            raise KeyError("record has neither bbox_xyxy nor bbox_xywh")
-        box = (
-            min(max(x1 / w, 0.0), 1.0),
-            min(max(y1 / h, 0.0), 1.0),
-            min(max(x2 / w, 0.0), 1.0),
-            min(max(y2 / h, 0.0), 1.0),
-        )
-        out.append({"caption": rec["caption"], "box": box})
-    return out

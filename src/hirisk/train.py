@@ -19,7 +19,7 @@ from . import ops
 from .autograd import NonFiniteError, Tensor, concat
 from .config import Ablation, RunConfig, canonical_json, config_hash, from_dict, to_dict
 from .grammar import build_vocab, format_location, tokenize, Vocabulary
-from .metrics import evaluate_predictions, report_to_json
+from .metrics import evaluate_predictions
 from .model import DualBranchModel
 from .optim import AdamW, cosine_lr
 from .rng import named_rng
@@ -239,7 +239,8 @@ def save_checkpoint(path: str, model: DualBranchModel, opt: AdamW, cfg: RunConfi
     for name, p in model.named_parameters():
         arrays["param/" + name] = p.data
         shapes[name] = list(p.data.shape)
-    for gi, g in enumerate(model.param_groups(cfg.train.hr_lr_mult, cfg.train.freeze_backbone)):
+    # numbered by the optimizer's own groups, which restore_optimizer reads
+    for gi, g in enumerate(opt.groups):
         for pi, p in enumerate(g["params"]):
             key = id(p)
             if key in opt._m:

@@ -226,6 +226,33 @@ def test_decode_learned_query_uses_head():
         assert len(rec["box"]) == 4
 
 
+@pytest.mark.parametrize("no_qdh", [False, True])
+@pytest.mark.parametrize("span_mode", ["noun_phrase", "full_answer"])
+def test_training_and_decoding_agree_on_boxes(span_mode, no_qdh):
+    """Greedy ids fed back teacher-forced give decode's boxes, bit for bit."""
+    cfg = tiny_cfg(span_mode=span_mode, ablation=Ablation(no_qdh=no_qdh))
+    model, vocab = make_model(cfg)
+    batch = random_batch(cfg, vocab)
+    pad = vocab.pad_id
+    bias = model.lm.head.bias.data
+    init = bias.copy()
+    # an EOS nudge ends rows at different lengths, so the pooling mask sees
+    # pad; a pad nudge leaves every row all pad, so it pools position 0
+    for tok, nudge, some_pad, all_pad in ((vocab.eos_id, 3.5, True, False),
+                                          (pad, 100.0, True, True)):
+        bias[:] = init
+        bias[tok] += nudge
+        z, feats, _ = model.encode_scene(batch)
+        ids = model.lm.greedy_decode(z, model.max_new, vocab.eos_id, pad)
+        assert (ids == pad).any() == some_pad and (ids == pad).all() == all_pad
+        mask = (ids != pad).astype(np.float64)
+        mask[mask.sum(axis=1) == 0, 0] = 1.0
+        _, hidden = model.lm.caption_loss(z, ids, mask)
+        boxes = model.predict_box(hidden, feats, mask).data
+        decoded = np.array([rec["box"] for rec in model.decode(batch)])
+        assert np.array_equal(boxes, decoded)
+
+
 def test_answer_rows_span_window():
     cfg = tiny_cfg()
     model, vocab = make_model(cfg)

@@ -169,35 +169,6 @@ def test_depthwise_identity_kernel():
     np.testing.assert_array_equal(out.data, x)
 
 
-# -- resampling ----------------------------------------------------------------
-
-
-def test_bilinear_upsample_constant_preserved():
-    x = Tensor(np.full((1, 8, 8, 3), 0.37))
-    y = ops.bilinear_upsample(x, 32, 32)
-    np.testing.assert_allclose(y.data, 0.37, atol=1e-12)
-
-
-def test_bilinear_upsample_identity_when_same_size():
-    x = rng("bi").normal(size=(2, 6, 6, 2))
-    y = ops.bilinear_upsample(Tensor(x), 6, 6)
-    np.testing.assert_allclose(y.data, x, atol=1e-12)
-
-
-def test_bilinear_upsample_monotone_ramp():
-    # a linear ramp stays monotone after resize
-    x = np.linspace(0, 1, 8)[None, None, :, None] * np.ones((1, 8, 1, 1))
-    y = ops.bilinear_upsample(Tensor(x), 8, 32).data[0, 0, :, 0]
-    assert np.all(np.diff(y) >= -1e-12)
-    assert y.min() >= 0.0 and y.max() <= 1.0
-
-
-def test_global_avg_pool():
-    x = rng("gap").normal(size=(3, 4, 5, 6))
-    out = ops.global_avg_pool(Tensor(x))
-    np.testing.assert_allclose(out.data, x.mean(axis=(1, 2)), atol=1e-12)
-
-
 # -- backward: finite differences for every kernel ----------------------------
 
 
@@ -218,7 +189,6 @@ def test_grad_gelu():
 def test_grad_sigmoid_tanh_relu():
     v = rng("g3").normal(size=(9,))
     fd(lambda x: ops.sigmoid(x).sum(), v)
-    fd(lambda x: ops.tanh(x).sum(), v)
     fd(lambda x: ops.relu(x).sum(), v + 0.1)  # keep away from the kink
 
 
@@ -251,15 +221,6 @@ def test_grad_depthwise_conv3d():
         lambda x, w: (ops.depthwise_conv3d(x, w) * Tensor(probe)).sum(),
         r.normal(size=(1, 3, 4, 4, 2)),
         r.normal(size=(3, 3, 3, 2)),
-    )
-
-
-def test_grad_bilinear_upsample():
-    r = rng("g7")
-    probe = r.normal(size=(1, 8, 8, 2))
-    fd(
-        lambda x: (ops.bilinear_upsample(x, 8, 8) * Tensor(probe)).sum(),
-        r.normal(size=(1, 4, 4, 2)),
     )
 
 

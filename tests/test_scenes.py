@@ -14,7 +14,6 @@ from hirisk.scenes import (
     SceneDataset,
     SceneObject,
     generate_scene,
-    import_annotations,
     load_dataset,
     mask_box,
     read_array,
@@ -184,38 +183,3 @@ def test_bad_magic_rejected(tmp_path):
     victim.write_bytes(bytes(data))
     with pytest.raises(ValueError, match="bad magic"):
         load_dataset(str(tmp_path), "train")
-
-
-def test_import_annotations(tmp_path):
-    records = [
-        {
-            "width": 2704, "height": 2704,
-            "caption": "a thing",
-            "bbox_xyxy": [1264, 1339, 1325, 1661],
-        },
-        {
-            "width": 100, "height": 200,
-            "caption": "another",
-            "bbox_xywh": [10, 20, 30, 40],
-        },
-        {
-            "width": 100, "height": 100,
-            "caption": "clamped",
-            "bbox_xyxy": [-5, 0, 120, 50],
-        },
-    ]
-    path = tmp_path / "ann.json"
-    path.write_text(json.dumps(records))
-    out = import_annotations(str(path))
-    assert out[0]["box"][0] == pytest.approx(1264 / 2704, abs=1e-15)
-    assert out[0]["box"][0] == pytest.approx(0.4674556213017751, abs=1e-12)
-    assert out[1]["box"] == pytest.approx((0.1, 0.1, 0.4, 0.3), abs=1e-12)
-    assert out[2]["box"][0] == 0.0 and out[2]["box"][2] == 1.0
-
-    path.write_text(json.dumps([{"width": 10, "height": 10, "caption": "x"}]))
-    with pytest.raises(KeyError):
-        import_annotations(str(path))
-    path.write_text(json.dumps([{"width": 0, "height": 10, "caption": "x",
-                                 "bbox_xyxy": [0, 0, 1, 1]}]))
-    with pytest.raises(ValueError):
-        import_annotations(str(path))

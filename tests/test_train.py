@@ -148,6 +148,38 @@ def test_checkpoint_resume_matches_uninterrupted_run(tmp_path, tiny_data):
         assert np.array_equal(p.data, ref[name].data), name
 
 
+def test_checkpoint_keeps_every_moment_of_the_optimizer_layout(tmp_path, tiny_data):
+    """Moments survive save, load and restore even when the optimizer's groups
+    differ from the ones the config would build."""
+    cfg = tiny_cfg(freeze_backbone=False)
+    vocab = build_vocab()
+    data = prepare_data(tiny_data[0], vocab, cfg.model.head_variant)
+    t = cfg.train
+    model = DualBranchModel(cfg, vocab, data["max_answer_len"], t.seed)
+    opt = AdamW(model.param_groups(t.hr_lr_mult, freeze_backbone=True), lr=t.lr)
+    loss, _ = model.forward_train(make_batch(data, np.arange(t.batch_size)), t.box_weight)
+    loss.backward()
+    opt.step()
+    path = str(tmp_path / "ckpt")
+    save_checkpoint(path, model, opt, cfg, 1, data["max_answer_len"], {})
+
+    model2, _, _, meta = load_checkpoint(path)
+    opt2 = AdamW(model2.param_groups(t.hr_lr_mult, freeze_backbone=True), lr=t.lr)
+    restore_optimizer(opt2, meta["opt_arrays"])
+    params2 = dict(model2.named_parameters())
+    n = 0
+    for name, p in model.named_parameters():
+        if id(p) not in opt._m:
+            continue
+        n += 1
+        key = id(params2[name])
+        assert key in opt2._m, name
+        assert np.array_equal(opt2._m[key], opt._m[id(p)]), name
+        assert np.array_equal(opt2._v[key], opt._v[id(p)]), name
+        assert opt2._t[key] == opt._t[id(p)], name
+    assert n == len(opt2._m) > 0
+
+
 def test_freeze_backbone_keeps_trunk_at_init(tiny_data):
     cfg = tiny_cfg(steps=3, freeze_backbone=True)
     out = train_model(cfg, tiny_data[0], log=quiet)
