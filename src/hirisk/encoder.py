@@ -174,12 +174,6 @@ class VideoEncoder(Module):
         )
         self.proj = Linear(cfg.d_v, cfg.d_l, named_rng(seed, "init/encoder/proj"), dtype=dtype)
 
-    def backbone_modules(self) -> list[Module]:
-        """Blocks, pooler, and embedding: what a frozen-backbone run pins."""
-        mods = [self.patch_proj, self.pooler, self.final_ln]
-        mods.extend(self.blocks)
-        return mods
-
     def embed(self, clip: np.ndarray, use_positions: bool = True) -> Tensor:
         """Frames [B, L, S, S, 3] in [0,1] -> tokens [B*L, 1+G*G, D_v].
 

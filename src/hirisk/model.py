@@ -39,6 +39,14 @@ from .rng import named_rng
 # rambling generation still reaches its end-of-sequence token.
 DECODE_MARGIN = 4
 
+# Parameters of the high-resolution perception route (extractor, its grid
+# positions, incorporation sites, detector), trained at `hr_lr_mult`.
+HR_BRANCH_PARAMS = ("cnn.", "hr_pos", "incorporation.", "detector.")
+# The video backbone a frozen-backbone run pins: patch embedding, positions,
+# transformer blocks, final norm and pooler.
+BACKBONE_PARAMS = ("encoder.patch_proj.", "encoder.cls", "encoder.pos", "encoder.blocks.",
+                   "encoder.final_ln.", "encoder.pooler.")
+
 
 class DualBranchModel(Module):
     """Video captioner with a high-resolution perception branch."""
@@ -254,38 +262,27 @@ class DualBranchModel(Module):
     # -- optimizer wiring ------------------------------------------------------
 
     def param_groups(self, hr_lr_mult: float, freeze_backbone: bool = False) -> list[dict]:
-        """Parameter groups for the optimizer.
+        """Parameter groups for the optimizer, as {name: Parameter} dicts.
 
-        The perception-route modules (extractor, incorporation, detector)
-        train at `hr_lr_mult` times the base rate. The highlighter's
-        similarity head never appears in any group: it is fitted during its
-        own warmup phase and pinned afterwards. A frozen backbone drops the
-        patch transformer, pooler, and embeddings but keeps adapters and the
-        output projection trainable.
+        The perception-route parameters (`HR_BRANCH_PARAMS`) train at
+        `hr_lr_mult` times the base rate. The highlighter's similarity head
+        never appears in any group: it is fitted during its own warmup phase
+        and pinned afterwards. A frozen backbone also drops
+        `BACKBONE_PARAMS` but keeps adapters and the output projection
+        trainable.
         """
-        skip: set[int] = set()
-        if freeze_backbone:
-            for mod in self.encoder.backbone_modules():
-                skip.update(id(p) for p in mod.parameters())
-            skip.add(id(self.encoder.cls))
-            skip.add(id(self.encoder.pos))
-        if hasattr(self, "highlighter"):
-            skip.update(id(p) for p in self.highlighter.parameters())
-
-        hr_ids: set[int] = set()
-        for name in ("cnn", "incorporation", "detector"):
-            mod = getattr(self, name, None)
-            if mod is not None:
-                hr_ids.update(id(p) for p in mod.parameters())
-        if hasattr(self, "hr_pos"):
-            hr_ids.add(id(self.hr_pos))
-
-        base, hr = [], []
-        for _, p in self.named_parameters():
-            if id(p) in skip:
-                continue
-            (hr if id(p) in hr_ids else base).append(p)
+        pinned = ("highlighter.",) + (BACKBONE_PARAMS if freeze_backbone else ())
+        base, hr = {}, {}
+        for name, p in self.named_parameters():
+            if not _matches(name, pinned):
+                (hr if _matches(name, HR_BRANCH_PARAMS) else base)[name] = p
         groups = [{"params": base, "lr_scale": 1.0}]
         if hr:
             groups.append({"params": hr, "lr_scale": hr_lr_mult})
         return groups
+
+
+def _matches(name: str, patterns) -> bool:
+    """True when `name` equals a leaf name in `patterns` or sits under one
+    of its module prefixes (those end with a dot)."""
+    return any(name.startswith(p) if p.endswith(".") else name == p for p in patterns)

@@ -46,9 +46,6 @@ class Module:
         for p in self.parameters():
             p.zero_grad()
 
-    def n_params(self) -> int:
-        return sum(p.size for p in self.parameters())
-
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.named_parameters()}
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import erf
 
-from .autograd import ShapeError, Tensor, concat
+from .autograd import ShapeError, Tensor
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -43,11 +43,15 @@ def gelu(x: Tensor) -> Tensor:
     return Tensor._from_op(data, (x,), backward, "gelu")
 
 
-def sigmoid(x: Tensor) -> Tensor:
+def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     # piecewise form keeps exp() from overflowing for large |x|
-    pos = x.data >= 0
-    z = np.exp(np.where(pos, -x.data, x.data))
-    data = np.where(pos, 1.0 / (1.0 + z), z / (1.0 + z))
+    pos = x >= 0
+    z = np.exp(np.where(pos, -x, x))
+    return np.where(pos, 1.0 / (1.0 + z), z / (1.0 + z))
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    data = _stable_sigmoid(x.data)
 
     def backward(g):
         if x.requires_grad:
@@ -242,8 +246,7 @@ def binary_cross_entropy_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
 
     def backward(g):
         if logits.requires_grad:
-            s = 1.0 / (1.0 + np.exp(-z))
-            logits._accum(g * (s - t) / n)
+            logits._accum(g * (_stable_sigmoid(z) - t) / n)
 
     return Tensor._from_op(data, (logits,), backward, "bce_logits")
 
@@ -266,12 +269,6 @@ def embedding_lookup(table: Tensor, idx: np.ndarray) -> Tensor:
             table._accum(gt)
 
     return Tensor._from_op(data, (table,), backward, "embedding_lookup")
-
-
-def stack(tensors, axis: int = 0) -> Tensor:
-    ts = list(tensors)
-    expanded = [t.reshape(t.shape[:axis] + (1,) + t.shape[axis:]) for t in ts]
-    return concat(expanded, axis=axis)
 
 
 def masked_mean_rows(x: Tensor, mask: np.ndarray) -> Tensor:

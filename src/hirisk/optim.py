@@ -8,53 +8,56 @@ import numpy as np
 class AdamW:
     """Adam with decoupled weight decay.
 
-    Accepts parameter groups as dicts: {"params": [...], "lr_scale": float}.
-    The effective step size for a group is `lr * lr_scale`, letting one
-    schedule drive branches trained at different rates. Parameters whose
-    grad is None at step time are skipped entirely (their moment state does
-    not advance), matching the convention that frozen or unused parameters
-    stay untouched.
+    Accepts parameter groups as dicts: {"params": {name: Parameter},
+    "lr_scale": float}; a bare {name: Parameter} dict is one group. The
+    effective step size for a group is `lr * lr_scale`, letting one schedule
+    drive branches trained at different rates. Parameters whose grad is None
+    at step time are skipped entirely (their moment state does not advance),
+    matching the convention that frozen or unused parameters stay untouched.
+
+    `state` maps a parameter's name to its (m, v, t) moments, so the state
+    does not depend on how the parameters are split into groups.
     """
 
     def __init__(self, param_groups, lr: float = 1e-4, betas=(0.9, 0.999),
                  eps: float = 1e-8, weight_decay: float = 0.01):
-        if param_groups and not isinstance(param_groups[0], dict):
-            param_groups = [{"params": list(param_groups)}]
+        if isinstance(param_groups, dict):
+            param_groups = [{"params": param_groups}]
         self.groups = []
         for g in param_groups:
             self.groups.append({
-                "params": list(g["params"]),
+                "params": dict(g["params"]),
                 "lr_scale": float(g.get("lr_scale", 1.0)),
                 "weight_decay": float(g.get("weight_decay", weight_decay)),
             })
         self.lr = float(lr)
         self.beta1, self.beta2 = betas
         self.eps = float(eps)
-        self._m: dict[int, np.ndarray] = {}
-        self._v: dict[int, np.ndarray] = {}
-        self._t: dict[int, int] = {}
+        self.state: dict[str, tuple[np.ndarray, np.ndarray, int]] = {}
 
     def zero_grad(self):
         for g in self.groups:
-            for p in g["params"]:
+            for p in g["params"].values():
                 p.zero_grad()
+
+    def load_state(self, state: dict) -> None:
+        """Replace the moments with copies of `state`, {name: (m, v, t)}."""
+        trained = {name for g in self.groups for name in g["params"]}
+        unknown = sorted(set(state) - trained)
+        if unknown:
+            raise KeyError(f"optimizer state for parameters it does not train: {unknown}")
+        self.state = {name: (m.copy(), v.copy(), int(t)) for name, (m, v, t) in state.items()}
 
     def step(self):
         for g in self.groups:
             lr = self.lr * g["lr_scale"]
             wd = g["weight_decay"]
-            for p in g["params"]:
+            for name, p in g["params"].items():
                 if p.grad is None:
                     continue
-                key = id(p)
-                if key not in self._m:
-                    self._m[key] = np.zeros_like(p.data)
-                    self._v[key] = np.zeros_like(p.data)
-                    self._t[key] = 0
-                self._t[key] += 1
-                t = self._t[key]
-                m = self._m[key]
-                v = self._v[key]
+                m, v, t = self.state.get(name) or (np.zeros_like(p.data), np.zeros_like(p.data), 0)
+                t += 1
+                self.state[name] = (m, v, t)
                 grad = p.grad
                 m *= self.beta1
                 m += (1.0 - self.beta1) * grad
@@ -69,7 +72,7 @@ class AdamW:
     def grad_norm(self) -> float:
         total = 0.0
         for g in self.groups:
-            for p in g["params"]:
+            for p in g["params"].values():
                 if p.grad is not None:
                     total += float((p.grad.astype(np.float64) ** 2).sum())
         return float(np.sqrt(total))

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -406,17 +406,7 @@ def save_dataset(ds: SceneDataset, cfg: SceneConfig, out_dir: str, split: str) -
     manifest = {
         "version": 1,
         "split": split,
-        "config": {
-            "n_train": cfg.n_train,
-            "n_test": cfg.n_test,
-            "seed": cfg.seed,
-            "clip_len": cfg.clip_len,
-            "lr_size": cfg.lr_size,
-            "hr_size": cfg.hr_size,
-            "hr_critical_frac": cfg.hr_critical_frac,
-            "distractor_frac": cfg.distractor_frac,
-            "max_clutter": cfg.max_clutter,
-        },
+        "config": asdict(cfg),
         "samples": [dict(m, file=f) for m, f in zip(ds.meta, files)],
     }
     with open(os.path.join(out_dir, f"{split}_manifest.json"), "w") as fh:

@@ -9,6 +9,7 @@ a fresh caption-only baseline); training refuses to start if the gate fails.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import os
@@ -108,15 +109,23 @@ def make_batch(data: dict, idx: np.ndarray) -> dict:
 
 
 def load_or_generate(cfg: RunConfig, data_dir=None, log=None):
-    """Fetch both splits, generating and caching them when needed."""
+    """Fetch both splits, generating and caching them when needed.
+
+    A cached split is used only if it was built with `cfg.scene`; otherwise
+    ValueError names the fields that differ.
+    """
     say = log or (lambda s: None)
     if data_dir and os.path.exists(os.path.join(data_dir, "train_manifest.json")):
         say(f"loading dataset from {data_dir}")
-        train_ds = load_dataset(data_dir, "train")
-        test_ds = load_dataset(data_dir, "test")
-        if len(train_ds) != cfg.scene.n_train or len(test_ds) != cfg.scene.n_test:
-            raise ValueError("cached dataset does not match the configured sizes")
-        return train_ds, test_ds
+        want = dataclasses.asdict(cfg.scene)
+        for split in ("train", "test"):
+            with open(os.path.join(data_dir, f"{split}_manifest.json"), encoding="utf-8") as fh:
+                cached = json.load(fh)["config"]
+            differ = sorted(k for k in want.keys() | cached.keys() if want.get(k) != cached.get(k))
+            if differ:
+                raise ValueError(f"cached {split} split in {data_dir} was built with a "
+                                 f"different scene config: {differ}")
+        return load_dataset(data_dir, "train"), load_dataset(data_dir, "test")
     say(f"generating dataset ({cfg.scene.n_train} train / {cfg.scene.n_test} test)")
     train_ds = SceneDataset.generate(cfg.scene, "train")
     test_ds = SceneDataset.generate(cfg.scene, "test")
@@ -180,11 +189,9 @@ def pretrain_highlighter(model: DualBranchModel, data: dict, cfg: RunConfig, log
     prompt = model.localization_prompt_vec()
     half = max(t.batch_size // 2, 2)
 
-    if flags.no_hrse:
-        params = list(model.highlighter.parameters())
-    else:
-        params = list(model.cnn.parameters()) + list(model.highlighter.parameters())
-    opt = AdamW([{"params": params}], lr=t.highlight_pretrain_lr, weight_decay=0.0)
+    params = {} if flags.no_hrse else dict(model.cnn.named_parameters("cnn."))
+    params.update(model.highlighter.named_parameters("highlighter."))
+    opt = AdamW(params, lr=t.highlight_pretrain_lr, weight_decay=0.0)
 
     n = data["clips"].shape[0]
     s = cfg.scene
@@ -234,25 +241,16 @@ def _json_safe(obj):
 
 def save_checkpoint(path: str, model: DualBranchModel, opt: AdamW, cfg: RunConfig,
                     step: int, max_answer_len: int, rng_state: dict) -> None:
-    arrays: dict[str, np.ndarray] = {}
-    shapes: dict[str, list[int]] = {}
-    for name, p in model.named_parameters():
-        arrays["param/" + name] = p.data
-        shapes[name] = list(p.data.shape)
-    # numbered by the optimizer's own groups, which restore_optimizer reads
-    for gi, g in enumerate(opt.groups):
-        for pi, p in enumerate(g["params"]):
-            key = id(p)
-            if key in opt._m:
-                arrays[f"opt/m/{gi}/{pi}"] = opt._m[key]
-                arrays[f"opt/v/{gi}/{pi}"] = opt._v[key]
-                arrays[f"opt/t/{gi}/{pi}"] = np.asarray(opt._t[key], dtype=np.int64)
+    arrays = {"param/" + name: p.data for name, p in model.named_parameters()}
+    for name, (m, v, t) in opt.state.items():
+        arrays["opt/m/" + name] = m
+        arrays["opt/v/" + name] = v
+        arrays["opt/t/" + name] = np.asarray(t, dtype=np.int64)
     meta = {
         "config": to_dict(cfg),
         "config_hash": config_hash(cfg),
         "step": step,
         "max_answer_len": max_answer_len,
-        "shapes": shapes,
         "rng_state": _json_safe(rng_state),
     }
     arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
@@ -279,14 +277,12 @@ def load_checkpoint(path: str):
 
 
 def restore_optimizer(opt: AdamW, opt_arrays: dict) -> None:
-    for gi, g in enumerate(opt.groups):
-        for pi, p in enumerate(g["params"]):
-            mk = f"opt/m/{gi}/{pi}"
-            if mk in opt_arrays:
-                key = id(p)
-                opt._m[key] = opt_arrays[mk].copy()
-                opt._v[key] = opt_arrays[f"opt/v/{gi}/{pi}"].copy()
-                opt._t[key] = int(opt_arrays[f"opt/t/{gi}/{pi}"])
+    """Load the `opt/{m,v,t}/<name>` arrays into `opt.state`.
+
+    Raises KeyError naming any parameter the optimizer does not train.
+    """
+    names = [k[len("opt/m/"):] for k in opt_arrays if k.startswith("opt/m/")]
+    opt.load_state({n: tuple(opt_arrays[f"opt/{k}/{n}"] for k in "mvt") for n in names})
 
 
 # -- training ------------------------------------------------------------------

@@ -106,7 +106,7 @@ def test_overfit_then_greedy_reproduction():
     mask = (ids != pad).astype(np.float32)
     mask[0, 4] = 1.0  # keep the eos positions supervised
     mask[1, 2] = 1.0
-    opt = AdamW([{"params": list(lm.parameters()), "lr_scale": 1.0}], lr=3e-3)
+    opt = AdamW([{"params": dict(lm.named_parameters()), "lr_scale": 1.0}], lr=3e-3)
     loss = None
     for _ in range(400):
         loss, _ = lm.caption_loss(z, ids, mask)

@@ -64,23 +64,40 @@ def test_detector_variant_selection():
     assert not hasattr(tc, "detector")
 
 
-def test_param_group_membership():
-    cfg = tiny_cfg()
-    model, _ = make_model(cfg)
-    groups = model.param_groups(hr_lr_mult=4.0)
-    assert [g["lr_scale"] for g in groups] == [1.0, 4.0]
-    base_ids = {id(p) for p in groups[0]["params"]}
-    hr_ids = {id(p) for p in groups[1]["params"]}
+ABLATIONS = {
+    "full": Ablation(),
+    "no_st_adapter": Ablation(no_st_adapter=True),
+    "no_em": Ablation(no_em=True),
+    "no_im": Ablation(no_im=True),
+    "no_qdh": Ablation(no_qdh=True),
+    "no_hrse": Ablation(no_hrse=True),
+    "baseline_only": Ablation(baseline_only=True),
+}
 
-    for mod in (model.cnn, model.incorporation, model.detector):
-        for p in mod.parameters():
-            assert id(p) in hr_ids
-    assert id(model.hr_pos) in hr_ids
-    for p in model.encoder.parameters():
-        assert id(p) in base_ids
+
+@pytest.mark.parametrize("freeze_backbone", [False, True])
+@pytest.mark.parametrize("ablation", list(ABLATIONS))
+def test_param_group_membership(ablation, freeze_backbone):
+    model, _ = make_model(tiny_cfg(ablation=ABLATIONS[ablation]))
+    groups = model.param_groups(hr_lr_mult=4.0, freeze_backbone=freeze_backbone)
+    params = dict(model.named_parameters())
+
+    def under(*prefixes):
+        return {n for n in params if n.startswith(prefixes)}
+
+    hr = under("cnn.", "incorporation.", "detector.") | ({"hr_pos"} & set(params))
     # the highlighter is warmup-only: it must sit in no training group
-    for p in model.highlighter.parameters():
-        assert id(p) not in base_ids and id(p) not in hr_ids
+    pinned = under("highlighter.")
+    if freeze_backbone:
+        pinned |= under("encoder.patch_proj.", "encoder.blocks.", "encoder.final_ln.",
+                        "encoder.pooler.") | {"encoder.cls", "encoder.pos"}
+    # every group keeps the model's parameter order
+    expected = [([n for n in params if n not in hr | pinned], 1.0)]
+    if hr:
+        expected.append(([n for n in params if n in hr], 4.0))
+    assert [(list(g["params"]), g["lr_scale"]) for g in groups] == expected
+    for g in groups:
+        assert all(p is params[n] for n, p in g["params"].items())
 
 
 def test_hr_feature_shapes_per_ablation():

@@ -11,7 +11,7 @@ from hirisk.rng import named_rng
 
 def test_adamw_converges_on_quadratic():
     p = Parameter(np.array([5.0, -3.0]))
-    opt = AdamW([p], lr=0.1, weight_decay=0.0)
+    opt = AdamW({"p": p}, lr=0.1, weight_decay=0.0)
     for _ in range(300):
         opt.zero_grad()
         ((p * p).sum()).backward()
@@ -22,7 +22,7 @@ def test_adamw_converges_on_quadratic():
 def test_adamw_skips_param_without_grad():
     p = Parameter(np.array([1.0]))
     q = Parameter(np.array([2.0]))
-    opt = AdamW([p, q], lr=0.5, weight_decay=0.0)
+    opt = AdamW({"p": p, "q": q}, lr=0.5, weight_decay=0.0)
     opt.zero_grad()
     (p * p).sum().backward()  # q never touched
     opt.step()
@@ -33,7 +33,7 @@ def test_adamw_skips_param_without_grad():
 def test_adamw_decoupled_decay_shrinks_without_grad_signal():
     # zero gradient, nonzero decay: the value shrinks by lr*wd per step exactly
     p = Parameter(np.array([1.0]))
-    opt = AdamW([p], lr=0.1, weight_decay=0.5)
+    opt = AdamW({"p": p}, lr=0.1, weight_decay=0.5)
     opt.zero_grad()
     (p * Tensor(np.array([0.0]))).sum().backward()
     opt.step()
@@ -45,7 +45,7 @@ def test_adamw_group_lr_scale():
     a = Parameter(np.array([1.0]))
     b = Parameter(np.array([1.0]))
     opt = AdamW(
-        [{"params": [a], "lr_scale": 1.0}, {"params": [b], "lr_scale": 4.0}],
+        [{"params": {"a": a}, "lr_scale": 1.0}, {"params": {"b": b}, "lr_scale": 4.0}],
         lr=0.01,
         weight_decay=0.0,
     )
@@ -60,7 +60,7 @@ def test_adamw_group_lr_scale():
 def test_adamw_first_step_size_is_lr():
     # with bias correction, |step 1| = lr for any nonzero constant grad
     p = Parameter(np.array([0.0]))
-    opt = AdamW([p], lr=0.25, weight_decay=0.0)
+    opt = AdamW({"p": p}, lr=0.25, weight_decay=0.0)
     opt.zero_grad()
     (p * Tensor(np.array([3.0]))).sum().backward()
     opt.step()
@@ -86,7 +86,7 @@ def test_linear_trains_to_fit_line():
     true_w = np.array([[1.0], [-2.0], [0.5]])
     y = x @ true_w
     lin = Linear(3, 1, rng, dtype=np.float64)
-    opt = AdamW(list(lin.parameters()), lr=0.05, weight_decay=0.0)
+    opt = AdamW(dict(lin.named_parameters()), lr=0.05, weight_decay=0.0)
     for _ in range(400):
         opt.zero_grad()
         pred = lin(Tensor(x))

@@ -166,18 +166,63 @@ def test_checkpoint_keeps_every_moment_of_the_optimizer_layout(tmp_path, tiny_da
     model2, _, _, meta = load_checkpoint(path)
     opt2 = AdamW(model2.param_groups(t.hr_lr_mult, freeze_backbone=True), lr=t.lr)
     restore_optimizer(opt2, meta["opt_arrays"])
-    params2 = dict(model2.named_parameters())
-    n = 0
-    for name, p in model.named_parameters():
-        if id(p) not in opt._m:
-            continue
-        n += 1
-        key = id(params2[name])
-        assert key in opt2._m, name
-        assert np.array_equal(opt2._m[key], opt._m[id(p)]), name
-        assert np.array_equal(opt2._v[key], opt._v[id(p)]), name
-        assert opt2._t[key] == opt._t[id(p)], name
-    assert n == len(opt2._m) > 0
+    assert_same_state(opt2, opt)
+
+
+def assert_same_state(opt2, opt):
+    assert list(opt2.state) == list(opt.state) and opt.state
+    for name, (m, v, t) in opt.state.items():
+        m2, v2, t2 = opt2.state[name]
+        assert np.array_equal(m2, m) and np.array_equal(v2, v) and t2 == t, name
+
+
+def test_restore_ignores_the_group_layout(tmp_path, tiny_data):
+    """State saved from two groups restores by name into one merged group
+    listed in reverse order, and the next step matches bit for bit."""
+    cfg = tiny_cfg(hr_lr_mult=1.0)
+    vocab = build_vocab()
+    data = prepare_data(tiny_data[0], vocab, cfg.model.head_variant)
+    t = cfg.train
+    batch = make_batch(data, np.arange(t.batch_size))
+
+    def step_once(model, opt):
+        loss, _ = model.forward_train(batch, t.box_weight)
+        model.zero_grad()
+        loss.backward()
+        opt.step()
+
+    model = DualBranchModel(cfg, vocab, data["max_answer_len"], t.seed)
+    groups = model.param_groups(t.hr_lr_mult)
+    assert len(groups) == 2
+    opt = AdamW(groups, lr=t.lr, weight_decay=t.weight_decay)
+    step_once(model, opt)
+    path = str(tmp_path / "ckpt")
+    save_checkpoint(path, model, opt, cfg, 1, data["max_answer_len"], {})
+
+    model2, _, _, meta = load_checkpoint(path)
+    merged = [item for g in model2.param_groups(t.hr_lr_mult) for item in g["params"].items()]
+    opt2 = AdamW(dict(reversed(merged)), lr=t.lr, weight_decay=t.weight_decay)
+    restore_optimizer(opt2, meta["opt_arrays"])
+    assert_same_state(opt2, opt)
+
+    step_once(model, opt)
+    step_once(model2, opt2)
+    live = dict(model.named_parameters())
+    for name, p in model2.named_parameters():
+        assert np.array_equal(p.data, live[name].data), name
+
+
+@pytest.mark.parametrize("name", ["encoder.cls", "0/3"])
+def test_restore_rejects_state_for_untrained_parameters(name):
+    """A frozen backbone does not train encoder.cls; 0/3 is a key of the
+    older checkpoint format that numbered moments by group and position."""
+    cfg = tiny_cfg()
+    model = DualBranchModel(cfg, build_vocab(), 8, cfg.train.seed)
+    opt = AdamW(model.param_groups(cfg.train.hr_lr_mult, freeze_backbone=True))
+    arrays = {f"opt/{k}/{name}": np.zeros(1) for k in "mvt"}
+    with pytest.raises(KeyError, match=f"'{name}'"):
+        restore_optimizer(opt, arrays)
+    assert opt.state == {}
 
 
 def test_freeze_backbone_keeps_trunk_at_init(tiny_data):
@@ -187,15 +232,10 @@ def test_freeze_backbone_keeps_trunk_at_init(tiny_data):
     init = DualBranchModel(cfg, build_vocab(), out["max_answer_len"], cfg.train.seed)
     init_params = dict(init.named_parameters())
 
-    frozen = set()
-    for mod in trained.encoder.backbone_modules():
-        frozen.update(id(p) for p in mod.parameters())
-    frozen.add(id(trained.encoder.cls))
-    frozen.add(id(trained.encoder.pos))
-
+    backbone = ("encoder.patch_proj.", "encoder.blocks.", "encoder.final_ln.", "encoder.pooler.")
     adapter_moved = False
     for name, p in trained.named_parameters():
-        if id(p) in frozen:
+        if name.startswith(backbone) or name in ("encoder.cls", "encoder.pos"):
             assert np.array_equal(p.data, init_params[name].data), name
         if "adapters" in name and not np.array_equal(p.data, init_params[name].data):
             adapter_moved = True
@@ -231,6 +271,16 @@ def test_load_or_generate_caches_and_validates(tmp_path):
     bad.scene.n_train = 99
     with pytest.raises(ValueError):
         load_or_generate(bad, data_dir=data_dir, log=quiet)
+
+
+def test_load_or_generate_rejects_a_cache_of_another_seed(tmp_path):
+    cfg = tiny_cfg()
+    cfg.scene.n_train, cfg.scene.n_test = 2, 1
+    data_dir = str(tmp_path / "cache")
+    load_or_generate(cfg, data_dir=data_dir, log=quiet)
+    cfg.scene.seed += 1
+    with pytest.raises(ValueError, match="seed"):
+        load_or_generate(cfg, data_dir=data_dir, log=quiet)
 
 
 def test_ablation_grid_rows_and_artifacts(tmp_path, tiny_data):
