@@ -9,13 +9,32 @@ additively across fan-out.
 Every forward op validates that its result is finite; NaN or Inf anywhere
 raises `NonFiniteError` immediately, which the training harness turns into an
 abort with diagnostics.
+
+Inside `no_grad()` ops record nothing: results keep no parents and no
+backward closure, so inference builds no graph and frees activations as soon
+as they go out of scope.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Ops run inside this block build no graph; also usable as a decorator."""
+    global _grad_enabled
+    prev = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
 
 
 class ShapeError(ValueError):
@@ -79,7 +98,7 @@ class Tensor:
         out = cls.__new__(cls)
         out.data = data
         out.grad = None
-        out.requires_grad = any(p.requires_grad for p in parents)
+        out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
         if out.requires_grad:
             out._parents = tuple(parents)
             out._backward = backward

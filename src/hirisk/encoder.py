@@ -55,12 +55,20 @@ class MultiHeadAttention(Module):
         self.wv = Linear(kv_dim, dim, rng, dtype=dtype)
         self.wo = Linear(dim, dim, rng, dtype=dtype)
 
-    def forward(self, x: Tensor, kv: Tensor | None = None, mask: np.ndarray | None = None) -> Tensor:
+    def forward(self, x: Tensor, kv: Tensor | None = None, mask: np.ndarray | None = None,
+                cache: dict | None = None) -> Tensor:
+        """With a `cache` dict, this call's keys and values are appended to the
+        ones cached by earlier calls, and `x` attends over all of them."""
         kv = x if kv is None else kv
         h = self.n_heads
         q = split_heads(self.wq(x), h)
         k = split_heads(self.wk(kv), h)
         v = split_heads(self.wv(kv), h)
+        if cache is not None:
+            if cache:
+                k = concat([cache["k"], k], axis=2)
+                v = concat([cache["v"], v], axis=2)
+            cache["k"], cache["v"] = k, v
         return self.wo(merge_heads(attention_core(q, k, v, mask)))
 
 
@@ -84,8 +92,8 @@ class TransformerBlock(Module):
         self.ln2 = LayerNorm(dim, dtype=dtype)
         self.mlp = Mlp(dim, 4 * dim, rng, dtype)
 
-    def forward(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        x = x + self.attn(self.ln1(x), mask=mask)
+    def forward(self, x: Tensor, mask: np.ndarray | None = None, cache: dict | None = None) -> Tensor:
+        x = x + self.attn(self.ln1(x), mask=mask, cache=cache)
         return x + self.mlp(self.ln2(x))
 
 

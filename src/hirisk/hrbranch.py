@@ -8,8 +8,9 @@ the incorporation module injects the resulting features into the video
 encoder's cls tokens through zero-gated cross-attention; and a detection
 head regresses the risk-object box.
 
-Heatmap construction runs on its own throwaway tape with detached weights:
-no gradient from the main training objective ever flows through it.
+The heatmap is computed in closed form on plain arrays from detached
+weights, so it builds no graph and no gradient from the main training
+objective ever flows through it.
 """
 
 from __future__ import annotations
@@ -100,10 +101,15 @@ class SpatialExtractor(Module):
 # -- enumeration ---------------------------------------------------------------
 
 
+def unit_prompt(prompt_vec: np.ndarray, dtype) -> np.ndarray:
+    """The prompt vector scaled to unit length, as `dtype`."""
+    t = np.asarray(prompt_vec, dtype=dtype)
+    return t / max(float(np.linalg.norm(t)), 1e-8)
+
+
 def prompt_cosine(p: Tensor, prompt_vec: np.ndarray) -> Tensor:
     """Cosine similarity between projected features [B, d_l] and a fixed prompt."""
-    t = np.asarray(prompt_vec, dtype=p.data.dtype)
-    t = t / max(float(np.linalg.norm(t)), 1e-8)
+    t = unit_prompt(prompt_vec, p.data.dtype)
     dot = tsum(p * Tensor(t), axis=-1)
     inv_norm = power(tsum(p * p, axis=-1) + 1e-8, -0.5)
     return dot * inv_norm
@@ -128,15 +134,20 @@ class ObjectHighlighter(Module):
         """[B, H, W, C] features -> [B, H, W] map in [0, 1], fully detached.
 
         Channel weights are the spatial mean of d(similarity)/d(features),
-        taken on a private tape with the projection weights treated as
-        constants. A map whose positive part is empty stays identically zero.
+        in closed form and in float64 with the projection weights treated as
+        constants. With p the projected spatial mean, t the unit prompt and
+        s = (|p|^2 + 1e-8)^-1/2, d cos/dp = t s - (p.t) s^3 p; each cell's
+        gradient is that times W^T over H*W. A map whose positive part is
+        empty stays identically zero.
         """
-        a = Tensor(np.asarray(feats, dtype=np.float64), requires_grad=True)
-        gap = a.mean(axis=(1, 2))
-        p = gap @ Tensor(self.proj.weight.data.astype(np.float64))
-        prompt_cosine(p, prompt_vec).sum().backward()
-        w = a.grad.mean(axis=(1, 2))  # [B, C]
-        raw = np.einsum("bhwc,bc->bhw", np.asarray(feats, dtype=np.float64), w)
+        a = np.asarray(feats, dtype=np.float64)
+        wt = self.proj.weight.data.astype(np.float64)
+        t = unit_prompt(prompt_vec, np.float64)
+        p = a.mean(axis=(1, 2)) @ wt  # [B, d_l]
+        s = ((p * p).sum(axis=-1, keepdims=True) + 1e-8) ** -0.5
+        dp = t * s - (p @ t)[:, None] * s**3 * p
+        w = (dp @ wt.T) / (a.shape[1] * a.shape[2])  # [B, C]
+        raw = np.einsum("bhwc,bc->bhw", a, w)
         raw = np.maximum(raw, 0.0)
         mx = raw.max(axis=(1, 2), keepdims=True)
         return np.divide(raw, mx, out=np.zeros_like(raw), where=mx > 0)

@@ -57,24 +57,31 @@ class CaptionDecoder(Module):
             )
         return self._mask_cache[total]
 
-    def forward_hidden(self, z_v: Tensor, answer_ids: np.ndarray):
-        """Returns (hidden [B, T, d_l], logits [B, T, V]) over the full layout."""
-        b = z_v.shape[0]
-        ta = answer_ids.shape[1]
-        total = self.prefix_len + ta
-        if total > self.max_seq:
-            raise ValueError(f"sequence length {total} exceeds max_seq {self.max_seq}")
-        prompt = self.tok(np.tile(self.prompt_ids, (b, 1)))
-        parts = [z_v, prompt]
-        if ta:
-            parts.append(self.tok(answer_ids))
-        x = concat(parts, axis=1)
-        x = x + self.pos[:total, :]
-        mask = self._mask(total)
-        for blk in self.blocks:
-            x = blk(x, mask=mask)
+    def _run(self, x: Tensor, start: int, mask: np.ndarray | None = None,
+             caches: list[dict] | None = None):
+        """Positions `start`.. of the layout through the blocks; returns
+        (hidden, logits). With `caches`, one per block, earlier calls' keys
+        and values are attended too and this call's are appended."""
+        end = start + x.shape[1]
+        if end > self.max_seq:
+            raise ValueError(f"sequence length {end} exceeds max_seq {self.max_seq}")
+        x = x + self.pos[start:end, :]
+        for i, blk in enumerate(self.blocks):
+            x = blk(x, mask=mask, cache=None if caches is None else caches[i])
         hidden = self.final_ln(x)
         return hidden, self.head(hidden)
+
+    def _prefix(self, z_v: Tensor) -> list[Tensor]:
+        prompt = self.tok(np.tile(self.prompt_ids, (z_v.shape[0], 1)))
+        return [z_v, prompt]
+
+    def forward_hidden(self, z_v: Tensor, answer_ids: np.ndarray):
+        """Returns (hidden [B, T, d_l], logits [B, T, V]) over the full layout."""
+        parts = self._prefix(z_v)
+        if answer_ids.shape[1]:
+            parts.append(self.tok(answer_ids))
+        total = self.prefix_len + answer_ids.shape[1]
+        return self._run(concat(parts, axis=1), 0, self._mask(total))
 
     def caption_loss(self, z_v: Tensor, answer_ids: np.ndarray, answer_mask: np.ndarray):
         """Mean cross-entropy on answer positions; returns (loss, hidden)."""
@@ -93,20 +100,31 @@ class CaptionDecoder(Module):
         p = self.prefix_len
         return hidden[:, p + start : p + end, :]
 
-    def greedy_decode(self, z_v: Tensor, max_new: int, eos_id: int, pad_id: int) -> np.ndarray:
+    def greedy_decode(self, z_v: Tensor, max_new: int, eos_id: int, pad_id: int,
+                      min_new: int = 0):
         """Lockstep batched argmax decoding; ties resolve to the lowest id.
 
-        Finished rows emit pad. Returns [B, T_gen] token ids.
+        The prefix runs once; then each step feeds one token per row and
+        attends over the per-block key/value cache, so a row costs one
+        position per token. Finished rows emit pad, and decoding stops once
+        every row is done and at least `min_new` tokens exist. Returns
+        (ids [B, T_gen], hidden [B, prefix + T_gen, d_l]); `hidden` is laid
+        out as `forward_hidden(z_v, ids)` returns it.
         """
         b = z_v.shape[0]
+        caches = [{} for _ in self.blocks]
+        hidden, logits = self._run(concat(self._prefix(z_v), axis=1), 0, caches=caches)
+        rows = [hidden]
         out = np.zeros((b, 0), dtype=np.int64)
         done = np.zeros(b, dtype=bool)
         for _ in range(max_new):
-            _, logits = self.forward_hidden(z_v, out)
             step = np.argmax(logits.data[:, -1, :], axis=-1)
             step = np.where(done, pad_id, step)
             out = np.concatenate([out, step[:, None]], axis=1)
             done |= step == eos_id
-            if done.all():
+            start = self.prefix_len + out.shape[1] - 1
+            hidden, logits = self._run(self.tok(step[:, None]), start, caches=caches)
+            rows.append(hidden)
+            if done.all() and out.shape[1] >= min_new:
                 break
-        return out
+        return out, concat(rows, axis=1)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ops
-from .autograd import Tensor
+from .autograd import Tensor, no_grad
 from .config import RunConfig
 from .encoder import VideoEncoder, incorporation_sites
 from .grammar import ANSWER_SPAN, INSTRUCTION_PROMPT, LOCALIZATION_PROMPT, Vocabulary, parse_caption
@@ -136,9 +136,9 @@ class DualBranchModel(Module):
         """High-resolution feature sequence plus its highlight map.
 
         Returns (feats [B, N, d_i] or None, highlight [B, h, w] or None).
-        The map is built on a throwaway tape from detached activations, then
-        multiplied onto the live feature grid, so gradients reach the
-        extractor through the highlighted product but never through the map.
+        The map is computed from detached activations, then multiplied onto
+        the live feature grid, so gradients reach the extractor through the
+        highlighted product but never through the map.
         """
         if self.flags.baseline_only:
             return None, None
@@ -208,6 +208,7 @@ class DualBranchModel(Module):
         parts["total"] = float(total.data)
         return total, parts
 
+    @no_grad()
     def caption_logits(self, batch: dict) -> np.ndarray:
         """Teacher-forced answer-position logits; used by equivalence gates."""
         z, _, _ = self.encode_scene(batch)
@@ -218,6 +219,7 @@ class DualBranchModel(Module):
 
     # -- inference -------------------------------------------------------------
 
+    @no_grad()
     def decode(self, batch: dict) -> list[dict]:
         """Greedy captions and box predictions.
 
@@ -226,7 +228,12 @@ class DualBranchModel(Module):
         """
         z, feats, _ = self.encode_scene(batch)
         pad, eos = self.vocab.pad_id, self.vocab.eos_id
-        gen = self.lm.greedy_decode(z, self.max_new, eos, pad)
+        # The grammar pins the risk noun phrase to a fixed window, so decoding
+        # runs at least that far (finished rows emit pad, which the token
+        # lists drop) and a failed parse falls back to that same window
+        # rather than skipping the sample.
+        min_new = ANSWER_SPAN[1] if self.span_mode == "noun_phrase" else 0
+        gen, hidden = self.lm.greedy_decode(z, self.max_new, eos, pad, min_new=min_new)
         texts = [self.vocab.decode(row) for row in gen]
 
         if self.variant == "text_coords":
@@ -240,18 +247,9 @@ class DualBranchModel(Module):
         if isinstance(self.detector, LearnedQueryDetector):
             pred = self.detector.predict(*self.detector(feats))
         else:
-            # Span-pooling heads re-read the generated tokens teacher-forced.
-            # The grammar pins the risk noun phrase to a fixed window, so a
-            # failed parse falls back to that same window rather than
-            # skipping the sample.
-            need = ANSWER_SPAN[1] if self.span_mode == "noun_phrase" else 1
-            ids = gen
-            if ids.shape[1] < need:
-                fill = np.full((ids.shape[0], need - ids.shape[1]), pad, dtype=ids.dtype)
-                ids = np.concatenate([ids, fill], axis=1)
-            hidden, _ = self.lm.forward_hidden(z, ids)
-            # an all-pad row still pools its first position
-            mask = (ids != pad).astype(np.float64)
+            # span-pooling heads read the decoder's own hidden states of the
+            # generated tokens; an all-pad row still pools its first position
+            mask = (gen != pad).astype(np.float64)
             mask[mask.sum(axis=1) == 0, 0] = 1.0
             pred = self.predict_box(hidden, feats, mask).data
         return [

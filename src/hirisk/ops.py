@@ -7,13 +7,17 @@ backward closure. Shapes follow a channels-last convention: images are
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import erf
 
 from .autograd import ShapeError, Tensor
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats, not numpy scalars: under NEP 50 a float64 numpy scalar
+# promotes float32 arrays to float64, a Python float does not.
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 # -- activations ---------------------------------------------------------------
@@ -34,10 +38,10 @@ def gelu(x: Tensor) -> Tensor:
     """Exact (erf-based) Gaussian error linear unit."""
     cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
     data = x.data * cdf
-    pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
 
     def backward(g):
         if x.requires_grad:
+            pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
             x._accum(g * (cdf + x.data * pdf))
 
     return Tensor._from_op(data, (x,), backward, "gelu")

@@ -293,7 +293,15 @@ def _sample_clutter(rng, n_frames: int):
     return SceneObject(obj_class, color, size, centers)
 
 
+# A crossing track starts and ends off the ego band, so it is inside the band
+# only at an intermediate frame: two frames have none.
+MIN_CLIP_LEN = 3
+
+
 def generate_scene(seed: int, cfg: SceneConfig) -> SceneSample:
+    if cfg.clip_len < MIN_CLIP_LEN:
+        raise ValueError(f"SceneConfig.clip_len must be at least {MIN_CLIP_LEN} to generate "
+                         f"scenes, got {cfg.clip_len}")
     rng = named_rng(seed, "scene")
     scenario = SCENARIOS[int(rng.choice(len(SCENARIOS), p=SCENARIO_PROBS))]
     hr_critical = bool(rng.random() < cfg.hr_critical_frac)

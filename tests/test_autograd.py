@@ -12,8 +12,10 @@ from hirisk.autograd import (
     exp,
     log,
     matmul,
+    no_grad,
     unbroadcast,
 )
+from hirisk.modules import Parameter
 
 
 def test_matmul_known_value():
@@ -180,3 +182,43 @@ def test_double_backward_call_is_fresh_accumulation():
     x.zero_grad()
     (x * x).backward()
     assert x.grad.item() == g1 == 6.0
+
+
+# -- no_grad --------------------------------------------------------------------
+
+
+def test_no_grad_builds_no_graph_and_leaves_grads_alone():
+    w = Parameter(np.arange(6.0).reshape(2, 3))
+    w.grad = np.full((2, 3), 0.5)
+    x = Tensor(np.ones((4, 2)))
+    with no_grad():
+        h = matmul(x, w)
+        y = exp(h * 0.1).sum()
+    for t in (h, y):
+        assert not t.requires_grad
+        assert t._parents == () and t._backward is None
+    assert np.array_equal(w.grad, np.full((2, 3), 0.5))
+    # the same ops record a graph again outside the block
+    z = matmul(x, w).sum()
+    assert z.requires_grad and z._parents and z._backward is not None
+
+
+def test_no_grad_restores_the_flag_after_nesting_and_errors():
+    w = Parameter(np.ones(3))
+    with no_grad():
+        with no_grad():
+            assert not (w * 2.0).requires_grad
+        # leaving the inner block keeps the outer one in force
+        assert not (w * 2.0).requires_grad
+    assert (w * 2.0).requires_grad
+    with pytest.raises(NonFiniteError):
+        with no_grad(), np.errstate(divide="ignore"):
+            log(w * 0.0)
+    assert (w * 2.0).requires_grad
+
+    @no_grad()
+    def scaled():
+        return w * 2.0
+
+    assert not scaled().requires_grad
+    assert (w * 2.0).requires_grad

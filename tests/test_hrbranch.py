@@ -14,6 +14,7 @@ from hirisk.hrbranch import (
     SpatialExtractor,
     apply_highlight,
     corners_from_cwh,
+    prompt_cosine,
 )
 from hirisk.rng import named_rng
 
@@ -91,6 +92,22 @@ def test_heatmap_range_and_normalization():
     assert m.shape == (3, 4, 4)
     assert (m >= 0.0).all() and (m <= 1.0).all()
     assert np.allclose(m.max(axis=(1, 2)), 1.0)
+
+
+def test_heatmap_closed_form_matches_the_tape():
+    hl = ObjectHighlighter(6, 8, named_rng(9, "test/hl-tape"), F64)
+    rng = np.random.default_rng(10)
+    feats = rng.normal(size=(5, 4, 4, 6))
+    prompt = rng.normal(size=8)
+    # reference: Grad-CAM weights from a backward sweep through the similarity
+    a = Tensor(feats, requires_grad=True)
+    p = a.mean(axis=(1, 2)) @ Tensor(hl.proj.weight.data)
+    prompt_cosine(p, prompt).sum().backward()
+    w = a.grad.mean(axis=(1, 2))
+    raw = np.maximum(np.einsum("bhwc,bc->bhw", feats, w), 0.0)
+    mx = raw.max(axis=(1, 2), keepdims=True)
+    assert (mx > 0).all()
+    assert np.allclose(hl.heatmap(feats, prompt), raw / mx, atol=1e-12, rtol=0)
 
 
 def test_heatmap_zero_gradient_gives_zero_map():

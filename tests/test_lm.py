@@ -114,10 +114,10 @@ def test_overfit_then_greedy_reproduction():
         loss.backward()
         opt.step()
     assert float(loss.data) < 0.1
-    out = lm.greedy_decode(z, max_new=6, eos_id=eos, pad_id=pad)
+    out, _ = lm.greedy_decode(z, max_new=6, eos_id=eos, pad_id=pad)
     assert out[0, :5].tolist() == [5, 7, 9, 2, eos]
     assert out[1, :3].tolist() == [8, 6, eos]
     # lockstep decoding pads the finished row and is deterministic
     assert (out[1, 3:] == pad).all()
-    again = lm.greedy_decode(z, max_new=6, eos_id=eos, pad_id=pad)
+    again, _ = lm.greedy_decode(z, max_new=6, eos_id=eos, pad_id=pad)
     assert np.array_equal(out, again)

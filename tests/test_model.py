@@ -246,7 +246,10 @@ def test_decode_learned_query_uses_head():
 @pytest.mark.parametrize("no_qdh", [False, True])
 @pytest.mark.parametrize("span_mode", ["noun_phrase", "full_answer"])
 def test_training_and_decoding_agree_on_boxes(span_mode, no_qdh):
-    """Greedy ids fed back teacher-forced give decode's boxes, bit for bit."""
+    """Greedy ids fed back teacher-forced give decode's boxes.
+
+    Decode reads the cached hidden states of its own greedy pass, which
+    differ from a teacher-forced pass only in summation order."""
     cfg = tiny_cfg(span_mode=span_mode, ablation=Ablation(no_qdh=no_qdh))
     model, vocab = make_model(cfg)
     batch = random_batch(cfg, vocab)
@@ -260,14 +263,74 @@ def test_training_and_decoding_agree_on_boxes(span_mode, no_qdh):
         bias[:] = init
         bias[tok] += nudge
         z, feats, _ = model.encode_scene(batch)
-        ids = model.lm.greedy_decode(z, model.max_new, vocab.eos_id, pad)
+        ids, _ = model.lm.greedy_decode(z, model.max_new, vocab.eos_id, pad)
         assert (ids == pad).any() == some_pad and (ids == pad).all() == all_pad
         mask = (ids != pad).astype(np.float64)
         mask[mask.sum(axis=1) == 0, 0] = 1.0
         _, hidden = model.lm.caption_loss(z, ids, mask)
         boxes = model.predict_box(hidden, feats, mask).data
         decoded = np.array([rec["box"] for rec in model.decode(batch)])
-        assert np.array_equal(boxes, decoded)
+        assert np.allclose(boxes, decoded, atol=1e-5, rtol=0)
+
+
+GREEDY_CONFIGS = {
+    "noun_phrase": {},
+    "full_answer": {"span_mode": "full_answer"},
+    "learned_query": {"head_variant": "learned_query"},
+    "text_coords": {"head_variant": "text_coords"},
+    "no_qdh": {"ablation": Ablation(no_qdh=True)},
+    "baseline_only": {"ablation": Ablation(baseline_only=True)},
+}
+
+
+@pytest.mark.parametrize("eos_nudge", [0.0, 3.5])
+@pytest.mark.parametrize("config", list(GREEDY_CONFIGS))
+def test_cached_greedy_ids_are_the_teacher_forced_argmax(config, eos_nudge):
+    """Each greedy id up to its row's EOS is the argmax of the teacher-forced
+    logits over the generated ids, and the cached hidden states are the
+    teacher-forced ones."""
+    cfg = tiny_cfg(**GREEDY_CONFIGS[config])
+    model, vocab = make_model(cfg)
+    # a nudge makes rows end at different steps, so later steps feed pad
+    model.lm.head.bias.data[vocab.eos_id] += eos_nudge
+    z, _, _ = model.encode_scene(random_batch(cfg, vocab))
+    ids, hidden = model.lm.greedy_decode(z, model.max_new, vocab.eos_id, vocab.pad_id)
+    ref_hidden, ref_logits = model.lm.forward_hidden(z, ids)
+    assert hidden.shape == ref_hidden.shape
+    assert np.allclose(hidden.data, ref_hidden.data, atol=1e-5, rtol=0)
+    p = model.lm.prefix_len
+    best = ref_logits.data[:, p - 1 : p - 1 + ids.shape[1], :].argmax(axis=-1)
+    for row, want in zip(ids, best):
+        ends = np.flatnonzero(row == vocab.eos_id)
+        n = ends[0] + 1 if ends.size else len(row)
+        assert np.array_equal(row[:n], want[:n])
+        assert (row[n:] == vocab.pad_id).all()
+
+
+def test_greedy_decode_runs_to_min_new():
+    cfg = tiny_cfg()
+    model, vocab = make_model(cfg)
+    # every row ends at its first step
+    model.lm.head.bias.data[vocab.eos_id] += 100.0
+    z, _, _ = model.encode_scene(random_batch(cfg, vocab))
+    eos, pad = vocab.eos_id, vocab.pad_id
+    ids, _ = model.lm.greedy_decode(z, model.max_new, eos, pad)
+    assert ids.tolist() == [[eos]] * 3
+    ids, hidden = model.lm.greedy_decode(z, model.max_new, eos, pad, min_new=ANSWER_SPAN[1])
+    assert ids.shape == (3, ANSWER_SPAN[1])
+    assert (ids[:, 0] == eos).all() and (ids[:, 1:] == pad).all()
+    assert hidden.shape == (3, model.lm.prefix_len + ANSWER_SPAN[1], cfg.model.d_l)
+
+
+def test_float32_model_stays_float32():
+    cfg = tiny_cfg()
+    model, vocab = make_model(cfg)
+    batch = random_batch(cfg, vocab)
+    z, _, _ = model.encode_scene(batch)
+    hidden, logits = model.lm.forward_hidden(z, batch["answer_ids"])
+    loss, _ = model.forward_train(batch, box_weight=1.0)
+    for name, t in (("z", z), ("hidden", hidden), ("logits", logits), ("loss", loss)):
+        assert t.dtype == np.float32, name
 
 
 def test_answer_rows_span_window():

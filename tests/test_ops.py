@@ -43,6 +43,16 @@ def test_softmax_shift_invariance():
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
+@pytest.mark.parametrize("op", [ops.relu, ops.gelu, ops.sigmoid, ops.softmax_rows],
+                         ids=lambda op: op.__name__)
+def test_activations_keep_float32(op):
+    x = Tensor(np.linspace(-3.0, 3.0, 12, dtype=np.float32).reshape(3, 4), requires_grad=True)
+    y = op(x)
+    assert y.dtype == np.float32
+    (y * Tensor(np.ones((3, 4), dtype=np.float32))).sum().backward()
+    assert x.grad.dtype == np.float32
+
+
 def test_gelu_reference_points():
     # gelu(0)=0, gelu is odd-symmetric around 0 in the sense x*cdf(x);
     # gelu(large) ~ x, gelu(-large) ~ 0

@@ -36,6 +36,19 @@ def _static(obj_class, color, size, cx, cy, n=5):
     return SceneObject(obj_class, color, size, centers)
 
 
+@pytest.mark.parametrize("clip_len", [1, 2])
+def test_generation_rejects_clips_too_short_to_cross_the_band(clip_len):
+    # a crossing track is inside the band only between its two end frames
+    with pytest.raises(ValueError, match="clip_len"):
+        SceneDataset.generate(_small_cfg(clip_len=clip_len), "train")
+
+
+def test_shortest_allowed_clip_generates_every_scenario():
+    ds = SceneDataset.generate(_small_cfg(n_train=12, clip_len=3, lr_size=16, hr_size=64), "train")
+    assert ds.clips.shape[:2] == (12, 3)
+    assert {m["scenario"] for m in ds.meta} == {"end_in_band", "cross_right", "cross_left"}
+
+
 def test_scene_generation_deterministic():
     cfg = _small_cfg()
     a = generate_scene(3, cfg)
