@@ -430,16 +430,6 @@ def log(a: Tensor) -> Tensor:
     return Tensor._from_op(data, (a,), backward, "log")
 
 
-def sqrt(a: Tensor) -> Tensor:
-    data = np.sqrt(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accum(g * (0.5 / data))
-
-    return Tensor._from_op(data, (a,), backward, "sqrt")
-
-
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     data = np.clip(a.data, lo, hi)
     mask = (a.data > lo) & (a.data < hi)

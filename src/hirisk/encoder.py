@@ -22,43 +22,40 @@ from .modules import Linear, LayerNorm, Module, ModuleList, Parameter
 from .rng import named_rng
 
 
-def attention_core(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Scaled dot-product attention on [..., T, dh] tensors."""
-    scale = 1.0 / math.sqrt(q.shape[-1])
-    scores = (q @ swapaxes(k, -1, -2)) * scale
-    if mask is not None:
-        scores = scores + Tensor(mask.astype(scores.data.dtype))
-    return ops.softmax_rows(scores) @ v
-
-
 def split_heads(x: Tensor, heads: int) -> Tensor:
     """[B, T, H*dh] -> [B, H, T, dh]."""
     b, t, d = x.shape
     return swapaxes(x.reshape(b, t, heads, d // heads), 1, 2)
 
 
-def merge_heads(x: Tensor) -> Tensor:
-    """[B, H, T, dh] -> [B, T, H*dh]; inverse of `split_heads`."""
-    b, h, t, dh = x.shape
-    return swapaxes(x, 1, 2).reshape(b, t, h * dh)
-
-
 class MultiHeadAttention(Module):
-    def __init__(self, dim: int, n_heads: int, rng, dtype, kv_dim: int | None = None):
+    """Scaled dot-product attention, the one attention module of the model.
+
+    Queries are projected from inputs of width `q_dim` and keys and values
+    from `kv_dim` (both default to `dim`) into `n_heads` heads that together
+    are `dim` wide. With `project` the q/k/v projections carry a bias and
+    `wo` maps the merged heads back to `dim`; without it the projections
+    are bias-free and the merged heads are returned as they are.
+    """
+
+    def __init__(self, dim: int, n_heads: int, rng, dtype, kv_dim: int | None = None,
+                 q_dim: int | None = None, project: bool = True):
         super().__init__()
         if dim % n_heads:
             raise ValueError("dim must divide by n_heads")
         kv_dim = dim if kv_dim is None else kv_dim
+        q_dim = dim if q_dim is None else q_dim
         self.n_heads = n_heads
-        self.wq = Linear(dim, dim, rng, dtype=dtype)
-        self.wk = Linear(kv_dim, dim, rng, dtype=dtype)
-        self.wv = Linear(kv_dim, dim, rng, dtype=dtype)
-        self.wo = Linear(dim, dim, rng, dtype=dtype)
+        self.wq = Linear(q_dim, dim, rng, bias=project, dtype=dtype)
+        self.wk = Linear(kv_dim, dim, rng, bias=project, dtype=dtype)
+        self.wv = Linear(kv_dim, dim, rng, bias=project, dtype=dtype)
+        self.wo = Linear(dim, dim, rng, dtype=dtype) if project else None
 
     def forward(self, x: Tensor, kv: Tensor | None = None, mask: np.ndarray | None = None,
                 cache: dict | None = None) -> Tensor:
-        """With a `cache` dict, this call's keys and values are appended to the
-        ones cached by earlier calls, and `x` attends over all of them."""
+        """`mask` is added to the [B, H, Tq, Tk] scores. With a `cache` dict,
+        this call's keys and values are appended to the ones cached by
+        earlier calls, and `x` attends over all of them."""
         kv = x if kv is None else kv
         h = self.n_heads
         q = split_heads(self.wq(x), h)
@@ -69,7 +66,14 @@ class MultiHeadAttention(Module):
                 k = concat([cache["k"], k], axis=2)
                 v = concat([cache["v"], v], axis=2)
             cache["k"], cache["v"] = k, v
-        return self.wo(merge_heads(attention_core(q, k, v, mask)))
+        scale = 1.0 / math.sqrt(q.shape[-1])
+        scores = (q @ swapaxes(k, -1, -2)) * scale
+        if mask is not None:
+            scores = scores + Tensor(mask.astype(scores.data.dtype))
+        out = ops.softmax_rows(scores) @ v
+        b, _, t, dh = out.shape
+        out = swapaxes(out, 1, 2).reshape(b, t, h * dh)
+        return out if self.wo is None else self.wo(out)
 
 
 class Mlp(Module):
@@ -182,21 +186,15 @@ class VideoEncoder(Module):
         )
         self.proj = Linear(cfg.d_v, cfg.d_l, named_rng(seed, "init/encoder/proj"), dtype=dtype)
 
-    def embed(self, clip: np.ndarray, use_positions: bool = True) -> Tensor:
-        """Frames [B, L, S, S, 3] in [0,1] -> tokens [B*L, 1+G*G, D_v].
-
-        use_positions=False is a diagnostic mode for symmetry checks.
-        """
+    def embed(self, clip: np.ndarray) -> Tensor:
+        """Frames [B, L, S, S, 3] in [0,1] -> tokens [B*L, 1+G*G, D_v]."""
         b, l, s, _, _ = clip.shape
         p, g = self.patch, self.grid
         x = clip.reshape(b * l, g, p, g, p, 3).transpose(0, 1, 3, 2, 4, 5)
         x = np.ascontiguousarray(x).reshape(b * l, g * g, p * p * 3)
         tok = self.patch_proj(Tensor(x.astype(self.patch_proj.weight.dtype)))
         cls = broadcast_to(self.cls, (b * l, 1, self.d_v))
-        tok = concat([cls, tok], axis=1)
-        if use_positions:
-            tok = tok + self.pos
-        return tok
+        return concat([cls, tok], axis=1) + self.pos
 
     def encode(self, tokens: Tensor, batch: int, incorporation=None, hr_feats: Tensor | None = None,
                sites: dict[int, int] | None = None):

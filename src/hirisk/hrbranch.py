@@ -8,6 +8,12 @@ the incorporation module injects the resulting features into the video
 encoder's cls tokens through zero-gated cross-attention; and a detection
 head regresses the risk-object box.
 
+Every attention here is `encoder.MultiHeadAttention` in its bare form
+(bias-free q/k/v projections, no output projection): an incorporation site
+is a one-head instance plus its gate, and the query-based heads hold one as
+`ca`. Their parameter names, `wq.weight`, `wk.weight` and `wv.weight`, are
+part of the checkpoint format.
+
 The heatmap is computed in closed form on plain arrays from detached
 weights, so it builds no graph and no gradient from the main training
 objective ever flows through it.
@@ -21,7 +27,7 @@ import numpy as np
 
 from . import ops
 from .autograd import Tensor, broadcast_to, clip, concat, maximum, power, tsum
-from .encoder import attention_core, merge_heads, split_heads
+from .encoder import MultiHeadAttention
 from .modules import Linear, Module, ModuleList, Parameter
 
 
@@ -161,65 +167,41 @@ def apply_highlight(mask: np.ndarray, feats: Tensor) -> Tensor:
 # -- incorporation -------------------------------------------------------------
 
 
-class IncorporationSite(Module):
+class IncorporationSite(MultiHeadAttention):
     """Single-head cross-attention from cls tokens into HR features.
 
     Output = alpha * attended + cls with alpha starting at exactly zero, so
     a fresh site is invisible to the rest of the network.
     """
 
-    def __init__(self, d_v: int, d_i: int, d_s: int, rng, dtype):
-        super().__init__()
-        self.wq = Linear(d_v, d_s, rng, bias=False, dtype=dtype)
-        self.wk = Linear(d_i, d_s, rng, bias=False, dtype=dtype)
-        self.wv = Linear(d_i, d_v, rng, bias=False, dtype=dtype)
+    def __init__(self, d_v: int, d_i: int, rng, dtype):
+        super().__init__(d_v, 1, rng, dtype, kv_dim=d_i, project=False)
         self.alpha = Parameter(np.zeros(()), dtype=dtype)
 
     def forward(self, cls: Tensor, feats: Tensor) -> Tensor:
-        attended = attention_core(self.wq(cls), self.wk(feats), self.wv(feats))
-        return self.alpha * attended + cls
+        return self.alpha * super().forward(cls, kv=feats) + cls
 
 
 # -- detection heads -----------------------------------------------------------
 
 
-class _CrossAttnPool(Module):
-    """Shared core: queries attend a feature sequence, outputs per-query rows.
-
-    Multi-head; with a single head the attention is slow to sharpen and box
-    regression stalls near the dataset-mean box.
-    """
-
-    def __init__(self, d_q: int, d_i: int, d_a: int, rng, dtype, heads: int = 4):
-        super().__init__()
-        if d_a % heads:
-            raise ValueError("d_a must divide by heads")
-        self.heads = heads
-        self.wq = Linear(d_q, d_a, rng, bias=False, dtype=dtype)
-        self.wk = Linear(d_i, d_a, rng, bias=False, dtype=dtype)
-        self.wv = Linear(d_i, d_a, rng, bias=False, dtype=dtype)
-
-    def forward(self, queries: Tensor, feats: Tensor) -> Tensor:
-        h = self.heads
-        q = split_heads(self.wq(queries), h)
-        k = split_heads(self.wk(feats), h)
-        v = split_heads(self.wv(feats), h)
-        return merge_heads(attention_core(q, k, v))
-
-
 class SpanQueryDetector(Module):
-    """Answer-span hidden states query the highlighted HR features."""
+    """Answer-span hidden states query the highlighted HR features.
+
+    The cross-attention is multi-head; with a single head the attention is
+    slow to sharpen and box regression stalls near the dataset-mean box.
+    """
 
     def __init__(self, d_l: int, d_i: int, d_a: int, rng, dtype, heads: int = 4):
         super().__init__()
-        self.ca = _CrossAttnPool(d_l, d_i, d_a, rng, dtype, heads=heads)
+        self.ca = MultiHeadAttention(d_a, heads, rng, dtype, kv_dim=d_i, q_dim=d_l, project=False)
         self.fc1 = Linear(d_a, d_a, rng, dtype=dtype)
         self.fc2 = Linear(d_a, 4, rng, dtype=dtype)
 
     def forward(self, h_a: Tensor, feats: Tensor, span_mask: np.ndarray | None = None) -> Tensor:
         if h_a.shape[1] == 0:
             raise ValueError("answer span is empty")
-        att = self.ca(h_a, feats)
+        att = self.ca(h_a, kv=feats)
         if span_mask is None:
             pooled = att.mean(axis=1)
         else:
@@ -249,7 +231,7 @@ class LearnedQueryDetector(Module):
     def __init__(self, n_queries: int, d_l: int, d_i: int, d_a: int, rng, dtype, heads: int = 4):
         super().__init__()
         self.queries = Parameter(rng.normal(0.0, 0.02, size=(n_queries, d_l)), dtype=dtype)
-        self.ca = _CrossAttnPool(d_l, d_i, d_a, rng, dtype, heads=heads)
+        self.ca = MultiHeadAttention(d_a, heads, rng, dtype, kv_dim=d_i, q_dim=d_l, project=False)
         self.fc1 = Linear(d_a, d_a, rng, dtype=dtype)
         self.fc2 = Linear(d_a, 4, rng, dtype=dtype)
         self.obj = Linear(d_a, 1, rng, dtype=dtype)
@@ -259,7 +241,7 @@ class LearnedQueryDetector(Module):
         b = feats.shape[0]
         n, d = self.queries.shape
         q = broadcast_to(self.queries.reshape(1, n, d), (b, n, d))
-        att = self.ca(q, feats)
+        att = self.ca(q, kv=feats)
         return box_tail(self.fc1, self.fc2, att), self.obj(att)[..., 0]
 
     def loss(self, boxes: Tensor, obj: Tensor, gt: np.ndarray) -> Tensor:

@@ -93,7 +93,7 @@ class DualBranchModel(Module):
                 self.sites = incorporation_sites(m.n_layers)
                 n_sites = len(set(self.sites.values()))
                 self.incorporation = ModuleList(
-                    IncorporationSite(m.d_v, d_i, m.d_v, named_rng(seed, f"init/hr/incorporate{j}"), dtype)
+                    IncorporationSite(m.d_v, d_i, named_rng(seed, f"init/hr/incorporate{j}"), dtype)
                     for j in range(n_sites)
                 )
         self.d_i = d_i
@@ -124,13 +124,15 @@ class DualBranchModel(Module):
         last = tokens[(rows,)]
         return last[:, 1:, :].reshape(batch, g, g, self.encoder.d_v)
 
-    def presence_features(self, batch: dict) -> Tensor:
-        """Feature grid the highlighter scores during its warmup phase."""
-        if self.flags.no_hrse:
-            b = batch["clip"].shape[0]
+    def presence_features(self, batch: dict, tokens: Tensor | None = None) -> Tensor:
+        """Feature grid the highlighter scores: the extractor's grid of the HR
+        frame, or without the extractor the patch tokens of the clip's last
+        frame (`tokens` from `encoder.embed`, embedded here when not given)."""
+        if not self.flags.no_hrse:
+            return self.cnn(Tensor(batch["hr"]))
+        if tokens is None:
             tokens = self.encoder.embed(batch["clip"])
-            return self.last_frame_grid(tokens, b)
-        return self.cnn(Tensor(batch["hr"]))
+        return self.last_frame_grid(tokens, batch["clip"].shape[0])
 
     def hr_features(self, batch: dict, tokens: Tensor):
         """High-resolution feature sequence plus its highlight map.
@@ -143,7 +145,7 @@ class DualBranchModel(Module):
         if self.flags.baseline_only:
             return None, None
         b = batch["clip"].shape[0]
-        grid = self.last_frame_grid(tokens, b) if self.flags.no_hrse else self.cnn(Tensor(batch["hr"]))
+        grid = self.presence_features(batch, tokens)
         heat = None
         if not self.flags.no_em:
             heat = self.highlighter.heatmap(grid.data, self.localization_prompt_vec())

@@ -17,7 +17,7 @@ import os
 import numpy as np
 
 from . import ops
-from .autograd import NonFiniteError, Tensor, concat
+from .autograd import NonFiniteError, concat
 from .config import Ablation, RunConfig, canonical_json, config_hash, from_dict, to_dict
 from .grammar import build_vocab, format_location, tokenize, Vocabulary
 from .metrics import evaluate_predictions
@@ -198,16 +198,12 @@ def pretrain_highlighter(model: DualBranchModel, data: dict, cfg: RunConfig, log
     for step in range(steps):
         idx = r.integers(0, n, size=half)
         if flags.no_hrse:
-            neg_clip = np.repeat(
-                background_frames(s.lr_size, half, r)[:, None], s.clip_len, axis=1
-            )
-            pos = model.presence_features(make_batch(data, idx))
-            neg = model.presence_features({"clip": neg_clip, "hr": None})
+            bg = background_frames(s.lr_size, half, r)
+            neg = {"clip": np.repeat(bg[:, None], s.clip_len, axis=1)}
         else:
-            pos_img = data["hrs"][idx].astype(np.float32) / 255.0
-            neg_img = background_frames(s.hr_size, half, r)
-            pos = model.cnn(Tensor(pos_img))
-            neg = model.cnn(Tensor(neg_img))
+            neg = {"hr": background_frames(s.hr_size, half, r)}
+        pos = model.presence_features(make_batch(data, idx))
+        neg = model.presence_features(neg)
         pos_logit = model.highlighter.presence_logits(pos, prompt)
         neg_logit = model.highlighter.presence_logits(neg, prompt)
         logits = concat([pos_logit, neg_logit], axis=0)
@@ -290,85 +286,79 @@ def restore_optimizer(opt: AdamW, opt_arrays: dict) -> None:
 
 def train_model(cfg: RunConfig, train_ds: SceneDataset, run_dir=None, log=None) -> dict:
     """Full training run. Returns model, vocab, and the per-step history."""
-    own_logger = log is None
     say = log or Logger(run_dir)
-    t = cfg.train
-    vocab = build_vocab()
-    data = prepare_data(train_ds, vocab, cfg.model.head_variant)
-    ta = data["max_answer_len"]
+    try:
+        t = cfg.train
+        vocab = build_vocab()
+        data = prepare_data(train_ds, vocab, cfg.model.head_variant)
+        ta = data["max_answer_len"]
 
-    if run_dir:
-        os.makedirs(run_dir, exist_ok=True)
-        with open(os.path.join(run_dir, "config.snapshot"), "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(cfg) + "\n")
+        if run_dir:
+            os.makedirs(run_dir, exist_ok=True)
+            with open(os.path.join(run_dir, "config.snapshot"), "w", encoding="utf-8") as fh:
+                fh.write(canonical_json(cfg) + "\n")
 
-    if not cfg.model.ablation.baseline_only:
-        gap = gating_gap(cfg, vocab, ta)
-        say(f"zero-disturbance gate: max logit gap {gap:.3e}")
-        if gap > 1e-6:
-            raise GateError(f"gate failed: logit gap {gap:.3e} exceeds 1e-6")
+        if not cfg.model.ablation.baseline_only:
+            gap = gating_gap(cfg, vocab, ta)
+            say(f"zero-disturbance gate: max logit gap {gap:.3e}")
+            if gap > 1e-6:
+                raise GateError(f"gate failed: logit gap {gap:.3e} exceeds 1e-6")
 
-    model = DualBranchModel(cfg, vocab, ta, t.seed)
-    pretrain_highlighter(model, data, cfg, say)
+        model = DualBranchModel(cfg, vocab, ta, t.seed)
+        pretrain_highlighter(model, data, cfg, say)
 
-    groups = model.param_groups(t.hr_lr_mult, t.freeze_backbone)
-    opt = AdamW(groups, lr=t.lr, weight_decay=t.weight_decay)
-    order = named_rng(t.seed, "train/order")
-    n = len(train_ds)
-    history = []
+        groups = model.param_groups(t.hr_lr_mult, t.freeze_backbone)
+        opt = AdamW(groups, lr=t.lr, weight_decay=t.weight_decay)
+        order = named_rng(t.seed, "train/order")
+        n = len(train_ds)
+        history = []
 
-    say(f"training: {t.steps} steps, batch {t.batch_size}, lr {t.lr:g} "
-        f"(hr x{t.hr_lr_mult:g}), box weight {t.box_weight:g}, config {config_hash(cfg)[:12]}")
-    for step in range(t.steps):
-        lr = float(cosine_lr(step, t.steps, t.lr, t.lr_floor))
-        if t.warmup_steps > 0:
-            lr *= min(1.0, (step + 1) / t.warmup_steps)
-        opt.lr = lr
-        idx = order.integers(0, n, size=t.batch_size)
-        batch = make_batch(data, idx)
-        try:
-            loss, parts = model.forward_train(batch, t.box_weight)
-            if not np.isfinite(parts["total"]):
-                raise NonFiniteError(f"loss value {parts['total']}")
-            model.zero_grad()
-            loss.backward()
-            opt.step()
-        except NonFiniteError as err:
-            diag = {
-                "step": step,
-                "lr": lr,
-                "grad_norm": opt.grad_norm(),
-                "error": str(err),
-            }
-            say(f"abort: non-finite loss at step {step} (lr {lr:.3e}, "
-                f"grad norm {diag['grad_norm']:.3e})")
-            if own_logger:
-                say_close(say)
-            raise TrainAbort(diag) from err
-        history.append({"step": step, "lr": lr, **parts})
-        if step % t.log_every == 0 or step == t.steps - 1:
-            say(f"step {step} lr {lr:.3e} loss {parts['total']:.4f} "
-                f"caption {parts['caption']:.4f} box {parts['box']:.4f}")
+        say(f"training: {t.steps} steps, batch {t.batch_size}, lr {t.lr:g} "
+            f"(hr x{t.hr_lr_mult:g}), box weight {t.box_weight:g}, config {config_hash(cfg)[:12]}")
+        for step in range(t.steps):
+            lr = float(cosine_lr(step, t.steps, t.lr, t.lr_floor))
+            if t.warmup_steps > 0:
+                lr *= min(1.0, (step + 1) / t.warmup_steps)
+            opt.lr = lr
+            idx = order.integers(0, n, size=t.batch_size)
+            batch = make_batch(data, idx)
+            try:
+                loss, parts = model.forward_train(batch, t.box_weight)
+                if not np.isfinite(parts["total"]):
+                    raise NonFiniteError(f"loss value {parts['total']}")
+                model.zero_grad()
+                loss.backward()
+                opt.step()
+            except NonFiniteError as err:
+                diag = {
+                    "step": step,
+                    "lr": lr,
+                    "grad_norm": opt.grad_norm(),
+                    "error": str(err),
+                }
+                say(f"abort: non-finite loss at step {step} (lr {lr:.3e}, "
+                    f"grad norm {diag['grad_norm']:.3e})")
+                raise TrainAbort(diag) from err
+            history.append({"step": step, "lr": lr, **parts})
+            if step % t.log_every == 0 or step == t.steps - 1:
+                say(f"step {step} lr {lr:.3e} loss {parts['total']:.4f} "
+                    f"caption {parts['caption']:.4f} box {parts['box']:.4f}")
 
-    rng_state = order.bit_generator.state
-    if run_dir:
-        save_checkpoint(os.path.join(run_dir, "checkpoint"), model, opt, cfg, t.steps, ta, rng_state)
-        say(f"checkpoint written to {os.path.join(run_dir, 'checkpoint')}")
-    if own_logger:
-        say_close(say)
-    return {
-        "model": model,
-        "vocab": vocab,
-        "history": history,
-        "max_answer_len": ta,
-        "optimizer": opt,
-        "rng_state": rng_state,
-    }
-
-
-def say_close(log) -> None:
-    if isinstance(log, Logger):
-        log.close()
+        rng_state = order.bit_generator.state
+        if run_dir:
+            save_checkpoint(os.path.join(run_dir, "checkpoint"), model, opt, cfg, t.steps, ta, rng_state)
+            say(f"checkpoint written to {os.path.join(run_dir, 'checkpoint')}")
+        return {
+            "model": model,
+            "vocab": vocab,
+            "history": history,
+            "max_answer_len": ta,
+            "optimizer": opt,
+            "rng_state": rng_state,
+        }
+    finally:
+        if say is not log:
+            say.close()
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -429,34 +419,38 @@ def run_ablation_grid(cfg: RunConfig, seeds, train_ds: SceneDataset,
     if not seeds:
         raise ValueError("need at least one seed")
     say = log or Logger(run_dir)
-    table = []
-    for name, flags in rows or GRID_ROWS:
-        reports = []
-        for seed in seeds:
-            row_cfg = _row_config(cfg, flags, seed)
-            say(f"[{name} seed {seed}] training")
-            result = train_model(row_cfg, train_ds, run_dir=None, log=say)
-            rep = evaluate_model(result["model"], result["vocab"], test_ds,
-                                 batch_size=row_cfg.train.eval_batch)
-            say(f"[{name} seed {seed}] miou {rep['miou']:.4f} bleu4 {rep['bleu4']:.4f}")
-            reports.append(rep)
-        row = {"name": name, "seeds": seeds,
-               "config_hash": config_hash(_row_config(cfg, flags, seeds[0]))}
-        for key in GRID_METRICS:
-            vals = [r[key] for r in reports if key in r]
-            if vals:
-                row[f"{key}_mean"] = float(np.mean(vals))
-                row[f"{key}_min"] = float(min(vals))
-                row[f"{key}_max"] = float(max(vals))
-        row["reports"] = reports
-        table.append(row)
-    if run_dir:
-        os.makedirs(run_dir, exist_ok=True)
-        with open(os.path.join(run_dir, "ablation.json"), "w", encoding="utf-8") as fh:
-            json.dump(table, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        write_grid_csv(table, os.path.join(run_dir, "ablation.csv"))
-    return table
+    try:
+        table = []
+        for name, flags in rows or GRID_ROWS:
+            reports = []
+            for seed in seeds:
+                row_cfg = _row_config(cfg, flags, seed)
+                say(f"[{name} seed {seed}] training")
+                result = train_model(row_cfg, train_ds, run_dir=None, log=say)
+                rep = evaluate_model(result["model"], result["vocab"], test_ds,
+                                     batch_size=row_cfg.train.eval_batch)
+                say(f"[{name} seed {seed}] miou {rep['miou']:.4f} bleu4 {rep['bleu4']:.4f}")
+                reports.append(rep)
+            row = {"name": name, "seeds": seeds,
+                   "config_hash": config_hash(_row_config(cfg, flags, seeds[0]))}
+            for key in GRID_METRICS:
+                vals = [r[key] for r in reports if key in r]
+                if vals:
+                    row[f"{key}_mean"] = float(np.mean(vals))
+                    row[f"{key}_min"] = float(min(vals))
+                    row[f"{key}_max"] = float(max(vals))
+            row["reports"] = reports
+            table.append(row)
+        if run_dir:
+            os.makedirs(run_dir, exist_ok=True)
+            with open(os.path.join(run_dir, "ablation.json"), "w", encoding="utf-8") as fh:
+                json.dump(table, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            write_grid_csv(table, os.path.join(run_dir, "ablation.csv"))
+        return table
+    finally:
+        if say is not log:
+            say.close()
 
 
 def write_grid_csv(table: list[dict], path: str) -> None:

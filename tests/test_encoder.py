@@ -5,7 +5,7 @@ import pytest
 
 from hirisk.autograd import Tensor
 from hirisk.config import Ablation, ModelConfig
-from hirisk.encoder import STAdapter, VideoEncoder, incorporation_sites
+from hirisk.encoder import MultiHeadAttention, STAdapter, VideoEncoder, incorporation_sites
 from hirisk.rng import named_rng
 
 
@@ -40,6 +40,23 @@ def test_adapter_mixes_adjacent_frames_once_opened():
     changed = [t for t in range(5) if not np.allclose(ya[t], yb[t])]
     # three-tap temporal kernel: the disturbance reaches frames 1..3 only
     assert changed == [1, 2, 3]
+
+
+def test_bare_attention_matches_a_numpy_reference():
+    att = MultiHeadAttention(8, 2, named_rng(2, "test/mha"), np.dtype("float64"),
+                             kv_dim=5, q_dim=6, project=False)
+    assert [n for n, _ in att.named_parameters()] == ["wq.weight", "wk.weight", "wv.weight"]
+    rng = np.random.default_rng(11)
+    x, feats = rng.normal(size=(3, 4, 6)), rng.normal(size=(3, 7, 5))
+    out = att(Tensor(x), kv=Tensor(feats)).data
+    q, k, v = (a @ w.weight.data for a, w in ((x, att.wq), (feats, att.wk), (feats, att.wv)))
+    heads = []
+    for h in (slice(0, 4), slice(4, 8)):
+        s = q[..., h] @ k[..., h].swapaxes(-1, -2) / np.sqrt(4)
+        p = np.exp(s - s.max(axis=-1, keepdims=True))
+        heads.append(p / p.sum(axis=-1, keepdims=True) @ v[..., h])
+    assert out.shape == (3, 4, 8)
+    np.testing.assert_allclose(out, np.concatenate(heads, axis=-1), rtol=1e-12, atol=1e-12)
 
 
 def test_incorporation_sites_placement():
@@ -77,8 +94,7 @@ def test_frames_do_not_interact_without_adapters():
 def test_embed_without_positions_is_content_only():
     enc = VideoEncoder(32, 2, _cfg(), seed=1)
     flat = np.full((1, 2, 32, 32, 3), 0.25, dtype=np.float32)
-    tok = enc.embed(flat, use_positions=False)
-    patches = tok.data[:, 1:, :]
+    patches = enc.patch_proj(Tensor(np.full((2, 16, 8 * 8 * 3), 0.25, dtype=np.float32))).data
     assert np.ptp(patches, axis=1).max() == 0.0  # identical patches, identical rows
     with_pos = enc.embed(flat).data[:, 1:, :]
     assert np.ptp(with_pos, axis=1).max() > 0.0

@@ -127,7 +127,7 @@ def test_heatmap_leaves_no_gradients_behind():
 
 
 def test_incorporation_identity_at_zero_gate():
-    site = IncorporationSite(8, 6, 4, named_rng(6, "test/inc"), F64)
+    site = IncorporationSite(8, 6, named_rng(6, "test/inc"), F64)
     rng = np.random.default_rng(8)
     cls = Tensor(rng.normal(size=(2, 5, 8)))
     feats = Tensor(rng.normal(size=(2, 3, 6)))
@@ -136,7 +136,7 @@ def test_incorporation_identity_at_zero_gate():
 
 
 def test_incorporation_saturated_attention_picks_dominant_key():
-    site = IncorporationSite(4, 3, 2, named_rng(7, "test/inc2"), F64)
+    site = IncorporationSite(4, 3, named_rng(7, "test/inc2"), F64)
     site.alpha.data[...] = 1.0
     # craft projections: huge logit margin steers all mass to the first row
     site.wq.weight.data[:] = 0.0

@@ -100,6 +100,30 @@ def test_param_group_membership(ablation, freeze_backbone):
         assert all(p is params[n] for n, p in g["params"].items())
 
 
+# Checkpoint names and shapes of the HR attention at the default config: the
+# bare attention has bias-free q/k/v and no output projection.
+SITE = [("alpha", ()), ("wq.weight", (64, 64)), ("wk.weight", (128, 64)), ("wv.weight", (128, 64))]
+CROSS_ATTN = [("ca.wq.weight", (96, 64)), ("ca.wk.weight", (128, 64)), ("ca.wv.weight", (128, 64))]
+BOX_TAIL = [("fc1.weight", (64, 64)), ("fc1.bias", (64,)), ("fc2.weight", (64, 4)), ("fc2.bias", (4,))]
+HEAD_PARAMS = {
+    "span_query": CROSS_ATTN + BOX_TAIL,
+    "learned_query": [("queries", (4, 96))] + CROSS_ATTN + BOX_TAIL
+                     + [("obj.weight", (64, 1)), ("obj.bias", (1,))],
+}
+
+
+@pytest.mark.parametrize("variant", list(HEAD_PARAMS))
+def test_attention_parameter_names_are_the_checkpoint_format(variant):
+    model = DualBranchModel(RunConfig(model=ModelConfig(head_variant=variant)), build_vocab(), TA, 0)
+    named = [(n, p.shape) for n, p in model.named_parameters()]
+    expected = [(f"incorporation.{j}.{n}", shape) for j in range(3) for n, shape in SITE]
+    expected += [(f"detector.{n}", shape) for n, shape in HEAD_PARAMS[variant]]
+    assert [(n, s) for n, s in named if n.startswith(("incorporation.", "detector."))] == expected
+    block_attn = [n for n, _ in named if n.startswith("encoder.blocks.0.attn.")]
+    assert block_attn == [f"encoder.blocks.0.attn.{w}.{t}" for w in ("wq", "wk", "wv", "wo")
+                          for t in ("weight", "bias")]
+
+
 def test_hr_feature_shapes_per_ablation():
     cfg = tiny_cfg()
     vocab = build_vocab()

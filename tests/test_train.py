@@ -260,6 +260,28 @@ def test_gate_failure_refuses_to_train(tiny_data, monkeypatch):
         train_model(tiny_cfg(), tiny_data[0], log=quiet)
 
 
+def test_every_logger_a_run_opens_is_closed(tmp_path, tiny_data, monkeypatch):
+    import hirisk.train as train_mod
+
+    opened = []
+
+    class SpyLogger(train_mod.Logger):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            opened.append(self)
+
+    monkeypatch.setattr(train_mod, "Logger", SpyLogger)
+    with monkeypatch.context() as gate:
+        gate.setattr(train_mod, "gating_gap", lambda *a, **k: 1.0)
+        with pytest.raises(GateError):
+            train_model(tiny_cfg(), tiny_data[0], run_dir=str(tmp_path / "run"))
+    assert len(opened) == 1 and opened[0].fh is None
+    rows = [("baseline_only", Ablation(baseline_only=True))]
+    run_ablation_grid(tiny_cfg(steps=1), [0], tiny_data[0], tiny_data[1], rows=rows,
+                      run_dir=str(tmp_path / "grid"))
+    assert len(opened) == 2 and opened[1].fh is None
+
+
 def test_load_or_generate_caches_and_validates(tmp_path):
     cfg = tiny_cfg()
     data_dir = str(tmp_path / "cache")
