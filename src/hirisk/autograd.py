@@ -109,9 +109,16 @@ class Tensor:
         return out
 
     def _accum(self, grad: np.ndarray) -> None:
+        if np.shape(grad) != self.data.shape:
+            raise ShapeError(
+                f"gradient of shape {np.shape(grad)} for a tensor of shape {self.data.shape} "
+                f"(op '{self._op}')"
+            )
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            # copied, not adopted: a closure may pass one array to two tensors, or a view
+            self.grad = np.array(grad, dtype=self.data.dtype)
+        else:
+            self.grad += grad
 
     # -- basic properties ----------------------------------------------------
 

@@ -23,7 +23,6 @@ from .config import RunConfig, apply_override, load_config
 from .gradcheck import finite_difference_check
 from .metrics import export_csv, save_report
 from .rng import named_rng
-from .scenes import load_dataset
 from .train import (
     GateError,
     Logger,
@@ -32,6 +31,7 @@ from .train import (
     format_grid,
     load_checkpoint,
     load_or_generate,
+    load_split_for,
     run_ablation_grid,
     train_model,
 )
@@ -94,7 +94,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model, vocab, cfg, _ = load_checkpoint(args.checkpoint)
-    test_ds = load_dataset(args.data, args.split)
+    test_ds = load_split_for(cfg, args.data, args.split)
     report = evaluate_model(model, vocab, test_ds, batch_size=cfg.train.eval_batch)
     if args.out:
         save_report(report, args.out)
@@ -159,10 +159,13 @@ def _gradcheck_cases(rng):
 
     return [
         ("matmul", lambda a, b: (a @ b).sum(), [r(3, 4), r(4, 2)]),
+        ("linear", lambda x, w, b: (ops.linear(x, w, b) ** 2).sum(), [r(2, 3, 4), r(4, 2), r(2)]),
         ("softmax", lambda a: (ops.softmax_rows(a) * ops.softmax_rows(a)).sum(), [r(3, 5)]),
         ("layernorm", lambda a, g, b: ops.layer_norm(a, g, b).sum(), [r(4, 6), r(6), r(6)]),
         ("gelu", lambda a: ops.gelu(a).sum(), [r(3, 4)]),
         ("conv2d", lambda x, k: ops.conv2d(x, k, padding=1).sum(), [r(1, 6, 6, 2), r(3, 3, 2, 3)]),
+        ("depthwise_conv3d", lambda x, k: (ops.depthwise_conv3d(x, k) ** 2).sum(),
+         [r(1, 3, 4, 4, 2), r(3, 3, 3, 2)]),
         ("cross_entropy", lambda a: ops.cross_entropy_logits(a, np.array([1, 3])), [r(2, 5)]),
         ("l1", lambda a: ops.l1_loss(a, np.zeros((2, 4))), [r(2, 4)]),
     ]

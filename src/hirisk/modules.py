@@ -100,10 +100,7 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(d_out), dtype=dtype) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        y = x @ self.weight
-        if self.bias is not None:
-            y = y + self.bias
-        return y
+        return ops.linear(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):

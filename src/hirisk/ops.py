@@ -36,13 +36,23 @@ def relu(x: Tensor) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     """Exact (erf-based) Gaussian error linear unit."""
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+    cdf = x.data * _INV_SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     data = x.data * cdf
 
     def backward(g):
         if x.requires_grad:
-            pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
-            x._accum(g * (cdf + x.data * pdf))
+            # g * (cdf + x * pdf), built in one buffer
+            d = -0.5 * x.data
+            d *= x.data
+            np.exp(d, out=d)
+            d *= _INV_SQRT2PI
+            d *= x.data
+            d += cdf
+            d *= g
+            x._accum(d)
 
     return Tensor._from_op(data, (x,), backward, "gelu")
 
@@ -64,19 +74,48 @@ def sigmoid(x: Tensor) -> Tensor:
     return Tensor._from_op(data, (x,), backward, "sigmoid")
 
 
+# -- dense layers -------------------------------------------------------------
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """x [..., K] @ w [K, N] (+ b [N]) as one 2-D GEMM over the flattened rows."""
+    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear expects x[..., K] and w[K, N]: {x.shape} x {w.shape}")
+    k, n = w.shape
+    if b is not None and b.shape != (n,):
+        raise ShapeError(f"linear bias must be [{n}], got {b.shape}")
+    x2 = x.data.reshape(-1, k)
+    out = x2 @ w.data
+    if b is not None:
+        out += b.data
+    parents = (x, w) if b is None else (x, w, b)
+
+    def backward(g):
+        g2 = g.reshape(-1, n)
+        if x.requires_grad:
+            x._accum((g2 @ w.data.T).reshape(x.shape))
+        if w.requires_grad:
+            w._accum(x2.T @ g2)
+        if b is not None and b.requires_grad:
+            b._accum(g2.sum(axis=0))
+
+    return Tensor._from_op(out.reshape(x.shape[:-1] + (n,)), parents, backward, "linear")
+
+
 # -- normalization and attention helpers ---------------------------------------
 
 
 def softmax_rows(x: Tensor) -> Tensor:
     """Softmax over the last axis, stabilized by max subtraction."""
-    m = x.data.max(axis=-1, keepdims=True)
-    e = np.exp(x.data - m)
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
 
     def backward(g):
         if x.requires_grad:
-            dot = (g * p).sum(axis=-1, keepdims=True)
-            x._accum(p * (g - dot))
+            gx = g - (g * p).sum(axis=-1, keepdims=True)
+            gx *= p
+            x._accum(gx)
 
     return Tensor._from_op(p, (x,), backward, "softmax_rows")
 
@@ -99,10 +138,15 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         if beta.requires_grad:
             beta._accum(g.reshape(-1, d).sum(axis=0))
         if x.requires_grad:
+            # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), in two buffers
             dxhat = g * gamma.data
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            x._accum(inv * (dxhat - m1 - xhat * m2))
+            t = dxhat * xhat
+            m2 = t.mean(axis=-1, keepdims=True)
+            dxhat -= dxhat.mean(axis=-1, keepdims=True)
+            np.multiply(xhat, m2, out=t)
+            dxhat -= t
+            dxhat *= inv
+            x._accum(dxhat)
 
     return Tensor._from_op(data, (x, gamma, beta), backward, "layer_norm")
 
@@ -163,23 +207,31 @@ def depthwise_conv3d(x: Tensor, w: Tensor) -> Tensor:
         raise ShapeError("depthwise kernel channel count must match input")
     if kt % 2 == 0 or kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError("depthwise_conv3d requires odd kernel sizes")
-    pt, ph, pw = kt // 2, kh // 2, kw // 2
-    bsz, t, h, wd, _ = x.shape
-    xp = np.pad(x.data, ((0, 0), (pt, pt), (ph, ph), (pw, pw), (0, 0)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kt, kh, kw), axis=(1, 2, 3))
-    # win: [B, T, H, W, C, kt, kh, kw]
-    data = np.einsum("bthwcuvz,uvzc->bthwc", win, w.data, optimize=True)
+    pads = ((0, 0), (kt // 2, kt // 2), (kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0))
+    _, t, h, wd, _ = x.shape
+    taps = [(dt, di, dj) for dt in range(kt) for di in range(kh) for dj in range(kw)]
+
+    def correlate(src, kernel):
+        # out[p] = sum over taps of src[p + tap] * kernel[tap], in two buffers
+        out = np.zeros(x.shape, dtype=np.result_type(src, kernel))
+        tmp = np.empty_like(out)
+        for dt, di, dj in taps:
+            np.multiply(src[:, dt : dt + t, di : di + h, dj : dj + wd, :], kernel[dt, di, dj], out=tmp)
+            out += tmp
+        return out
+
+    xp = np.pad(x.data, pads)
+    data = correlate(xp, w.data)
 
     def backward(g):
         if w.requires_grad:
-            w._accum(np.einsum("bthwcuvz,bthwc->uvzc", win, g, optimize=True))
+            g2 = g.reshape(-1, c)
+            dw = [np.einsum("nc,nc->c", xp[:, dt : dt + t, di : di + h, dj : dj + wd, :].reshape(-1, c), g2)
+                  for dt, di, dj in taps]
+            w._accum(np.reshape(dw, w.shape))
         if x.requires_grad:
-            dxp = np.zeros_like(xp)
-            for dt in range(kt):
-                for di in range(kh):
-                    for dj in range(kw):
-                        dxp[:, dt : dt + t, di : di + h, dj : dj + wd, :] += g * w.data[dt, di, dj, :]
-            x._accum(dxp[:, pt : pt + t, ph : ph + h, pw : pw + wd, :])
+            # the x-gradient is the same correlation of the padded g with the flipped kernel
+            x._accum(correlate(np.pad(g, pads), w.data[::-1, ::-1, ::-1]))
 
     return Tensor._from_op(data, (x, w), backward, "depthwise_conv3d")
 

@@ -9,8 +9,8 @@ a fresh caption-only baseline); training refuses to start if the gate fails.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
-import io
 import json
 import os
 
@@ -108,6 +108,33 @@ def make_batch(data: dict, idx: np.ndarray) -> dict:
     }
 
 
+# The scene fields that set the model's input shapes.
+MODEL_SCENE_FIELDS = ("clip_len", "lr_size", "hr_size")
+
+
+def scene_config_differences(data_dir: str, split: str, scene, fields=None) -> list[str]:
+    """The fields (all, or just `fields`) on which a cached split's manifest
+    config differs from `scene`, sorted."""
+    want = dataclasses.asdict(scene)
+    with open(os.path.join(data_dir, f"{split}_manifest.json"), encoding="utf-8") as fh:
+        cached = json.load(fh)["config"]
+    keys = want.keys() | cached.keys() if fields is None else fields
+    return sorted(k for k in keys if want.get(k) != cached.get(k))
+
+
+def load_split_for(cfg: RunConfig, data_dir: str, split: str) -> SceneDataset:
+    """Load a cached split for a model built with `cfg`.
+
+    Raises ValueError naming the MODEL_SCENE_FIELDS on which the split
+    differs from `cfg.scene`, before any model shape can disagree.
+    """
+    differ = scene_config_differences(data_dir, split, cfg.scene, MODEL_SCENE_FIELDS)
+    if differ:
+        raise ValueError(f"{split} split in {data_dir} differs from the model's "
+                         f"scene config on {differ}")
+    return load_dataset(data_dir, split)
+
+
 def load_or_generate(cfg: RunConfig, data_dir=None, log=None):
     """Fetch both splits, generating and caching them when needed.
 
@@ -117,11 +144,8 @@ def load_or_generate(cfg: RunConfig, data_dir=None, log=None):
     say = log or (lambda s: None)
     if data_dir and os.path.exists(os.path.join(data_dir, "train_manifest.json")):
         say(f"loading dataset from {data_dir}")
-        want = dataclasses.asdict(cfg.scene)
         for split in ("train", "test"):
-            with open(os.path.join(data_dir, f"{split}_manifest.json"), encoding="utf-8") as fh:
-                cached = json.load(fh)["config"]
-            differ = sorted(k for k in want.keys() | cached.keys() if want.get(k) != cached.get(k))
+            differ = scene_config_differences(data_dir, split, cfg.scene)
             if differ:
                 raise ValueError(f"cached {split} split in {data_dir} was built with a "
                                  f"different scene config: {differ}")
@@ -250,10 +274,16 @@ def save_checkpoint(path: str, model: DualBranchModel, opt: AdamW, cfg: RunConfi
         "rng_state": _json_safe(rng_state),
     }
     arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
-    buf = io.BytesIO()
-    np.savez(buf, **arrays)
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    # write beside the target, then rename: a failed write leaves the old file whole
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path: str):

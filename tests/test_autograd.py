@@ -184,6 +184,39 @@ def test_double_backward_call_is_fresh_accumulation():
     assert x.grad.item() == g1 == 6.0
 
 
+@pytest.mark.parametrize("already_has_grad", [False, True])
+def test_accum_rejects_a_mis_shaped_gradient(already_has_grad):
+    # a (4,) gradient would broadcast into a (3, 4) slot under `+=`
+    x = Tensor(np.ones((3, 4)), requires_grad=True)
+    if already_has_grad:
+        x.grad = np.zeros((3, 4))
+
+    def bad_backward(g):
+        x._accum(g.sum(axis=0))
+
+    y = Tensor._from_op(x.data * 2.0, (x,), bad_backward, "bad")
+    with pytest.raises(ShapeError, match=r"\(4,\).*\(3, 4\)"):
+        y.sum().backward()
+
+
+def test_first_gradient_is_a_private_copy():
+    # add hands the same array to both operands; accumulating into one
+    # must not change the other
+    a = Tensor(np.ones(3), requires_grad=True)
+    b = Tensor(np.ones(3), requires_grad=True)
+    (a + b).sum().backward()
+    assert a.grad is not b.grad
+    (a * 3.0).sum().backward()
+    np.testing.assert_array_equal(a.grad, np.full(3, 4.0))
+    np.testing.assert_array_equal(b.grad, np.ones(3))
+
+
+def test_first_gradient_takes_the_tensor_dtype():
+    x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    x._accum(np.full(3, 0.5))
+    assert x.grad.dtype == np.float32
+
+
 # -- no_grad --------------------------------------------------------------------
 
 

@@ -136,3 +136,22 @@ def test_gate_failure_exit_code(tmp_path, cfg_file, monkeypatch):
     code = main(["train", "--config", cfg_file, "--data", data_dir,
                  "--run-dir", str(tmp_path / "r")])
     assert code == 2
+
+
+def test_evaluate_rejects_a_split_with_other_input_shapes(tmp_path, cfg_file):
+    from hirisk.grammar import build_vocab
+    from hirisk.model import DualBranchModel
+    from hirisk.optim import AdamW
+    from hirisk.train import save_checkpoint
+
+    cfg = tiny_cfg()
+    model = DualBranchModel(cfg, build_vocab(), 35, cfg.train.seed)
+    ckpt = str(tmp_path / "checkpoint")
+    save_checkpoint(ckpt, model, AdamW(model.param_groups(1.0), lr=1e-3), cfg, 0, 35, {})
+    data_dir = str(tmp_path / "data")
+    # the seed differs too, but it does not shape the model
+    assert main(["generate-data", "--config", cfg_file, "--out", data_dir,
+                 "--set", "scene.clip_len=3", "--set", "scene.hr_size=128",
+                 "--set", "scene.seed=9"]) == 0
+    with pytest.raises(ValueError, match=r"\['clip_len', 'hr_size'\]"):
+        main(["evaluate", "--checkpoint", ckpt, "--data", data_dir])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hirisk import ops
-from hirisk.autograd import Tensor
+from hirisk.autograd import ShapeError, Tensor
 from hirisk.gradcheck import finite_difference_check
 from hirisk.rng import named_rng
 
@@ -175,6 +175,27 @@ def test_depthwise_conv3d_matches_loop_reference():
     np.testing.assert_allclose(got.data, dwconv3d_loops(x, w), atol=1e-12)
 
 
+def test_depthwise_conv3d_float32_matches_loop_reference():
+    r = rng("dw3f")
+    x = r.normal(size=(2, 3, 4, 5, 3)).astype(np.float32)
+    w = r.normal(size=(3, 3, 3, 3)).astype(np.float32)
+    got = ops.depthwise_conv3d(Tensor(x), Tensor(w))
+    assert got.dtype == np.float32
+    want = dwconv3d_loops(x.astype(np.float64), w.astype(np.float64))
+    np.testing.assert_allclose(got.data, want, rtol=1e-5, atol=1e-5)
+    # and its gradients agree with the float64 ones
+    probe = r.normal(size=x.shape)
+    grads = {}
+    for dtype in (np.float32, np.float64):
+        xt = Tensor(x.astype(dtype), requires_grad=True)
+        wt = Tensor(w.astype(dtype), requires_grad=True)
+        (ops.depthwise_conv3d(xt, wt) * Tensor(probe.astype(dtype))).sum().backward()
+        assert xt.grad.dtype == wt.grad.dtype == dtype
+        grads[dtype] = (xt.grad, wt.grad)
+    for g32, g64 in zip(grads[np.float32], grads[np.float64]):
+        np.testing.assert_allclose(g32, g64, rtol=1e-4, atol=1e-4)
+
+
 def test_depthwise_conv3d_rejects_even_kernel():
     from hirisk.autograd import ShapeError
 
@@ -285,3 +306,46 @@ def test_grad_matmul_and_friends():
     fd(lambda a: a.transpose().sum(), r.normal(size=(2, 5)))
     fd(lambda a: a.reshape(6).sum(), r.normal(size=(2, 3)))
     fd(lambda a: a.mean(axis=1).sum(), r.normal(size=(3, 4)))
+
+
+# -- linear ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("x_shape", [(5, 4), (2, 3, 2, 4)], ids=["2d", "4d"])
+@pytest.mark.parametrize("bias", [True, False], ids=["bias", "no_bias"])
+def test_grad_linear(x_shape, bias):
+    r = rng(f"lin{len(x_shape)}{bias}")
+    probe = Tensor(r.normal(size=x_shape[:-1] + (3,)))
+    arrays = [r.normal(size=x_shape), r.normal(size=(4, 3))] + ([r.normal(size=3)] if bias else [])
+    fd(lambda x, w, *b: (ops.linear(x, w, *b) * probe).sum(), *arrays)
+
+
+def test_linear_float32_matches_matmul_plus_bias():
+    r = rng("lin32")
+    x = r.normal(size=(4, 6, 8)).astype(np.float32)
+    w = r.normal(size=(8, 5)).astype(np.float32)
+    b = r.normal(size=5).astype(np.float32)
+    got = ops.linear(Tensor(x), Tensor(w), Tensor(b))
+    assert got.dtype == np.float32 and got.shape == (4, 6, 5)
+    np.testing.assert_allclose(got.data, x @ w + b, rtol=1e-5, atol=1e-6)
+
+
+def test_linear_module_is_one_tape_node():
+    from hirisk.modules import Linear
+
+    layer = Linear(8, 5, rng("lin_mod"))
+    x = Tensor(rng("lin_x").normal(size=(2, 3, 8)).astype(np.float32), requires_grad=True)
+    y = layer(x)
+    assert y._op == "linear"
+    assert set(map(id, y._parents)) == {id(x), id(layer.weight), id(layer.bias)}
+    tape = y.sum().backward()
+    assert [n._op for n in tape.nodes].count("linear") == 1
+    assert len(tape) == 5  # x, weight, bias, linear, sum
+    assert layer.weight.grad.shape == (8, 5) and x.grad.shape == (2, 3, 8)
+
+
+def test_linear_rejects_mismatched_shapes():
+    with pytest.raises(ShapeError):
+        ops.linear(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 5))))
+    with pytest.raises(ShapeError):
+        ops.linear(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(4)))

@@ -148,6 +148,33 @@ def test_checkpoint_resume_matches_uninterrupted_run(tmp_path, tiny_data):
         assert np.array_equal(p.data, ref[name].data), name
 
 
+def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, tiny_data, monkeypatch):
+    cfg = tiny_cfg()
+    vocab = build_vocab()
+    data = prepare_data(tiny_data[0], vocab, cfg.model.head_variant)
+    model = DualBranchModel(cfg, vocab, data["max_answer_len"], cfg.train.seed)
+    opt = AdamW(model.param_groups(cfg.train.hr_lr_mult), lr=cfg.train.lr)
+    path = str(tmp_path / "checkpoint")
+    save_checkpoint(path, model, opt, cfg, 1, data["max_answer_len"], {})
+    with open(path, "rb") as fh:
+        before = fh.read()
+
+    written_to = []
+
+    def savez_then_fail(file, **arrays):
+        written_to.append(getattr(file, "name", None))
+        file.write(b"PK\x03\x04 half a zip")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", savez_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, model, opt, cfg, 2, data["max_answer_len"], {})
+    assert written_to == [path + ".tmp"]
+    with open(path, "rb") as fh:
+        assert fh.read() == before
+    assert os.listdir(tmp_path) == ["checkpoint"]
+
+
 def test_checkpoint_keeps_every_moment_of_the_optimizer_layout(tmp_path, tiny_data):
     """Moments survive save, load and restore even when the optimizer's groups
     differ from the ones the config would build."""
