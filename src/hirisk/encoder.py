@@ -38,7 +38,7 @@ class MultiHeadAttention(Module):
     are bias-free and the merged heads are returned as they are.
     """
 
-    def __init__(self, dim: int, n_heads: int, rng, dtype, kv_dim: int | None = None,
+    def __init__(self, dim: int, n_heads: int, rng, kv_dim: int | None = None,
                  q_dim: int | None = None, project: bool = True):
         super().__init__()
         if dim % n_heads:
@@ -46,10 +46,10 @@ class MultiHeadAttention(Module):
         kv_dim = dim if kv_dim is None else kv_dim
         q_dim = dim if q_dim is None else q_dim
         self.n_heads = n_heads
-        self.wq = Linear(q_dim, dim, rng, bias=project, dtype=dtype)
-        self.wk = Linear(kv_dim, dim, rng, bias=project, dtype=dtype)
-        self.wv = Linear(kv_dim, dim, rng, bias=project, dtype=dtype)
-        self.wo = Linear(dim, dim, rng, dtype=dtype) if project else None
+        self.wq = Linear(q_dim, dim, rng, bias=project)
+        self.wk = Linear(kv_dim, dim, rng, bias=project)
+        self.wv = Linear(kv_dim, dim, rng, bias=project)
+        self.wo = Linear(dim, dim, rng) if project else None
 
     def forward(self, x: Tensor, kv: Tensor | None = None, mask: np.ndarray | None = None,
                 cache: dict | None = None) -> Tensor:
@@ -77,10 +77,10 @@ class MultiHeadAttention(Module):
 
 
 class Mlp(Module):
-    def __init__(self, dim: int, hidden: int, rng, dtype):
+    def __init__(self, dim: int, hidden: int, rng):
         super().__init__()
-        self.fc1 = Linear(dim, hidden, rng, dtype=dtype)
-        self.fc2 = Linear(hidden, dim, rng, dtype=dtype)
+        self.fc1 = Linear(dim, hidden, rng)
+        self.fc2 = Linear(hidden, dim, rng)
 
     def forward(self, x: Tensor) -> Tensor:
         return self.fc2(ops.gelu(self.fc1(x)))
@@ -89,12 +89,12 @@ class Mlp(Module):
 class TransformerBlock(Module):
     """Pre-norm self-attention + MLP with residuals."""
 
-    def __init__(self, dim: int, n_heads: int, rng, dtype):
+    def __init__(self, dim: int, n_heads: int, rng):
         super().__init__()
-        self.ln1 = LayerNorm(dim, dtype=dtype)
-        self.attn = MultiHeadAttention(dim, n_heads, rng, dtype)
-        self.ln2 = LayerNorm(dim, dtype=dtype)
-        self.mlp = Mlp(dim, 4 * dim, rng, dtype)
+        self.ln1 = LayerNorm(dim)
+        self.attn = MultiHeadAttention(dim, n_heads, rng)
+        self.ln2 = LayerNorm(dim)
+        self.mlp = Mlp(dim, 4 * dim, rng)
 
     def forward(self, x: Tensor, mask: np.ndarray | None = None, cache: dict | None = None) -> Tensor:
         x = x + self.attn(self.ln1(x), mask=mask, cache=cache)
@@ -110,13 +110,11 @@ class STAdapter(Module):
     the cls token passes through unchanged.
     """
 
-    def __init__(self, dim: int, bottleneck: int, rng, dtype):
+    def __init__(self, dim: int, bottleneck: int, rng):
         super().__init__()
-        self.down = Linear(dim, bottleneck, rng, dtype=dtype)
-        self.kernel = Parameter(
-            rng.normal(0.0, 0.02, size=(3, 3, 3, bottleneck)), dtype=dtype
-        )
-        self.up = Linear(bottleneck, dim, rng, dtype=dtype, zero_init=True)
+        self.down = Linear(dim, bottleneck, rng)
+        self.kernel = Parameter(rng.normal(0.0, 0.02, size=(3, 3, 3, bottleneck)))
+        self.up = Linear(bottleneck, dim, rng, zero_init=True)
 
     def forward(self, x: Tensor, b: int, l: int, gh: int, gw: int) -> Tensor:
         cls, patches = x[:, :1, :], x[:, 1:, :]
@@ -131,14 +129,14 @@ class STAdapter(Module):
 class QueryPooler(Module):
     """Fixed set of learned queries compressed from pooled frame tokens."""
 
-    def __init__(self, dim: int, n_queries: int, n_heads: int, rng, dtype):
+    def __init__(self, dim: int, n_queries: int, n_heads: int, rng):
         super().__init__()
-        self.queries = Parameter(rng.normal(0.0, 0.02, size=(n_queries, dim)), dtype=dtype)
-        self.ln_q = LayerNorm(dim, dtype=dtype)
-        self.ln_kv = LayerNorm(dim, dtype=dtype)
-        self.attn = MultiHeadAttention(dim, n_heads, rng, dtype)
-        self.ln2 = LayerNorm(dim, dtype=dtype)
-        self.mlp = Mlp(dim, 4 * dim, rng, dtype)
+        self.queries = Parameter(rng.normal(0.0, 0.02, size=(n_queries, dim)))
+        self.ln_q = LayerNorm(dim)
+        self.ln_kv = LayerNorm(dim)
+        self.attn = MultiHeadAttention(dim, n_heads, rng)
+        self.ln2 = LayerNorm(dim)
+        self.mlp = Mlp(dim, 4 * dim, rng)
 
     def forward(self, tokens: Tensor) -> Tensor:
         b = tokens.shape[0]
@@ -163,28 +161,27 @@ class VideoEncoder(Module):
         self.d_v = cfg.d_v
         self.n_layers = cfg.n_layers
         self.use_adapters = not cfg.ablation.no_st_adapter
-        dtype = np.dtype(cfg.dtype)
         n_tokens = 1 + self.grid * self.grid
 
         r_embed = named_rng(seed, "init/encoder/embed")
-        self.patch_proj = Linear(cfg.patch * cfg.patch * 3, cfg.d_v, r_embed, dtype=dtype)
-        self.cls = Parameter(r_embed.normal(0.0, 0.02, size=(1, 1, cfg.d_v)), dtype=dtype)
-        self.pos = Parameter(r_embed.normal(0.0, 0.02, size=(n_tokens, cfg.d_v)), dtype=dtype)
+        self.patch_proj = Linear(cfg.patch * cfg.patch * 3, cfg.d_v, r_embed)
+        self.cls = Parameter(r_embed.normal(0.0, 0.02, size=(1, 1, cfg.d_v)))
+        self.pos = Parameter(r_embed.normal(0.0, 0.02, size=(n_tokens, cfg.d_v)))
 
         self.blocks = ModuleList(
-            TransformerBlock(cfg.d_v, cfg.n_heads, named_rng(seed, f"init/encoder/block{i}"), dtype)
+            TransformerBlock(cfg.d_v, cfg.n_heads, named_rng(seed, f"init/encoder/block{i}"))
             for i in range(cfg.n_layers)
         )
         if self.use_adapters:
             self.adapters = ModuleList(
-                STAdapter(cfg.d_v, cfg.adapter_dim, named_rng(seed, f"init/encoder/adapter{i}"), dtype)
+                STAdapter(cfg.d_v, cfg.adapter_dim, named_rng(seed, f"init/encoder/adapter{i}"))
                 for i in range(cfg.n_layers)
             )
-        self.final_ln = LayerNorm(cfg.d_v, dtype=dtype)
+        self.final_ln = LayerNorm(cfg.d_v)
         self.pooler = QueryPooler(
-            cfg.d_v, cfg.n_queries, cfg.n_heads, named_rng(seed, "init/encoder/pooler"), dtype
+            cfg.d_v, cfg.n_queries, cfg.n_heads, named_rng(seed, "init/encoder/pooler")
         )
-        self.proj = Linear(cfg.d_v, cfg.d_l, named_rng(seed, "init/encoder/proj"), dtype=dtype)
+        self.proj = Linear(cfg.d_v, cfg.d_l, named_rng(seed, "init/encoder/proj"))
 
     def embed(self, clip: np.ndarray) -> Tensor:
         """Frames [B, L, S, S, 3] in [0,1] -> tokens [B*L, 1+G*G, D_v]."""

@@ -61,13 +61,13 @@ def box_tail(fc1: Linear, fc2: Linear, x: Tensor) -> Tensor:
 class ResidualStage(Module):
     """Two 3x3 convs with a strided 1x1 skip; halves the spatial grid."""
 
-    def __init__(self, c_in: int, c_out: int, rng, dtype):
+    def __init__(self, c_in: int, c_out: int, rng):
         super().__init__()
-        self.w1 = Parameter(rng.normal(0.0, math.sqrt(2.0 / (9 * c_in)), (3, 3, c_in, c_out)), dtype=dtype)
-        self.b1 = Parameter(np.zeros(c_out), dtype=dtype)
-        self.w2 = Parameter(rng.normal(0.0, math.sqrt(2.0 / (9 * c_out)), (3, 3, c_out, c_out)), dtype=dtype)
-        self.b2 = Parameter(np.zeros(c_out), dtype=dtype)
-        self.ws = Parameter(rng.normal(0.0, math.sqrt(2.0 / c_in), (1, 1, c_in, c_out)), dtype=dtype)
+        self.w1 = Parameter(rng.normal(0.0, math.sqrt(2.0 / (9 * c_in)), (3, 3, c_in, c_out)))
+        self.b1 = Parameter(np.zeros(c_out))
+        self.w2 = Parameter(rng.normal(0.0, math.sqrt(2.0 / (9 * c_out)), (3, 3, c_out, c_out)))
+        self.b2 = Parameter(np.zeros(c_out))
+        self.ws = Parameter(rng.normal(0.0, math.sqrt(2.0 / c_in), (1, 1, c_in, c_out)))
 
     def forward(self, x: Tensor) -> Tensor:
         y = ops.relu(ops.conv2d(x, self.w1, self.b1, stride=2, padding=1))
@@ -82,15 +82,15 @@ class SpatialExtractor(Module):
     128x128 input -> 8x8 grid with 8*width channels.
     """
 
-    def __init__(self, width: int, rng, dtype):
+    def __init__(self, width: int, rng):
         super().__init__()
-        self.stem_w = Parameter(rng.normal(0.0, math.sqrt(2.0 / 27), (3, 3, 3, width)), dtype=dtype)
-        self.stem_b = Parameter(np.zeros(width), dtype=dtype)
+        self.stem_w = Parameter(rng.normal(0.0, math.sqrt(2.0 / 27), (3, 3, 3, width)))
+        self.stem_b = Parameter(np.zeros(width))
         self.stages = ModuleList(
             [
-                ResidualStage(width, 2 * width, rng, dtype),
-                ResidualStage(2 * width, 4 * width, rng, dtype),
-                ResidualStage(4 * width, 8 * width, rng, dtype),
+                ResidualStage(width, 2 * width, rng),
+                ResidualStage(2 * width, 4 * width, rng),
+                ResidualStage(4 * width, 8 * width, rng),
             ]
         )
         self.out_channels = 8 * width
@@ -124,10 +124,10 @@ def prompt_cosine(p: Tensor, prompt_vec: np.ndarray) -> Tensor:
 class ObjectHighlighter(Module):
     """Similarity model and class-activation highlight over a feature grid."""
 
-    def __init__(self, d_i: int, d_l: int, rng, dtype):
+    def __init__(self, d_i: int, d_l: int, rng):
         super().__init__()
-        self.proj = Linear(d_i, d_l, rng, bias=False, dtype=dtype)
-        self.scale = Parameter(np.asarray(10.0), dtype=dtype)
+        self.proj = Linear(d_i, d_l, rng, bias=False)
+        self.scale = Parameter(np.asarray(10.0))
 
     def similarity(self, feats: Tensor, prompt_vec: np.ndarray) -> Tensor:
         """Cosine similarity between pooled projected features and the prompt."""
@@ -174,9 +174,9 @@ class IncorporationSite(MultiHeadAttention):
     a fresh site is invisible to the rest of the network.
     """
 
-    def __init__(self, d_v: int, d_i: int, rng, dtype):
-        super().__init__(d_v, 1, rng, dtype, kv_dim=d_i, project=False)
-        self.alpha = Parameter(np.zeros(()), dtype=dtype)
+    def __init__(self, d_v: int, d_i: int, rng):
+        super().__init__(d_v, 1, rng, kv_dim=d_i, project=False)
+        self.alpha = Parameter(np.zeros(()))
 
     def forward(self, cls: Tensor, feats: Tensor) -> Tensor:
         return self.alpha * super().forward(cls, kv=feats) + cls
@@ -192,11 +192,11 @@ class SpanQueryDetector(Module):
     slow to sharpen and box regression stalls near the dataset-mean box.
     """
 
-    def __init__(self, d_l: int, d_i: int, d_a: int, rng, dtype, heads: int = 4):
+    def __init__(self, d_l: int, d_i: int, d_a: int, rng, heads: int = 4):
         super().__init__()
-        self.ca = MultiHeadAttention(d_a, heads, rng, dtype, kv_dim=d_i, q_dim=d_l, project=False)
-        self.fc1 = Linear(d_a, d_a, rng, dtype=dtype)
-        self.fc2 = Linear(d_a, 4, rng, dtype=dtype)
+        self.ca = MultiHeadAttention(d_a, heads, rng, kv_dim=d_i, q_dim=d_l, project=False)
+        self.fc1 = Linear(d_a, d_a, rng)
+        self.fc2 = Linear(d_a, 4, rng)
 
     def forward(self, h_a: Tensor, feats: Tensor, span_mask: np.ndarray | None = None) -> Tensor:
         if h_a.shape[1] == 0:
@@ -212,10 +212,10 @@ class SpanQueryDetector(Module):
 class BoxMlp(Module):
     """Detector without cross-attention: box from mean-pooled hidden states."""
 
-    def __init__(self, d_l: int, d_a: int, rng, dtype):
+    def __init__(self, d_l: int, d_a: int, rng):
         super().__init__()
-        self.fc1 = Linear(d_l, d_a, rng, dtype=dtype)
-        self.fc2 = Linear(d_a, 4, rng, dtype=dtype)
+        self.fc1 = Linear(d_l, d_a, rng)
+        self.fc2 = Linear(d_a, 4, rng)
 
     def forward(self, h_a: Tensor, span_mask: np.ndarray | None = None) -> Tensor:
         if span_mask is None:
@@ -228,13 +228,13 @@ class BoxMlp(Module):
 class LearnedQueryDetector(Module):
     """Detection from learned query embeddings with per-query objectness."""
 
-    def __init__(self, n_queries: int, d_l: int, d_i: int, d_a: int, rng, dtype, heads: int = 4):
+    def __init__(self, n_queries: int, d_l: int, d_i: int, d_a: int, rng, heads: int = 4):
         super().__init__()
-        self.queries = Parameter(rng.normal(0.0, 0.02, size=(n_queries, d_l)), dtype=dtype)
-        self.ca = MultiHeadAttention(d_a, heads, rng, dtype, kv_dim=d_i, q_dim=d_l, project=False)
-        self.fc1 = Linear(d_a, d_a, rng, dtype=dtype)
-        self.fc2 = Linear(d_a, 4, rng, dtype=dtype)
-        self.obj = Linear(d_a, 1, rng, dtype=dtype)
+        self.queries = Parameter(rng.normal(0.0, 0.02, size=(n_queries, d_l)))
+        self.ca = MultiHeadAttention(d_a, heads, rng, kv_dim=d_i, q_dim=d_l, project=False)
+        self.fc1 = Linear(d_a, d_a, rng)
+        self.fc2 = Linear(d_a, 4, rng)
+        self.obj = Linear(d_a, 1, rng)
 
     def forward(self, feats: Tensor):
         """Returns (boxes [B, N, 4], objectness logits [B, N])."""

@@ -19,9 +19,9 @@ from .rng import named_rng
 NEG_INF = -1e9
 
 
-def prefix_causal_mask(prefix_len: int, total_len: int, dtype=np.float32) -> np.ndarray:
+def prefix_causal_mask(prefix_len: int, total_len: int) -> np.ndarray:
     """Additive [T, T] mask: bidirectional prefix, causal suffix."""
-    mask = np.full((total_len, total_len), NEG_INF, dtype=dtype)
+    mask = np.full((total_len, total_len), NEG_INF, dtype=np.float32)
     mask[:, :prefix_len] = 0.0
     idx = np.arange(total_len)
     mask[idx[:, None] >= idx[None, :]] = 0.0
@@ -32,7 +32,6 @@ class CaptionDecoder(Module):
     def __init__(self, vocab_size: int, max_seq: int, n_visual: int, prompt_ids: np.ndarray,
                  cfg, seed: int):
         super().__init__()
-        dtype = np.dtype(cfg.dtype)
         self.d_l = cfg.d_l
         self.n_visual = n_visual
         self.prompt_ids = np.asarray(prompt_ids, dtype=np.int64)
@@ -40,21 +39,19 @@ class CaptionDecoder(Module):
         self.max_seq = max_seq
         self.vocab_size = vocab_size
         r = named_rng(seed, "init/lm/embed")
-        self.tok = Embedding(vocab_size, cfg.d_l, r, dtype=dtype)
-        self.pos = Parameter(r.normal(0.0, 0.02, size=(max_seq, cfg.d_l)), dtype=dtype)
+        self.tok = Embedding(vocab_size, cfg.d_l, r)
+        self.pos = Parameter(r.normal(0.0, 0.02, size=(max_seq, cfg.d_l)))
         self.blocks = ModuleList(
-            TransformerBlock(cfg.d_l, cfg.lm_heads, named_rng(seed, f"init/lm/block{i}"), dtype)
+            TransformerBlock(cfg.d_l, cfg.lm_heads, named_rng(seed, f"init/lm/block{i}"))
             for i in range(cfg.lm_layers)
         )
-        self.final_ln = LayerNorm(cfg.d_l, dtype=dtype)
-        self.head = Linear(cfg.d_l, vocab_size, named_rng(seed, "init/lm/head"), dtype=dtype)
+        self.final_ln = LayerNorm(cfg.d_l)
+        self.head = Linear(cfg.d_l, vocab_size, named_rng(seed, "init/lm/head"))
         self._mask_cache: dict[int, np.ndarray] = {}
 
     def _mask(self, total: int) -> np.ndarray:
         if total not in self._mask_cache:
-            self._mask_cache[total] = prefix_causal_mask(
-                self.prefix_len, total, dtype=self.pos.dtype
-            )
+            self._mask_cache[total] = prefix_causal_mask(self.prefix_len, total)
         return self._mask_cache[total]
 
     def _run(self, x: Tensor, start: int, mask: np.ndarray | None = None,

@@ -58,7 +58,6 @@ class DualBranchModel(Module):
         self.variant = m.head_variant
         self.span_mode = m.span_mode
         self.vocab = vocab
-        dtype = np.dtype(m.dtype)
 
         self.encoder = VideoEncoder(cfg.scene.lr_size, cfg.scene.clip_len, m, seed)
         prompt_ids = np.asarray(vocab.encode(INSTRUCTION_PROMPT), dtype=np.int64)
@@ -75,25 +74,20 @@ class DualBranchModel(Module):
             if self.flags.no_hrse:
                 d_i = m.d_v
             else:
-                self.cnn = SpatialExtractor(m.cnn_width, named_rng(seed, "init/hr/cnn"), dtype)
+                self.cnn = SpatialExtractor(m.cnn_width, named_rng(seed, "init/hr/cnn"))
                 d_i = self.cnn.out_channels
                 # where-am-I signal for the flattened grid; without it the
                 # cross-attention pools are position blind and boxes cannot
                 # be regressed past the dataset mean
                 cells = (cfg.scene.hr_size // 16) ** 2
-                self.hr_pos = Parameter(
-                    named_rng(seed, "init/hr/pos").normal(0.0, 0.02, size=(cells, d_i)),
-                    dtype=dtype,
-                )
+                self.hr_pos = Parameter(named_rng(seed, "init/hr/pos").normal(0.0, 0.02, (cells, d_i)))
             if not self.flags.no_em:
-                self.highlighter = ObjectHighlighter(
-                    d_i, m.d_l, named_rng(seed, "init/hr/highlight"), dtype
-                )
+                self.highlighter = ObjectHighlighter(d_i, m.d_l, named_rng(seed, "init/hr/highlight"))
             if not self.flags.no_im:
                 self.sites = incorporation_sites(m.n_layers)
                 n_sites = len(set(self.sites.values()))
                 self.incorporation = ModuleList(
-                    IncorporationSite(m.d_v, d_i, named_rng(seed, f"init/hr/incorporate{j}"), dtype)
+                    IncorporationSite(m.d_v, d_i, named_rng(seed, f"init/hr/incorporate{j}"))
                     for j in range(n_sites)
                 )
         self.d_i = d_i
@@ -102,13 +96,14 @@ class DualBranchModel(Module):
         if self.variant == "text_coords":
             pass  # the caption itself carries the coordinates
         elif self.flags.no_qdh:
-            self.detector = BoxMlp(m.d_l, m.qdh_dim, r_head, dtype)
+            self.detector = BoxMlp(m.d_l, m.qdh_dim, r_head)
         elif self.variant == "learned_query":
             self.detector = LearnedQueryDetector(
-                m.n_learned_queries, m.d_l, d_i, m.qdh_dim, r_head, dtype, heads=m.qdh_heads
+                m.n_learned_queries, m.d_l, d_i, m.qdh_dim, r_head, heads=m.qdh_heads
             )
         else:
-            self.detector = SpanQueryDetector(m.d_l, d_i, m.qdh_dim, r_head, dtype, heads=m.qdh_heads)
+            self.detector = SpanQueryDetector(m.d_l, d_i, m.qdh_dim, r_head, heads=m.qdh_heads)
+        self.astype(m.dtype)
 
     # -- feature plumbing ------------------------------------------------------
 

@@ -3,6 +3,9 @@
 Modules register `Parameter`s (trainable tensors) and child modules by
 attribute assignment. `named_parameters()` walks the tree in a stable
 depth-first order, which the checkpoint format and the optimizer rely on.
+
+Parameters are built at the precision of their float64 init draws; the
+model picks its precision once, after construction, with `astype`.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from .autograd import Tensor
 class Parameter(Tensor):
     """A tensor that is trained; always requires grad."""
 
-    def __init__(self, data, dtype=None):
-        super().__init__(data, requires_grad=True, dtype=dtype)
+    def __init__(self, data):
+        super().__init__(data, requires_grad=True)
 
 
 class Module:
@@ -45,6 +48,12 @@ class Module:
     def zero_grad(self):
         for p in self.parameters():
             p.zero_grad()
+
+    def astype(self, dtype) -> Module:
+        """Cast every parameter to `dtype` in place; returns `self`."""
+        for _, p in self.named_parameters():
+            p.data = p.data.astype(dtype)
+        return self
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.named_parameters()}
@@ -90,34 +99,33 @@ class Linear(Module):
     """y = x W + b with Lecun-style fan-in init."""
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, bias: bool = True,
-                 dtype=np.float32, zero_init: bool = False):
+                 zero_init: bool = False):
         super().__init__()
         if zero_init:
             w = np.zeros((d_in, d_out))
         else:
             w = rng.normal(0.0, 1.0 / np.sqrt(d_in), size=(d_in, d_out))
-        self.weight = Parameter(w, dtype=dtype)
-        self.bias = Parameter(np.zeros(d_out), dtype=dtype) if bias else None
+        self.weight = Parameter(w)
+        self.bias = Parameter(np.zeros(d_out)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
         return ops.linear(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, dtype=np.float32, eps: float = 1e-5):
+    def __init__(self, dim: int):
         super().__init__()
-        self.gamma = Parameter(np.ones(dim), dtype=dtype)
-        self.beta = Parameter(np.zeros(dim), dtype=dtype)
-        self.eps = eps
+        self.gamma = Parameter(np.ones(dim))
+        self.beta = Parameter(np.zeros(dim))
 
     def forward(self, x: Tensor) -> Tensor:
-        return ops.layer_norm(x, self.gamma, self.beta, eps=self.eps)
+        return ops.layer_norm(x, self.gamma, self.beta)
 
 
 class Embedding(Module):
-    def __init__(self, n_rows: int, dim: int, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, n_rows: int, dim: int, rng: np.random.Generator):
         super().__init__()
-        self.weight = Parameter(rng.normal(0.0, 0.02, size=(n_rows, dim)), dtype=dtype)
+        self.weight = Parameter(rng.normal(0.0, 0.02, size=(n_rows, dim)))
 
     def forward(self, idx: np.ndarray) -> Tensor:
         return ops.embedding_lookup(self.weight, idx)

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .config import SceneConfig
-from .grammar import CLASS_COLORS, CLASSES, make_caption
+from .grammar import CLASS_COLORS, CLASSES, make_caption, suggestion_index
 from .rng import named_rng
 
 ROAD_X = (0.15, 0.85)
@@ -208,11 +208,15 @@ def _linear_track(x0, y0, x1, y1, n):
     return (1 - f) * np.array([x0, y0]) + f * np.array([x1, y1])
 
 
+def _hr_critical_size_range(hr_size: int, lr_size: int) -> tuple[float, float]:
+    """Sizes drawn at high resolution but culled at low resolution; empty
+    (low > high) unless hr_size is above about 3 * lr_size."""
+    return HR_CRITICAL_MIN_HR_PX / hr_size, MIN_DRAW_PX / lr_size * 0.999
+
+
 def _risk_size(rng, obj_class: str, hr_critical: bool, hr_size: int, lr_size: int) -> float:
     if hr_critical:
-        lo = HR_CRITICAL_MIN_HR_PX / hr_size
-        hi = MIN_DRAW_PX / lr_size
-        return float(rng.uniform(lo, hi * 0.999))
+        return float(rng.uniform(*_hr_critical_size_range(hr_size, lr_size)))
     _, mw, mh = CLASS_SHAPE[obj_class]
     # cap so the crossing start/end regions beside the band stay non-empty
     cap = min(0.34 / mw, 0.34 / mh, 0.30)
@@ -302,6 +306,11 @@ def generate_scene(seed: int, cfg: SceneConfig) -> SceneSample:
     if cfg.clip_len < MIN_CLIP_LEN:
         raise ValueError(f"SceneConfig.clip_len must be at least {MIN_CLIP_LEN} to generate "
                          f"scenes, got {cfg.clip_len}")
+    lo, hi = _hr_critical_size_range(cfg.hr_size, cfg.lr_size)
+    if cfg.hr_critical_frac > 0 and lo > hi:
+        raise ValueError(f"SceneConfig.hr_size={cfg.hr_size} leaves no HR-critical object size "
+                         f"at lr_size={cfg.lr_size}: hr_size must exceed about 3 * lr_size, "
+                         f"or hr_critical_frac must be 0")
     rng = named_rng(seed, "scene")
     scenario = SCENARIOS[int(rng.choice(len(SCENARIOS), p=SCENARIO_PROBS))]
     hr_critical = bool(rng.random() < cfg.hr_critical_frac)
@@ -327,9 +336,9 @@ def generate_scene(seed: int, cfg: SceneConfig) -> SceneSample:
     hr = render_frame(objects, cfg.clip_len - 1, cfg.hr_size)
     box = mask_box(risk, cfg.clip_len - 1, cfg.hr_size)
 
-    suggestion_idx = int(rng.integers(0, 20))
     motion_key = SCENARIO_MOTION[scenario]
     position_key = SCENARIO_POSITION[scenario]
+    suggestion_idx = suggestion_index(risk.obj_class, motion_key, position_key)
     caption = make_caption(risk.color, risk.obj_class, motion_key, position_key, suggestion_idx)
 
     return SceneSample(
@@ -381,6 +390,9 @@ class SceneDataset:
 # -- on-disk format ------------------------------------------------------------
 
 MAGIC = b"HRSK"
+# Version 2: the caption's suggestion sentence is a function of the scene
+# (version 1 drew it at random).
+MANIFEST_VERSION = 2
 _DTYPES = {0: np.uint8, 1: np.float32, 2: np.float64, 3: np.int64, 4: np.int32}
 _DTYPE_CODES = {np.dtype(v): k for k, v in _DTYPES.items()}
 
@@ -412,7 +424,7 @@ def save_dataset(ds: SceneDataset, cfg: SceneConfig, out_dir: str, split: str) -
             write_array(fh, ds.hrs[i])
         files.append(name)
     manifest = {
-        "version": 1,
+        "version": MANIFEST_VERSION,
         "split": split,
         "config": asdict(cfg),
         "samples": [dict(m, file=f) for m, f in zip(ds.meta, files)],
@@ -425,6 +437,10 @@ def save_dataset(ds: SceneDataset, cfg: SceneConfig, out_dir: str, split: str) -
 def load_dataset(out_dir: str, split: str) -> SceneDataset:
     with open(os.path.join(out_dir, f"{split}_manifest.json")) as fh:
         manifest = json.load(fh)
+    if manifest.get("version") != MANIFEST_VERSION:
+        raise ValueError(f"{split} split in {out_dir} has manifest version "
+                         f"{manifest.get('version')}, but this generator writes version "
+                         f"{MANIFEST_VERSION}; regenerate it")
     clips, hrs, meta = [], [], []
     for rec in manifest["samples"]:
         path = os.path.join(out_dir, split, rec["file"])

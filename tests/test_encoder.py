@@ -22,7 +22,7 @@ def _clip(rng, b=2, l=3, s=32):
 
 def test_adapter_identity_at_init():
     rng = named_rng(0, "test/adapter")
-    ad = STAdapter(32, 8, rng, np.dtype("float64"))
+    ad = STAdapter(32, 8, rng)
     x = Tensor(np.random.default_rng(1).normal(size=(6, 17, 32)))
     y = ad(x, 2, 3, 4, 4)
     assert np.array_equal(y.data, x.data)
@@ -30,7 +30,7 @@ def test_adapter_identity_at_init():
 
 def test_adapter_mixes_adjacent_frames_once_opened():
     rng = named_rng(0, "test/adapter2")
-    ad = STAdapter(32, 8, rng, np.dtype("float64"))
+    ad = STAdapter(32, 8, rng)
     ad.up.weight.data[:] = np.random.default_rng(2).normal(0, 0.1, ad.up.weight.shape)
     base = np.random.default_rng(3).normal(size=(1 * 5, 17, 32))
     bumped = base.copy()
@@ -43,8 +43,7 @@ def test_adapter_mixes_adjacent_frames_once_opened():
 
 
 def test_bare_attention_matches_a_numpy_reference():
-    att = MultiHeadAttention(8, 2, named_rng(2, "test/mha"), np.dtype("float64"),
-                             kv_dim=5, q_dim=6, project=False)
+    att = MultiHeadAttention(8, 2, named_rng(2, "test/mha"), kv_dim=5, q_dim=6, project=False)
     assert [n for n, _ in att.named_parameters()] == ["wq.weight", "wk.weight", "wv.weight"]
     rng = np.random.default_rng(11)
     x, feats = rng.normal(size=(3, 4, 6)), rng.normal(size=(3, 7, 5))

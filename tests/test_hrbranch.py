@@ -18,8 +18,6 @@ from hirisk.hrbranch import (
 )
 from hirisk.rng import named_rng
 
-F64 = np.dtype("float64")
-
 
 def test_corners_from_cwh_hand_case():
     cwh = Tensor(np.array([[0.5, 0.5, 0.2, 0.4]]))
@@ -39,7 +37,7 @@ def test_corners_from_cwh_always_valid():
 
 
 def test_extractor_shapes_and_guard():
-    cnn = SpatialExtractor(4, named_rng(0, "test/cnn"), F64)
+    cnn = SpatialExtractor(4, named_rng(0, "test/cnn"))
     out = cnn(Tensor(np.random.default_rng(1).uniform(size=(2, 128, 128, 3))))
     assert out.shape == (2, 8, 8, 32)
     out64 = cnn(Tensor(np.random.default_rng(1).uniform(size=(1, 64, 64, 3))))
@@ -49,7 +47,7 @@ def test_extractor_shapes_and_guard():
 
 
 def test_extractor_constant_input_gives_flat_interior():
-    cnn = SpatialExtractor(4, named_rng(1, "test/cnn2"), F64)
+    cnn = SpatialExtractor(4, named_rng(1, "test/cnn2"))
     img = Tensor(np.full((1, 128, 128, 3), 0.5))
     out = cnn(img).data[0]
     # the stacked receptive field spans ~31 px, so only cells at least three
@@ -59,7 +57,7 @@ def test_extractor_constant_input_gives_flat_interior():
 
 
 def test_extractor_shift_equivariance():
-    cnn = SpatialExtractor(4, named_rng(2, "test/cnn3"), F64)
+    cnn = SpatialExtractor(4, named_rng(2, "test/cnn3"))
     rng = np.random.default_rng(3)
     img = np.zeros((1, 128, 128, 3))
     img[0, 48:80, 48:80] = rng.uniform(size=(32, 32, 3))  # blob far from borders
@@ -84,7 +82,7 @@ def test_apply_highlight_identities():
 
 
 def test_heatmap_range_and_normalization():
-    hl = ObjectHighlighter(6, 8, named_rng(3, "test/hl"), F64)
+    hl = ObjectHighlighter(6, 8, named_rng(3, "test/hl"))
     rng = np.random.default_rng(5)
     feats = rng.uniform(0.0, 1.0, size=(3, 4, 4, 6))
     prompt = rng.normal(size=8)
@@ -95,7 +93,7 @@ def test_heatmap_range_and_normalization():
 
 
 def test_heatmap_closed_form_matches_the_tape():
-    hl = ObjectHighlighter(6, 8, named_rng(9, "test/hl-tape"), F64)
+    hl = ObjectHighlighter(6, 8, named_rng(9, "test/hl-tape"))
     rng = np.random.default_rng(10)
     feats = rng.normal(size=(5, 4, 4, 6))
     prompt = rng.normal(size=8)
@@ -110,8 +108,19 @@ def test_heatmap_closed_form_matches_the_tape():
     assert np.allclose(hl.heatmap(feats, prompt), raw / mx, atol=1e-12, rtol=0)
 
 
+def test_heatmap_runs_in_float64_at_any_model_precision():
+    hl = ObjectHighlighter(6, 8, named_rng(11, "test/hl-f32"))
+    hl.proj.weight.data = hl.proj.weight.data.astype(np.float32).astype(np.float64)
+    rng = np.random.default_rng(12)
+    feats = rng.normal(size=(2, 4, 4, 6)).astype(np.float32)
+    prompt = rng.normal(size=8).astype(np.float32)
+    # the same values, handed over as a float64 and as a float32 model would
+    wide = hl.heatmap(feats.astype(np.float64), prompt.astype(np.float64))
+    assert np.array_equal(hl.astype("float32").heatmap(feats, prompt), wide)
+
+
 def test_heatmap_zero_gradient_gives_zero_map():
-    hl = ObjectHighlighter(6, 8, named_rng(4, "test/hl2"), F64)
+    hl = ObjectHighlighter(6, 8, named_rng(4, "test/hl2"))
     hl.proj.weight.data[:] = 0.0
     feats = np.random.default_rng(6).uniform(size=(2, 4, 4, 6))
     m = hl.heatmap(feats, np.ones(8))
@@ -119,7 +128,7 @@ def test_heatmap_zero_gradient_gives_zero_map():
 
 
 def test_heatmap_leaves_no_gradients_behind():
-    hl = ObjectHighlighter(6, 8, named_rng(5, "test/hl3"), F64)
+    hl = ObjectHighlighter(6, 8, named_rng(5, "test/hl3"))
     feats = np.random.default_rng(7).uniform(size=(1, 4, 4, 6))
     hl.heatmap(feats, np.ones(8))
     assert hl.proj.weight.grad is None
@@ -127,7 +136,7 @@ def test_heatmap_leaves_no_gradients_behind():
 
 
 def test_incorporation_identity_at_zero_gate():
-    site = IncorporationSite(8, 6, named_rng(6, "test/inc"), F64)
+    site = IncorporationSite(8, 6, named_rng(6, "test/inc"))
     rng = np.random.default_rng(8)
     cls = Tensor(rng.normal(size=(2, 5, 8)))
     feats = Tensor(rng.normal(size=(2, 3, 6)))
@@ -136,7 +145,7 @@ def test_incorporation_identity_at_zero_gate():
 
 
 def test_incorporation_saturated_attention_picks_dominant_key():
-    site = IncorporationSite(4, 3, named_rng(7, "test/inc2"), F64)
+    site = IncorporationSite(4, 3, named_rng(7, "test/inc2"))
     site.alpha.data[...] = 1.0
     # craft projections: huge logit margin steers all mass to the first row
     site.wq.weight.data[:] = 0.0
@@ -151,7 +160,7 @@ def test_incorporation_saturated_attention_picks_dominant_key():
 
 
 def test_span_detector_outputs_valid_boxes():
-    det = SpanQueryDetector(8, 6, 16, named_rng(8, "test/det"), F64)
+    det = SpanQueryDetector(8, 6, 16, named_rng(8, "test/det"))
     rng = np.random.default_rng(9)
     h = Tensor(rng.normal(size=(3, 2, 8)))
     feats = Tensor(rng.normal(size=(3, 10, 6)))
@@ -163,7 +172,7 @@ def test_span_detector_outputs_valid_boxes():
 
 
 def test_box_mlp_respects_span_mask():
-    det = BoxMlp(8, 16, named_rng(9, "test/mlp"), F64)
+    det = BoxMlp(8, 16, named_rng(9, "test/mlp"))
     rng = np.random.default_rng(10)
     h = rng.normal(size=(2, 4, 8))
     mask = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
@@ -177,7 +186,7 @@ def test_box_mlp_respects_span_mask():
 
 
 def test_learned_query_head_and_matching():
-    det = LearnedQueryDetector(4, 8, 6, 16, named_rng(10, "test/lq"), F64)
+    det = LearnedQueryDetector(4, 8, 6, 16, named_rng(10, "test/lq"))
     rng = np.random.default_rng(11)
     feats = Tensor(rng.normal(size=(2, 10, 6)))
     boxes, obj = det(feats)

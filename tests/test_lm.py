@@ -10,8 +10,8 @@ from hirisk.optim import AdamW
 
 
 def _lm(vocab_size=12, max_seq=24, n_visual=2, prompt=(3, 4), dtype="float32", seed=0):
-    cfg = ModelConfig(d_l=32, lm_layers=2, lm_heads=2, dtype=dtype)
-    return CaptionDecoder(vocab_size, max_seq, n_visual, np.asarray(prompt), cfg, seed)
+    cfg = ModelConfig(d_l=32, lm_layers=2, lm_heads=2)
+    return CaptionDecoder(vocab_size, max_seq, n_visual, np.asarray(prompt), cfg, seed).astype(dtype)
 
 
 def test_mask_against_brute_force():

@@ -357,6 +357,20 @@ def test_float32_model_stays_float32():
         assert t.dtype == np.float32, name
 
 
+@pytest.mark.parametrize("variant", ["span_query", "learned_query", "baseline_only"])
+def test_float32_model_is_the_float64_model_cast_once(variant):
+    kw = ({"ablation": Ablation(baseline_only=True)} if variant == "baseline_only"
+          else {"head_variant": variant})
+    wide, _ = make_model(tiny_cfg(dtype="float64", **kw))
+    narrow, _ = make_model(tiny_cfg(dtype="float32", **kw))
+    wide_params = dict(wide.named_parameters())
+    assert list(wide_params) == [n for n, _ in narrow.named_parameters()]
+    for name, p in narrow.named_parameters():
+        assert wide_params[name].dtype == np.float64, name
+        assert p.dtype == np.float32, name
+        assert p.data.tobytes() == wide_params[name].data.astype(np.float32).tobytes(), name
+
+
 def test_answer_rows_span_window():
     cfg = tiny_cfg()
     model, vocab = make_model(cfg)

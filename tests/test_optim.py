@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hirisk.autograd import Tensor
-from hirisk.modules import Linear, Module, Parameter
+from hirisk.modules import LayerNorm, Linear, Module, ModuleList, Parameter
 from hirisk.optim import AdamW, cosine_lr
 from hirisk.rng import named_rng
 
@@ -85,7 +85,7 @@ def test_linear_trains_to_fit_line():
     x = rng.normal(size=(64, 3))
     true_w = np.array([[1.0], [-2.0], [0.5]])
     y = x @ true_w
-    lin = Linear(3, 1, rng, dtype=np.float64)
+    lin = Linear(3, 1, rng)
     opt = AdamW(dict(lin.named_parameters()), lr=0.05, weight_decay=0.0)
     for _ in range(400):
         opt.zero_grad()
@@ -132,3 +132,24 @@ def test_named_parameters_stable_order():
 
     names = [k for k, _ in Net().named_parameters()]
     assert names == ["first.weight", "first.bias", "second.weight", "second.bias"]
+
+
+def test_astype_casts_nested_parameters_and_returns_the_module():
+    rng = named_rng(4, "test/astype")
+
+    class Net(Module):
+        def __init__(self):
+            super().__init__()
+            self.scale = Parameter(np.ones(2))
+            self.layers = ModuleList([Linear(2, 3, rng), ModuleList([LayerNorm(3)])])
+
+    net = Net()
+    before = {k: p.data.copy() for k, p in net.named_parameters()}
+    assert all(a.dtype == np.float64 for a in before.values())
+    assert net.astype("float32") is net
+    after = dict(net.named_parameters())
+    assert list(after) == ["scale", "layers.0.weight", "layers.0.bias",
+                           "layers.1.0.gamma", "layers.1.0.beta"]
+    for k, p in after.items():
+        assert p.dtype == np.float32, k
+        assert np.array_equal(p.data, before[k].astype(np.float32)), k

@@ -43,6 +43,31 @@ def test_generation_rejects_clips_too_short_to_cross_the_band(clip_len):
         SceneDataset.generate(_small_cfg(clip_len=clip_len), "train")
 
 
+@pytest.mark.parametrize("hr_size", [64, 96])
+def test_generation_rejects_an_hr_size_with_no_hr_critical_object_size(hr_size):
+    # an HR-critical object must span 6 HR pixels yet less than 2 LR pixels
+    with pytest.raises(ValueError, match="hr_size"):
+        generate_scene(0, _small_cfg(lr_size=32, hr_size=hr_size))
+
+
+@pytest.mark.parametrize("hr_size, frac", [(96, 0.0), (128, 0.6)])
+def test_generation_accepts_sizes_it_can_draw(hr_size, frac):
+    cfg = _small_cfg(lr_size=32, hr_size=hr_size, hr_critical_frac=frac)
+    for seed in range(8):
+        assert generate_scene(seed, cfg).hr.shape == (hr_size, hr_size, 3)
+
+
+def test_caption_is_a_function_of_the_scene():
+    cfg = _small_cfg(clip_len=3, lr_size=16, hr_size=64)
+    captions: dict[tuple, set] = {}
+    for seed in range(300):
+        s = generate_scene(seed, cfg)
+        key = (s.color, s.risk_class, s.motion_key, s.position_key)
+        captions.setdefault(key, set()).add(s.caption)
+    assert sum(len(c) for c in captions.values()) == len(captions)
+    assert len(captions) < 150  # most keys were drawn more than once
+
+
 def test_shortest_allowed_clip_generates_every_scenario():
     ds = SceneDataset.generate(_small_cfg(n_train=12, clip_len=3, lr_size=16, hr_size=64), "train")
     assert ds.clips.shape[:2] == (12, 3)
@@ -184,6 +209,17 @@ def test_dataset_save_load_round_trip(tmp_path):
     manifest = json.loads((tmp_path / "train_manifest.json").read_text())
     assert manifest["config"]["seed"] == 100
     assert len(manifest["samples"]) == len(ds)
+
+
+def test_load_rejects_a_version_1_manifest(tmp_path):
+    cfg = _small_cfg(n_train=1)
+    save_dataset(SceneDataset.generate(cfg, "train"), cfg, str(tmp_path), "train")
+    path = tmp_path / "train_manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["version"] = 1
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="version 1.*version 2"):
+        load_dataset(str(tmp_path), "train")
 
 
 def test_bad_magic_rejected(tmp_path):
