@@ -4,7 +4,15 @@ A `Tensor` wraps an ndarray plus an optional gradient accumulator. Operations
 build a graph through parent references and per-node backward closures; calling
 `backward()` on a scalar root materializes a `ComputationTape` (the nodes in
 topological order) and sweeps it once in reverse, accumulating gradients
-additively across fan-out.
+additively across fan-out. The sweep keeps three rules:
+
+- Only leaves keep gradients. A leaf is a tensor with no backward closure
+  (parameters, user-made inputs); an interior node's gradient is dropped
+  as soon as its closure has passed it on.
+- A first gradient is adopted, not copied, when it is a writeable array of
+  the tensor's dtype. So no closure may hand one buffer, or overlapping
+  views of it, to two tensors.
+- A second backward over the same graph adds to the leaves exactly once more.
 
 Every forward op validates that its result is finite; NaN or Inf anywhere
 raises `NonFiniteError` immediately, which the training harness turns into an
@@ -115,8 +123,10 @@ class Tensor:
                 f"(op '{self._op}')"
             )
         if self.grad is None:
-            # copied, not adopted: a closure may pass one array to two tensors, or a view
-            self.grad = np.array(grad, dtype=self.data.dtype)
+            # adopted: no closure hands one buffer, or overlapping views of it, to two
+            # tensors; a scalar, a read-only view or another dtype is cast-copied
+            own = isinstance(grad, np.ndarray) and grad.flags.writeable and grad.dtype == self.data.dtype
+            self.grad = grad if own else np.array(grad, dtype=self.data.dtype)
         else:
             self.grad += grad
 
@@ -153,20 +163,28 @@ class Tensor:
     # -- backward ------------------------------------------------------------
 
     def backward(self, grad=None) -> "ComputationTape":
-        """Run one reverse sweep from this node; returns the tape used."""
+        """Run one reverse sweep from this node; returns the tape used.
+
+        Only leaves (tensors with no backward closure) keep a gradient: each
+        interior node's gradient is dropped as soon as its closure has passed
+        it on. A first gradient is adopted, not copied; the caller's `grad` is
+        copied, so it is never written. The graph stays, and a second
+        backward over it adds its gradients to the leaves exactly once more.
+        """
         if grad is None:
             if self.size != 1:
                 raise ShapeError("backward() without explicit grad requires a scalar root")
             grad = np.ones_like(self.data)
         else:
-            grad = np.asarray(grad, dtype=self.data.dtype)
+            grad = np.array(grad, dtype=self.data.dtype)
             if grad.shape != self.shape:
                 raise ShapeError("explicit backward grad must match root shape")
         tape = ComputationTape.trace(self)
         self._accum(grad)
         for node in reversed(tape.nodes):
             if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+                g, node.grad = node.grad, None
+                node._backward(g)
         return tape
 
     # -- operator overloads ----------------------------------------------------
@@ -263,10 +281,13 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
     def backward(g):
-        if a.requires_grad:
-            a._accum(unbroadcast(g, a.shape))
+        ga = unbroadcast(g, a.shape) if a.requires_grad else None
+        if ga is not None:
+            a._accum(ga)
         if b.requires_grad:
-            b._accum(unbroadcast(g, b.shape))
+            gb = unbroadcast(g, b.shape)
+            # both may be `g` itself: copy, so a and b never own one buffer
+            b._accum(gb.copy() if ga is not None and np.may_share_memory(ga, gb) else gb)
 
     return Tensor._from_op(data, (a, b), backward, "add")
 

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import costmodel, ops
-from .autograd import Tensor
+from .autograd import Tensor, concat, swapaxes
 from .config import RunConfig, apply_override, load_config
 from .gradcheck import finite_difference_check
 from .metrics import export_csv, save_report
@@ -168,6 +168,9 @@ def _gradcheck_cases(rng):
          [r(1, 3, 4, 4, 2), r(3, 3, 3, 2)]),
         ("cross_entropy", lambda a: ops.cross_entropy_logits(a, np.array([1, 3])), [r(2, 5)]),
         ("l1", lambda a: ops.l1_loss(a, np.zeros((2, 4))), [r(2, 4)]),
+        # closures that hand a gradient on as `g` itself or as a view of it
+        ("views", lambda a: (swapaxes(concat([a + a, a, a]).reshape(2, 3, 3), 0, 2)[1:] ** 2).sum(),
+         [r(2, 3)]),
     ]
 
 

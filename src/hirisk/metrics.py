@@ -128,12 +128,14 @@ def evaluate_predictions(samples, predictions) -> dict:
     """Score decoded outputs against ground truth.
 
     samples: dicts with caption_tokens, box, risk_class, bucket (optional,
-    recomputed from the box when missing), distractor flag, and an id.
+    recomputed from the box when missing), distractor flag, hr_critical flag
+    (optional), and an id.
     predictions: dicts with tokens, box (tuple or None), box_source.
 
     A missing or malformed predicted box scores zero overlap instead of
     raising: that is a model failure, not a caller error. Returns a plain
-    JSON-ready dict; empty buckets are simply absent.
+    JSON-ready dict; empty buckets and slices (`iou_hr_critical`,
+    `iou_not_hr_critical`) are simply absent.
     """
     if len(samples) != len(predictions):
         raise ValueError("sample and prediction counts differ")
@@ -144,6 +146,7 @@ def evaluate_predictions(samples, predictions) -> dict:
     hyps = []
     per_sample = []
     bucket_ious: dict[str, list[float]] = {}
+    slice_ious: dict[str, list[float]] = {}
     class_hits = []
     distractor_hits = []
     exact = 0
@@ -165,6 +168,11 @@ def evaluate_predictions(samples, predictions) -> dict:
         iou_sum += overlap
         bucket = s.get("bucket") or size_bucket(s["box"])
         bucket_ious.setdefault(bucket, []).append(overlap)
+        hr_critical = s.get("hr_critical")
+        if hr_critical is not None:
+            hr_critical = bool(hr_critical)
+            key = "iou_hr_critical" if hr_critical else "iou_not_hr_critical"
+            slice_ious.setdefault(key, []).append(overlap)
 
         parsed = parse_caption(hyp)
         hit = parsed.obj_class == s["risk_class"]
@@ -179,6 +187,7 @@ def evaluate_predictions(samples, predictions) -> dict:
                 "id": s.get("id", len(per_sample)),
                 "iou": float(overlap),
                 "bucket": bucket,
+                "hr_critical": hr_critical,
                 "pred_class": parsed.obj_class,
                 "true_class": s["risk_class"],
                 "class_hit": bool(hit),
@@ -204,6 +213,8 @@ def evaluate_predictions(samples, predictions) -> dict:
     for name in ("S", "M", "L"):
         if name in bucket_ious:
             report[f"iou_{name}"] = float(np.mean(bucket_ious[name]))
+    for key, vals in slice_ious.items():
+        report[key] = float(np.mean(vals))
     if distractor_hits:
         report["risk_class_acc_distractor"] = float(np.mean(distractor_hits))
     return report

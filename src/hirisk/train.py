@@ -405,6 +405,8 @@ def evaluation_samples(ds: SceneDataset, variant: str) -> list[dict]:
                 "risk_class": m["risk_class"],
                 "bucket": m["bucket"],
                 "distractor": m["distractor"],
+                "hr_critical": m["hr_critical"],
+                "scenario": m["scenario"],
             }
         )
     return out

@@ -13,6 +13,7 @@ from hirisk.autograd import (
     log,
     matmul,
     no_grad,
+    swapaxes,
     unbroadcast,
 )
 from hirisk.modules import Parameter
@@ -215,6 +216,75 @@ def test_first_gradient_takes_the_tensor_dtype():
     x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
     x._accum(np.full(3, 0.5))
     assert x.grad.dtype == np.float32
+
+
+def test_second_backward_over_one_graph_adds_exactly_once_more():
+    x = Tensor(3.0, requires_grad=True)
+    u = x * 2.0
+    z = u * u  # z = 4x^2, dz/dx = 8x = 24
+    z.backward()
+    assert u.grad is None and z.grad is None
+    assert x.grad.item() == 24.0
+    z.backward()
+    assert u.grad is None and z.grad is None
+    assert x.grad.item() == 48.0
+
+
+def _shared_pairs(leaves):
+    return [(i, j) for i in range(len(leaves)) for j in range(i + 1, len(leaves))
+            if np.shares_memory(leaves[i].grad, leaves[j].grad)]
+
+
+def _x_plus_x():
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    return [x], x + x
+
+
+def _a_plus_b():
+    a = Tensor(np.ones((2, 3)), requires_grad=True)
+    b = Tensor(np.ones((2, 3)), requires_grad=True)
+    return [a, b], a + b
+
+
+def _concat_x_x():
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    y = Tensor(np.ones((1, 3)), requires_grad=True)
+    return [x, y], concat([x, x, y], axis=0)
+
+
+def _view_chain():
+    a = Tensor(np.ones((2, 3)), requires_grad=True)
+    b = Tensor(np.ones((3, 2)), requires_grad=True)
+    v = swapaxes(a.reshape(3, 2), 0, 1)  # [2, 3] view of a's layout
+    return [a, b], v + swapaxes(b, 0, 1)
+
+
+@pytest.mark.parametrize("build", [_x_plus_x, _a_plus_b, _concat_x_x, _view_chain])
+def test_leaf_gradients_never_share_a_buffer(build):
+    leaves, out = build()
+    root_grad = np.full(out.shape, 2.0)
+    out.backward(root_grad)
+    assert _shared_pairs(leaves) == []
+    before = [leaf.grad.copy() for leaf in leaves]
+    # accumulating in place into one leaf leaves every other gradient, and
+    # the caller's root gradient, as they were
+    leaves[0].grad += 1.0
+    np.testing.assert_array_equal(root_grad, np.full(out.shape, 2.0))
+    for leaf, was in zip(leaves[1:], before[1:]):
+        np.testing.assert_array_equal(leaf.grad, was)
+    np.testing.assert_array_equal(leaves[0].grad, before[0] + 1.0)
+
+
+def test_backward_never_writes_the_callers_gradient():
+    # reshape hands its gradient on as a view, so x's first gradient is the
+    # root's own buffer
+    x = Tensor(np.ones(3), requires_grad=True)
+    g = np.full(3, 2.0)
+    x.reshape(1, 3).backward(g.reshape(1, 3))
+    x.grad += 5.0
+    x.reshape(1, 3).backward(g.reshape(1, 3))
+    np.testing.assert_array_equal(g, np.full(3, 2.0))
+    np.testing.assert_array_equal(x.grad, np.full(3, 9.0))
 
 
 # -- no_grad --------------------------------------------------------------------

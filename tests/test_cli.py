@@ -53,7 +53,9 @@ def test_profile_flops_custom_grid(capsys):
 
 def test_gradcheck_command(capsys):
     assert main(["gradcheck"]) == 0
-    assert "all kernels within" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "all kernels within" in out
+    assert "views " in out
 
 
 def test_generate_train_evaluate_cycle(tmp_path, cfg_file, capsys):

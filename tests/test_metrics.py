@@ -254,6 +254,26 @@ def test_evaluate_report_values():
     assert rep["per_sample"][2]["box_source"] == "sentinel"
 
 
+def test_evaluate_hr_critical_slices():
+    samples, preds = _toy_eval()
+    for s, flag in zip(samples, (True, False, True)):
+        s["hr_critical"] = flag
+    rep = evaluate_predictions(samples, preds)
+    # ious 1.0 and 0.0 are HR-critical, 1/7 is not
+    assert rep["iou_hr_critical"] == 0.5
+    assert abs(rep["iou_not_hr_critical"] - 1.0 / 7.0) < 1e-12
+    assert [r["hr_critical"] for r in rep["per_sample"]] == [True, False, True]
+    # an empty slice is absent, as an empty size bucket is
+    samples[1]["hr_critical"] = True
+    rep = evaluate_predictions(samples, preds)
+    assert "iou_not_hr_critical" not in rep
+    assert abs(rep["iou_hr_critical"] - rep["miou"]) < 1e-12
+    # samples without the field make no slice
+    rep = evaluate_predictions(*_toy_eval())
+    assert "iou_hr_critical" not in rep and "iou_not_hr_critical" not in rep
+    assert [r["hr_critical"] for r in rep["per_sample"]] == [None, None, None]
+
+
 def test_evaluate_bucket_fallback_from_box():
     samples, preds = _toy_eval()
     for s in samples:

@@ -179,6 +179,25 @@ def test_highlighter_stays_out_of_the_training_tape():
     )
 
 
+def test_backward_keeps_only_leaf_gradients_and_no_two_share_a_buffer():
+    cfg = tiny_cfg()
+    model, vocab = make_model(cfg)
+    loss, _ = model.forward_train(random_batch(cfg, vocab), box_weight=1.0)
+    model.zero_grad()
+    tape = loss.backward()
+    # interior gradients are dropped once passed on
+    assert all(n.grad is None for n in tape.nodes if n._backward is not None)
+    on_tape = {id(n) for n in tape.nodes}
+    trained = {name: p for g in model.param_groups(hr_lr_mult=4.0) for name, p in g["params"].items()}
+    missing = [name for name, p in trained.items() if id(p) in on_tape and p.grad is None]
+    assert missing == []
+    grads = [p.grad for _, p in model.named_parameters() if p.grad is not None]
+    assert len(grads) == len(trained)  # the pinned highlighter is never reached
+    shared = [(i, j) for i in range(len(grads)) for j in range(i + 1, len(grads))
+              if np.shares_memory(grads[i], grads[j])]
+    assert shared == []
+
+
 # -- loss arithmetic -----------------------------------------------------------
 
 

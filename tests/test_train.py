@@ -25,6 +25,7 @@ from hirisk.train import (
     GateError,
     TrainAbort,
     evaluate_model,
+    evaluation_samples,
     load_checkpoint,
     load_or_generate,
     make_batch,
@@ -86,6 +87,13 @@ def test_evaluate_is_deterministic(tiny_data):
     b = report_to_json(evaluate_model(out["model"], out["vocab"], test_ds, batch_size=3))
     # batching must not leak into the scores either
     assert a == b
+
+
+def test_evaluation_samples_keep_the_slice_fields(tiny_data):
+    test_ds = tiny_data[1]
+    samples = evaluation_samples(test_ds, "span_query")
+    assert [s["hr_critical"] for s in samples] == [m["hr_critical"] for m in test_ds.meta]
+    assert [s["scenario"] for s in samples] == [m["scenario"] for m in test_ds.meta]
 
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path, tiny_data):
