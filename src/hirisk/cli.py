@@ -157,10 +157,14 @@ def _gradcheck_cases(rng):
     def r(*shape):
         return Tensor(rng.normal(0.0, 1.0, size=shape), requires_grad=True)
 
+    mask = np.triu(np.full((3, 5), -1e9), 3)  # 3 queries, 5 keys: query i sees keys 0..i+2
+
     return [
         ("matmul", lambda a, b: (a @ b).sum(), [r(3, 4), r(4, 2)]),
         ("linear", lambda x, w, b: (ops.linear(x, w, b) ** 2).sum(), [r(2, 3, 4), r(4, 2), r(2)]),
         ("softmax", lambda a: (ops.softmax_rows(a) * ops.softmax_rows(a)).sum(), [r(3, 5)]),
+        ("attention", lambda q, k, v: (ops.attention(q, k, v, 2, mask) ** 2).sum(),
+         [r(2, 3, 4), r(2, 5, 4), r(2, 5, 4)]),
         ("layernorm", lambda a, g, b: ops.layer_norm(a, g, b).sum(), [r(4, 6), r(6), r(6)]),
         ("gelu", lambda a: ops.gelu(a).sum(), [r(3, 4)]),
         ("conv2d", lambda x, k: ops.conv2d(x, k, padding=1).sum(), [r(1, 6, 6, 2), r(3, 3, 2, 3)]),

@@ -17,15 +17,9 @@ import math
 import numpy as np
 
 from . import ops
-from .autograd import Tensor, broadcast_to, concat, swapaxes
+from .autograd import Tensor, broadcast_to, concat
 from .modules import Linear, LayerNorm, Module, ModuleList, Parameter
 from .rng import named_rng
-
-
-def split_heads(x: Tensor, heads: int) -> Tensor:
-    """[B, T, H*dh] -> [B, H, T, dh]."""
-    b, t, d = x.shape
-    return swapaxes(x.reshape(b, t, heads, d // heads), 1, 2)
 
 
 class MultiHeadAttention(Module):
@@ -54,25 +48,16 @@ class MultiHeadAttention(Module):
     def forward(self, x: Tensor, kv: Tensor | None = None, mask: np.ndarray | None = None,
                 cache: dict | None = None) -> Tensor:
         """`mask` is added to the [B, H, Tq, Tk] scores. With a `cache` dict,
-        this call's keys and values are appended to the ones cached by
-        earlier calls, and `x` attends over all of them."""
+        this call's projected [B, T, dim] keys and values are appended to the
+        ones cached by earlier calls, and `x` attends over all of them."""
         kv = x if kv is None else kv
-        h = self.n_heads
-        q = split_heads(self.wq(x), h)
-        k = split_heads(self.wk(kv), h)
-        v = split_heads(self.wv(kv), h)
+        q, k, v = self.wq(x), self.wk(kv), self.wv(kv)
         if cache is not None:
             if cache:
-                k = concat([cache["k"], k], axis=2)
-                v = concat([cache["v"], v], axis=2)
+                k = concat([cache["k"], k], axis=1)
+                v = concat([cache["v"], v], axis=1)
             cache["k"], cache["v"] = k, v
-        scale = 1.0 / math.sqrt(q.shape[-1])
-        scores = (q @ swapaxes(k, -1, -2)) * scale
-        if mask is not None:
-            scores = scores + Tensor(mask.astype(scores.data.dtype))
-        out = ops.softmax_rows(scores) @ v
-        b, _, t, dh = out.shape
-        out = swapaxes(out, 1, 2).reshape(b, t, h * dh)
+        out = ops.attention(q, k, v, self.n_heads, mask)
         return out if self.wo is None else self.wo(out)
 
 

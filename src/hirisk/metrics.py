@@ -128,14 +128,17 @@ def evaluate_predictions(samples, predictions) -> dict:
     """Score decoded outputs against ground truth.
 
     samples: dicts with caption_tokens, box, risk_class, bucket (optional,
-    recomputed from the box when missing), distractor flag, hr_critical flag
-    (optional), and an id.
+    recomputed from the box when missing), and optional distractor and
+    hr_critical flags, scenario and id.
     predictions: dicts with tokens, box (tuple or None), box_source.
 
     A missing or malformed predicted box scores zero overlap instead of
     raising: that is a model failure, not a caller error. Returns a plain
-    JSON-ready dict; empty buckets and slices (`iou_hr_critical`,
-    `iou_not_hr_critical`) are simply absent.
+    JSON-ready dict. Besides the size buckets it holds the mIoU slices
+    `iou_hr_critical`/`iou_not_hr_critical`, `iou_distractor`/
+    `iou_not_distractor`, `iou_scenario_<scenario>` and
+    `iou_class_<risk_class>`; empty buckets and slices are simply absent,
+    and a sample without a flag or scenario joins none of its slices.
     """
     if len(samples) != len(predictions):
         raise ValueError("sample and prediction counts differ")
@@ -168,11 +171,15 @@ def evaluate_predictions(samples, predictions) -> dict:
         iou_sum += overlap
         bucket = s.get("bucket") or size_bucket(s["box"])
         bucket_ious.setdefault(bucket, []).append(overlap)
-        hr_critical = s.get("hr_critical")
-        if hr_critical is not None:
-            hr_critical = bool(hr_critical)
-            key = "iou_hr_critical" if hr_critical else "iou_not_hr_critical"
-            slice_ious.setdefault(key, []).append(overlap)
+        flags = {name: s.get(name) for name in ("hr_critical", "distractor")}
+        for name, flag in flags.items():
+            if flag is not None:
+                flags[name] = bool(flag)
+                slice_ious.setdefault(f"iou_{name}" if flag else f"iou_not_{name}", []).append(overlap)
+        scenario = s.get("scenario")
+        if scenario is not None:
+            slice_ious.setdefault(f"iou_scenario_{scenario}", []).append(overlap)
+        slice_ious.setdefault(f"iou_class_{s['risk_class']}", []).append(overlap)
 
         parsed = parse_caption(hyp)
         hit = parsed.obj_class == s["risk_class"]
@@ -187,7 +194,9 @@ def evaluate_predictions(samples, predictions) -> dict:
                 "id": s.get("id", len(per_sample)),
                 "iou": float(overlap),
                 "bucket": bucket,
-                "hr_critical": hr_critical,
+                "hr_critical": flags["hr_critical"],
+                "distractor": flags["distractor"],
+                "scenario": scenario,
                 "pred_class": parsed.obj_class,
                 "true_class": s["risk_class"],
                 "class_hit": bool(hit),

@@ -3,6 +3,17 @@
 Everything here takes and returns `Tensor`s and registers a hand-derived
 backward closure. Shapes follow a channels-last convention: images are
 [B, H, W, C] and token grids are [B, T, H, W, C].
+
+The graph keeps every closure until backward, so what the closures keep is
+most of a training step's memory. Besides views of their operands (which
+the operands' tensors hold anyway) they keep: `relu` a boolean mask; `gelu`
+the normal CDF of its input; `sigmoid`, `softmax_rows` and `attention` their
+probabilities (`attention` no scores and no per-head copies); `linear`
+nothing; `layer_norm` the normalised input and inverse deviations; `conv2d`
+and `depthwise_conv3d` their padded input (`conv2d` never an im2col
+matrix); `cross_entropy_logits` the log-sum-exps and mask weights;
+`l1_loss` the residual; `binary_cross_entropy_logits` the targets;
+`embedding_lookup` the indices; and `masked_mean_rows` the row weights.
 """
 
 from __future__ import annotations
@@ -12,7 +23,7 @@ import math
 import numpy as np
 from scipy.special import erf
 
-from .autograd import ShapeError, Tensor
+from .autograd import ShapeError, Tensor, _check_finite
 
 # Python floats, not numpy scalars: under NEP 50 a float64 numpy scalar
 # promotes float32 arrays to float64, a Python float does not.
@@ -105,19 +116,71 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 # -- normalization and attention helpers ---------------------------------------
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Softmax over the last axis, stabilized by max subtraction."""
-    p = x.data - x.data.max(axis=-1, keepdims=True)
+def _softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # max-subtracted softmax over the last axis; `out` may be `x` itself
+    p = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
+    return p
+
+
+def _softmax_grad(g: np.ndarray, p: np.ndarray) -> np.ndarray:
+    gx = g - (g * p).sum(axis=-1, keepdims=True)
+    gx *= p
+    return gx
+
+
+def softmax_rows(x: Tensor) -> Tensor:
+    """Softmax over the last axis, stabilized by max subtraction."""
+    p = _softmax(x.data)
 
     def backward(g):
         if x.requires_grad:
-            gx = g - (g * p).sum(axis=-1, keepdims=True)
-            gx *= p
-            x._accum(gx)
+            x._accum(_softmax_grad(g, p))
 
     return Tensor._from_op(p, (x,), backward, "softmax_rows")
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray | None = None) -> Tensor:
+    """Scaled dot-product attention over `heads` heads, as one tape node.
+
+    q [B, Tq, H*dh], k and v [B, Tk, H*dh] -> merged heads [B, Tq, H*dh];
+    `mask` is added to the [B, H, Tq, Tk] scores. The scores are scaled,
+    masked and normalised in one buffer, and the closure keeps only that
+    softmax output plus views of q, k and v. Forward and backward do the
+    numpy arithmetic of the equivalent chain of matmul, mul, add,
+    softmax_rows, swapaxes and reshape nodes in its order, so results match
+    that chain bit for bit.
+    """
+    if q.ndim != 3 or k.ndim != 3 or k.shape != v.shape or k.shape[::2] != q.shape[::2] or q.shape[2] % heads:
+        raise ShapeError(f"attention expects q[B,Tq,D], k=v[B,Tk,D], D divisible by heads: "
+                         f"{q.shape}, {k.shape}, {v.shape}, heads={heads}")
+    b, tq, d = q.shape
+    tk, dh = k.shape[1], d // heads
+    q4, k4, v4 = (np.swapaxes(t.data.reshape(b, -1, heads, dh), 1, 2) for t in (q, k, v))
+    p = q4 @ np.swapaxes(k4, -1, -2)
+    scale = np.asarray(1.0 / math.sqrt(dh), dtype=p.dtype)
+    p *= scale
+    if mask is not None:
+        p += mask.astype(p.dtype)
+    _check_finite(p, "attention")
+    _softmax(p, out=p)
+    data = np.swapaxes(p @ v4, 1, 2).reshape(b, tq, d)
+
+    def backward(g):
+        g4 = np.swapaxes(g.reshape(b, tq, heads, dh), 1, 2)
+        if q.requires_grad or k.requires_grad:
+            gs = _softmax_grad(g4 @ np.swapaxes(v4, -1, -2), p)
+            gs *= scale
+            if q.requires_grad:
+                q._accum(np.swapaxes(gs @ k4, 1, 2).reshape(b, tq, d))
+            if k.requires_grad:
+                gk = np.swapaxes(np.swapaxes(q4, -1, -2) @ gs, -1, -2)
+                k._accum(np.swapaxes(gk, 1, 2).reshape(b, tk, d))
+        if v.requires_grad:
+            v._accum(np.swapaxes(np.swapaxes(p, -1, -2) @ g4, 1, 2).reshape(b, tk, d))
+
+    return Tensor._from_op(data, (q, k, v), backward, "attention")
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -154,10 +217,19 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 # -- convolutions --------------------------------------------------------------
 
 
+# Output rows per im2col block: conv2d forms its columns for as many whole
+# images as fit in this many rows (at least one), so a large batch never
+# holds a whole-batch im2col matrix.
+CONV_BLOCK_ROWS = 8192
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
     """2D convolution (cross-correlation), channels last.
 
     x: [B, H, W, Cin]; w: [kh, kw, Cin, Cout]; returns [B, Ho, Wo, Cout].
+    Forward and the x-gradient run block by block over the images, and the
+    closure keeps the padded input, not the im2col matrix: the weight
+    gradient rebuilds that matrix for its one GEMM and drops it.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError("conv2d expects x[B,H,W,Cin] and w[kh,kw,Cin,Cout]")
@@ -169,27 +241,38 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
     bsz, hp, wp, _ = xp.shape
     ho = (hp - kh) // s + 1
     wo = (wp - kw) // s + 1
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    win = win[:, ::s, ::s]  # [B, Ho, Wo, Cin, kh, kw]
-    cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(bsz * ho * wo, kh * kw * cin)
-    out = cols @ w.data.reshape(kh * kw * cin, cout)
+    n = ho * wo
+    step = max(1, CONV_BLOCK_ROWS // n)
+    blocks = [(i, min(i + step, bsz)) for i in range(0, bsz, step)]
+
+    def cols(lo, hi):
+        win = np.lib.stride_tricks.sliding_window_view(xp[lo:hi], (kh, kw), axis=(1, 2))
+        win = win[:, ::s, ::s]  # [B, Ho, Wo, Cin, kh, kw]
+        return win.transpose(0, 1, 2, 4, 5, 3).reshape((hi - lo) * n, kh * kw * cin)
+
+    w2 = w.data.reshape(kh * kw * cin, cout)
+    out = np.empty((bsz * n, cout), dtype=np.result_type(xp, w2))
+    for lo, hi in blocks:
+        np.matmul(cols(lo, hi), w2, out=out[lo * n : hi * n])
     if b is not None:
-        out = out + b.data
+        out += b.data
     data = out.reshape(bsz, ho, wo, cout)
     parents = (x, w) if b is None else (x, w, b)
 
     def backward(g):
-        gflat = g.reshape(bsz * ho * wo, cout)
+        gflat = g.reshape(bsz * n, cout)
         if b is not None and b.requires_grad:
             b._accum(gflat.sum(axis=0))
         if w.requires_grad:
-            w._accum((cols.T @ gflat).reshape(kh, kw, cin, cout))
+            w._accum((cols(0, bsz).T @ gflat).reshape(kh, kw, cin, cout))
         if x.requires_grad:
-            dcol = (gflat @ w.data.reshape(kh * kw * cin, cout).T).reshape(bsz, ho, wo, kh, kw, cin)
             dxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, i : i + ho * s : s, j : j + wo * s : s, :] += dcol[:, :, :, i, j, :]
+            for lo, hi in blocks:
+                dcol = (gflat[lo * n : hi * n] @ w2.T).reshape(hi - lo, ho, wo, kh, kw, cin)
+                dblk = dxp[lo:hi]
+                for i in range(kh):
+                    for j in range(kw):
+                        dblk[:, i : i + ho * s : s, j : j + wo * s : s, :] += dcol[:, :, :, i, j, :]
             x._accum(dxp[:, p : hp - p, p : wp - p, :] if p else dxp)
 
     return Tensor._from_op(data, parents, backward, "conv2d")

@@ -56,6 +56,7 @@ def test_gradcheck_command(capsys):
     out = capsys.readouterr().out
     assert "all kernels within" in out
     assert "views " in out
+    assert "attention " in out
 
 
 def test_generate_train_evaluate_cycle(tmp_path, cfg_file, capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hirisk.autograd import Tensor
+from hirisk.autograd import ComputationTape, Tensor, no_grad
 from hirisk.config import Ablation, ModelConfig
 from hirisk.encoder import MultiHeadAttention, STAdapter, VideoEncoder, incorporation_sites
 from hirisk.rng import named_rng
@@ -56,6 +56,27 @@ def test_bare_attention_matches_a_numpy_reference():
         heads.append(p / p.sum(axis=-1, keepdims=True) @ v[..., h])
     assert out.shape == (3, 4, 8)
     np.testing.assert_allclose(out, np.concatenate(heads, axis=-1), rtol=1e-12, atol=1e-12)
+
+
+def test_attention_module_records_five_tape_nodes():
+    att = MultiHeadAttention(8, 2, named_rng(3, "test/mha_nodes"))
+    x = Tensor(np.random.default_rng(5).normal(size=(2, 3, 8)), requires_grad=True)
+    tape = ComputationTape.trace(att(x))
+    ops_run = [n._op for n in tape.nodes if n._backward is not None]
+    assert ops_run == ["linear"] * 3 + ["attention", "linear"]
+
+
+def test_kv_cache_holds_projected_keys_and_values():
+    att = MultiHeadAttention(8, 2, named_rng(4, "test/mha_cache"))
+    x = np.random.default_rng(6).normal(size=(2, 5, 8))
+    causal = np.triu(np.full((5, 5), -1e9), 1)
+    full = att(Tensor(x), mask=causal).data
+    cache = {}
+    with no_grad():
+        head = att(Tensor(x[:, :3]), mask=causal[:3, :3], cache=cache).data
+        steps = [att(Tensor(x[:, t : t + 1]), cache=cache).data for t in (3, 4)]
+    assert cache["k"].shape == cache["v"].shape == (2, 5, 8)
+    np.testing.assert_allclose(np.concatenate([head] + steps, axis=1), full, rtol=1e-12, atol=1e-12)
 
 
 def test_incorporation_sites_placement():

@@ -274,6 +274,39 @@ def test_evaluate_hr_critical_slices():
     assert [r["hr_critical"] for r in rep["per_sample"]] == [None, None, None]
 
 
+def test_evaluate_distractor_scenario_and_class_slices():
+    samples, preds = _toy_eval()
+    for s, scenario in zip(samples, ("end_in_band", "cross_left", "end_in_band")):
+        s["scenario"] = scenario
+    rep = evaluate_predictions(samples, preds)
+    # ious 1.0, 1/7 and 0.0; samples 1 and 2 are distractor scenes
+    assert abs(rep["iou_distractor"] - 1.0 / 14.0) < 1e-12
+    assert rep["iou_not_distractor"] == 1.0
+    assert rep["iou_scenario_end_in_band"] == 0.5
+    assert abs(rep["iou_scenario_cross_left"] - 1.0 / 7.0) < 1e-12
+    assert rep["iou_class_car"] == 1.0
+    assert abs(rep["iou_class_truck"] - 1.0 / 7.0) < 1e-12
+    assert rep["iou_class_pedestrian"] == 0.0
+    assert [r["distractor"] for r in rep["per_sample"]] == [False, True, True]
+    assert [r["scenario"] for r in rep["per_sample"]] == ["end_in_band", "cross_left", "end_in_band"]
+    # empty slices are absent; samples without the fields make no slice
+    for s in samples:
+        s["distractor"] = True
+        del s["scenario"]
+    rep = evaluate_predictions(samples, preds)
+    assert "iou_not_distractor" not in rep
+    assert abs(rep["iou_distractor"] - rep["miou"]) < 1e-12
+    assert not any(key.startswith("iou_scenario_") for key in rep)
+    assert [r["scenario"] for r in rep["per_sample"]] == [None, None, None]
+    for s in samples:
+        del s["distractor"]
+    rep = evaluate_predictions(samples, preds)
+    assert "iou_distractor" not in rep and "iou_not_distractor" not in rep
+    assert [r["distractor"] for r in rep["per_sample"]] == [None, None, None]
+    assert {key for key in rep if key.startswith("iou_class_")} == {
+        "iou_class_car", "iou_class_truck", "iou_class_pedestrian"}
+
+
 def test_evaluate_bucket_fallback_from_box():
     samples, preds = _toy_eval()
     for s in samples:

@@ -1,14 +1,17 @@
 """Kernel correctness: frozen oracles, slow reference implementations, and
 finite-difference checks for every backward closure."""
 
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from hirisk import ops
-from hirisk.autograd import ShapeError, Tensor
+from hirisk.autograd import NonFiniteError, ShapeError, Tensor, no_grad, swapaxes
 from hirisk.gradcheck import finite_difference_check
+from hirisk.lm import prefix_causal_mask
 from hirisk.rng import named_rng
 
 # softmax([1, 2, 3]) computed independently at 50-digit precision (mpmath),
@@ -146,6 +149,55 @@ def test_conv2d_matches_loop_reference(stride, padding):
     np.testing.assert_allclose(got.data, want, atol=1e-12)
 
 
+def _conv2d_run(x, w, b, probe, stride, padding):
+    ts = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+    out = ops.conv2d(*ts, stride=stride, padding=padding)
+    (out * Tensor(probe)).sum().backward()
+    return [out.data] + [t.grad for t in ts]
+
+
+@pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
+def test_conv2d_blocks_match_one_block_bit_for_bit(monkeypatch, stride, padding):
+    r = rng(f"c2dblk{stride}{padding}")
+    x = r.normal(size=(7, 9, 8, 3)).astype(np.float32)
+    w = r.normal(size=(3, 3, 3, 5)).astype(np.float32)
+    b = r.normal(size=5).astype(np.float32)
+    ho, wo = (9 + 2 * padding - 3) // stride + 1, (8 + 2 * padding - 3) // stride + 1
+    probe = r.normal(size=(7, ho, wo, 5)).astype(np.float32)
+    assert 7 * ho * wo <= ops.CONV_BLOCK_ROWS
+    whole = _conv2d_run(x, w, b, probe, stride, padding)
+    # three images a block: blocks of 3, 3 and 1
+    monkeypatch.setattr(ops, "CONV_BLOCK_ROWS", 3 * ho * wo + 1)
+    blocked = _conv2d_run(x, w, b, probe, stride, padding)
+    for got, want in zip(blocked, whole):
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, want)
+
+
+def test_conv2d_graph_keeps_no_im2col_matrix():
+    r = rng("c2dmem")
+    x = Tensor(r.normal(size=(4, 16, 16, 8)).astype(np.float32), requires_grad=True)
+    w = Tensor(r.normal(size=(3, 3, 8, 8)).astype(np.float32), requires_grad=True)
+
+    def kept_bytes():
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = ops.conv2d(x, w, padding=1)
+            return tracemalloc.get_traced_memory()[0] - before, out
+        finally:
+            tracemalloc.stop()
+
+    # the padded input and the output; a 9x-input im2col matrix would not fit
+    kept, out = kept_bytes()
+    assert out._backward is not None
+    assert kept < 4 * x.data.nbytes
+    with no_grad():
+        kept, out = kept_bytes()
+    assert out._backward is None
+    assert kept < 1.5 * x.data.nbytes
+
+
 def dwconv3d_loops(x, w):
     """Triple-loop depthwise 3D convolution reference, same padding."""
     bsz, t, h, wd, c = x.shape
@@ -223,6 +275,14 @@ def fd(fn, *arrays, tol=1e-4):
 def test_grad_softmax():
     w = rng("g1").normal(size=(3, 4))
     fd(lambda x: (ops.softmax_rows(x) * Tensor(w)).sum(), rng("g1b").normal(size=(3, 4)))
+
+
+def test_grad_attention():
+    r = rng("g_attn")
+    probe = Tensor(r.normal(size=(2, 3, 4)))
+    mask = np.triu(np.full((3, 5), -1e9), 3)
+    fd(lambda q, k, v: (ops.attention(q, k, v, 2, mask) * probe).sum(),
+       r.normal(size=(2, 3, 4)), r.normal(size=(2, 5, 4)), r.normal(size=(2, 5, 4)))
 
 
 def test_grad_gelu():
@@ -349,3 +409,76 @@ def test_linear_rejects_mismatched_shapes():
         ops.linear(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 5))))
     with pytest.raises(ShapeError):
         ops.linear(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(4)))
+
+
+# -- fused attention -----------------------------------------------------------
+
+
+def attention_chain(q, k, v, heads, mask=None):
+    """The chain of primitive tape ops that `ops.attention` replaces."""
+    b, tq, d = q.shape
+    tk, dh = k.shape[1], d // heads
+    q4 = swapaxes(q.reshape(b, tq, heads, dh), 1, 2)
+    k4 = swapaxes(k.reshape(b, tk, heads, dh), 1, 2)
+    v4 = swapaxes(v.reshape(b, tk, heads, dh), 1, 2)
+    scores = (q4 @ swapaxes(k4, -1, -2)) * (1.0 / math.sqrt(dh))
+    if mask is not None:
+        scores = scores + Tensor(mask.astype(scores.dtype))
+    out = ops.softmax_rows(scores) @ v4
+    return swapaxes(out, 1, 2).reshape(b, tq, d)
+
+
+@pytest.mark.parametrize("heads,tq,tk,mask", [
+    (2, 6, 6, "prefix_causal"),
+    (2, 6, 6, None),
+    (4, 3, 7, None),  # cross-attention
+    (2, 3, 7, "rectangular"),
+    (1, 6, 6, "prefix_causal"),
+    (1, 4, 9, None),
+])
+def test_attention_matches_the_primitive_chain_bit_for_bit(heads, tq, tk, mask):
+    r = rng(f"attn{heads}{tq}{tk}{mask}")
+    if mask == "prefix_causal":
+        mask = prefix_causal_mask(2, tq)
+    elif mask == "rectangular":
+        mask = np.triu(np.full((tq, tk), -1e9, dtype=np.float32), 2)
+    arrays = [r.normal(size=(3, t, 8)).astype(np.float32) for t in (tq, tk, tk)]
+    probe = Tensor(r.normal(size=(3, tq, 8)).astype(np.float32))
+    results = []
+    for fn in (ops.attention, attention_chain):
+        q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
+        out = fn(q, k, v, heads, mask)
+        if fn is ops.attention:
+            assert out._op == "attention" and out._parents == (q, k, v)
+        (out * probe).sum().backward()
+        results.append([out.data, q.grad, k.grad, v.grad])
+    assert results[0][0].shape == (3, tq, 8)
+    for got, want in zip(*results):
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("keys", ["random", "one_negative"])
+def test_attention_overflow_names_attention(keys):
+    r = rng("attn_inf")
+    if keys == "random":
+        q, k = (Tensor((r.normal(size=(1, t, 4)) * 1e20).astype(np.float32)) for t in (2, 3))
+    else:
+        # one score per row overflows to -inf and the rest are 0: the softmax
+        # and the output stay finite, so only the check on the scores sees it
+        q = Tensor(np.full((1, 2, 4), 1e20, dtype=np.float32))
+        k = Tensor(np.stack([np.full(4, -1e20), np.zeros(4), np.zeros(4)])[None].astype(np.float32))
+    v = Tensor(r.normal(size=(1, 3, 4)).astype(np.float32))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError, match="attention"):
+            ops.attention(q, k, v, 2)
+
+
+@pytest.mark.parametrize("q,kv,heads", [
+    ((2, 3, 4), [(2, 5, 4), (2, 4, 4)], 2),  # k and v lengths differ
+    ((2, 3, 4), [(2, 5, 6), (2, 5, 6)], 2),  # widths differ
+    ((2, 3, 6), [(2, 5, 6), (2, 5, 6)], 4),  # width not divisible by heads
+])
+def test_attention_rejects_mismatched_shapes(q, kv, heads):
+    with pytest.raises(ShapeError):
+        ops.attention(Tensor(np.zeros(q)), *(Tensor(np.zeros(s)) for s in kv), heads)
