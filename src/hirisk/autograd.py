@@ -151,9 +151,6 @@ class Tensor:
     def item(self) -> float:
         return self.data.item()
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 

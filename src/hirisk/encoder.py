@@ -184,7 +184,7 @@ class VideoEncoder(Module):
 
         incorporation: ModuleList of cls-rewrite modules; sites maps layer
         index (1-based, applied after that layer) to the module index.
-        Returns (z_v [B, n_q, d_l], pooled tokens [B, T, d_v]).
+        Returns z_v [B, n_q, d_l].
         """
         bl, t, d = tokens.shape
         l = bl // batch
@@ -201,8 +201,7 @@ class VideoEncoder(Module):
                 x = concat([new_cls.reshape(bl, 1, d), x[:, 1:, :]], axis=1)
         x = self.final_ln(x)
         pooled = x.reshape(batch, l, t, d).mean(axis=1)
-        z = self.proj(self.pooler(pooled))
-        return z, pooled
+        return self.proj(self.pooler(pooled))
 
 
 def incorporation_sites(n_layers: int) -> dict[int, int]:

@@ -242,11 +242,6 @@ def save_report(report: dict, path) -> None:
         fh.write(report_to_json(report))
 
 
-def load_report(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def export_csv(report: dict, path) -> None:
     """Per-sample rows for spreadsheet inspection."""
     rows = report.get("per_sample", [])

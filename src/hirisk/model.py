@@ -156,7 +156,7 @@ class DualBranchModel(Module):
         tokens = self.encoder.embed(batch["clip"])
         feats, heat = self.hr_features(batch, tokens)
         inject = feats is not None and not self.flags.no_im
-        z, _ = self.encoder.encode(
+        z = self.encoder.encode(
             tokens,
             b,
             incorporation=self.incorporation if inject else None,

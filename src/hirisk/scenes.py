@@ -16,9 +16,9 @@ frame. Such objects are genuinely invisible to a low-resolution-only model.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
-import struct
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -389,66 +389,53 @@ class SceneDataset:
 
 # -- on-disk format ------------------------------------------------------------
 
-MAGIC = b"HRSK"
 # Version 2: the caption's suggestion sentence is a function of the scene
-# (version 1 drew it at random).
-MANIFEST_VERSION = 2
-_DTYPES = {0: np.uint8, 1: np.float32, 2: np.float64, 3: np.int64, 4: np.int32}
-_DTYPE_CODES = {np.dtype(v): k for k, v in _DTYPES.items()}
+# (version 1 drew it at random). Version 3: a split's arrays are one
+# `<split>/scenes.npz` (version 2 wrote one file per sample).
+MANIFEST_VERSION = 3
 
 
-def write_array(fh, arr: np.ndarray) -> None:
-    code = _DTYPE_CODES[arr.dtype]
-    fh.write(struct.pack("<BB", code, arr.ndim))
-    fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    fh.write(np.ascontiguousarray(arr).tobytes())
-
-
-def read_array(fh) -> np.ndarray:
-    code, ndim = struct.unpack("<BB", fh.read(2))
-    shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-    dtype = np.dtype(_DTYPES[code])
-    n = int(np.prod(shape)) * dtype.itemsize
-    return np.frombuffer(fh.read(n), dtype=dtype).reshape(shape).copy()
+def write_atomic(path: str, write) -> None:
+    """`write(fh)` to `<path>.tmp`, then rename it: a failure leaves `path` whole."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def save_dataset(ds: SceneDataset, cfg: SceneConfig, out_dir: str, split: str) -> None:
     split_dir = os.path.join(out_dir, split)
     os.makedirs(split_dir, exist_ok=True)
-    files = []
-    for i in range(len(ds)):
-        name = f"sample_{i:05d}.bin"
-        with open(os.path.join(split_dir, name), "wb") as fh:
-            fh.write(MAGIC)
-            write_array(fh, ds.clips[i])
-            write_array(fh, ds.hrs[i])
-        files.append(name)
-    manifest = {
-        "version": MANIFEST_VERSION,
-        "split": split,
-        "config": asdict(cfg),
-        "samples": [dict(m, file=f) for m, f in zip(ds.meta, files)],
-    }
-    with open(os.path.join(out_dir, f"{split}_manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(os.path.join(split_dir, "scenes.npz"),
+                 lambda fh: np.savez(fh, clips=ds.clips, hrs=ds.hrs))
+    manifest = {"version": MANIFEST_VERSION, "split": split, "config": asdict(cfg),
+                "samples": ds.meta}
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    write_atomic(os.path.join(out_dir, f"{split}_manifest.json"),
+                 lambda fh: fh.write(text.encode()))
 
 
 def load_dataset(out_dir: str, split: str) -> SceneDataset:
+    """Read a split back; ValueError unless its arrays match its manifest."""
     with open(os.path.join(out_dir, f"{split}_manifest.json")) as fh:
         manifest = json.load(fh)
     if manifest.get("version") != MANIFEST_VERSION:
         raise ValueError(f"{split} split in {out_dir} has manifest version "
                          f"{manifest.get('version')}, but this generator writes version "
                          f"{MANIFEST_VERSION}; regenerate it")
-    clips, hrs, meta = [], [], []
-    for rec in manifest["samples"]:
-        path = os.path.join(out_dir, split, rec["file"])
-        with open(path, "rb") as fh:
-            if fh.read(4) != MAGIC:
-                raise ValueError(f"bad magic in {path}")
-            clips.append(read_array(fh))
-            hrs.append(read_array(fh))
-        meta.append({k: v for k, v in rec.items() if k != "file"})
-    return SceneDataset(np.stack(clips), np.stack(hrs), meta)
-
+    path = os.path.join(out_dir, split, "scenes.npz")
+    with np.load(path) as z:
+        arrays = {"clips": z["clips"], "hrs": z["hrs"]}
+    cfg, n = manifest["config"], len(manifest["samples"])
+    lr, hr = cfg["lr_size"], cfg["hr_size"]
+    want = {"clips": (n, cfg["clip_len"], lr, lr, 3), "hrs": (n, hr, hr, 3)}
+    for name, arr in arrays.items():
+        if arr.dtype != np.uint8 or arr.shape != want[name]:
+            raise ValueError(f"{path}: {name} is {arr.dtype} {list(arr.shape)}, but the "
+                             f"manifest describes uint8 {list(want[name])}")
+    return SceneDataset(arrays["clips"], arrays["hrs"], manifest["samples"])

@@ -9,7 +9,6 @@ a fresh caption-only baseline); training refuses to start if the gate fails.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 import os
@@ -24,7 +23,7 @@ from .metrics import evaluate_predictions
 from .model import DualBranchModel
 from .optim import AdamW, cosine_lr
 from .rng import named_rng
-from .scenes import SceneDataset, load_dataset, render_frame, save_dataset
+from .scenes import SceneDataset, load_dataset, render_frame, save_dataset, write_atomic
 
 
 class TrainAbort(RuntimeError):
@@ -138,11 +137,14 @@ def load_split_for(cfg: RunConfig, data_dir: str, split: str) -> SceneDataset:
 def load_or_generate(cfg: RunConfig, data_dir=None, log=None):
     """Fetch both splits, generating and caching them when needed.
 
-    A cached split is used only if it was built with `cfg.scene`; otherwise
-    ValueError names the fields that differ.
+    The cache is used only when both splits' manifests exist, so a cache that
+    a run left half-written is generated again. A cached split is used only if
+    it was built with `cfg.scene`; otherwise ValueError names the fields that
+    differ.
     """
     say = log or (lambda s: None)
-    if data_dir and os.path.exists(os.path.join(data_dir, "train_manifest.json")):
+    if data_dir and all(os.path.exists(os.path.join(data_dir, f"{split}_manifest.json"))
+                        for split in ("train", "test")):
         say(f"loading dataset from {data_dir}")
         for split in ("train", "test"):
             differ = scene_config_differences(data_dir, split, cfg.scene)
@@ -274,16 +276,7 @@ def save_checkpoint(path: str, model: DualBranchModel, opt: AdamW, cfg: RunConfi
         "rng_state": _json_safe(rng_state),
     }
     arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
-    # write beside the target, then rename: a failed write leaves the old file whole
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, **arrays)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    write_atomic(path, lambda fh: np.savez(fh, **arrays))
 
 
 def load_checkpoint(path: str):

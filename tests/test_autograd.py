@@ -146,16 +146,6 @@ def test_exp_log_roundtrip_grad():
     np.testing.assert_allclose(x.grad, np.ones(3), atol=1e-12)
 
 
-def test_detach_blocks_gradient():
-    x = Tensor(2.0, requires_grad=True)
-    y = x * 3.0
-    z = y.detach() * 5.0
-    assert not z.requires_grad
-    w = x * 1.0 + z
-    w.backward()
-    assert x.grad.item() == 1.0
-
-
 def test_tape_topological_order():
     x = Tensor(1.0, requires_grad=True)
     y = x * 2.0

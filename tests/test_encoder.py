@@ -91,9 +91,8 @@ def test_encoder_shapes():
     clip = _clip(np.random.default_rng(0))
     tokens = enc.embed(clip)
     assert tokens.shape == (6, 1 + 16, 32)
-    z, pooled = enc.encode(tokens, 2)
+    z = enc.encode(tokens, 2)
     assert z.shape == (2, 4, 48)
-    assert pooled.shape == (2, 17, 32)
 
 
 def test_frames_do_not_interact_without_adapters():

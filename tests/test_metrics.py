@@ -13,7 +13,6 @@ from hirisk.metrics import (
     evaluate_predictions,
     export_csv,
     iou,
-    load_report,
     miou,
     report_to_json,
     save_report,
@@ -329,7 +328,8 @@ def test_report_json_round_trip(tmp_path):
     rep = evaluate_predictions(samples, preds)
     path = tmp_path / "metrics.json"
     save_report(rep, path)
-    again = load_report(path)
+    with open(path, encoding="utf-8") as fh:
+        again = json.load(fh)
     assert again == rep
     assert report_to_json(again) == report_to_json(rep)
     # identical evaluations give identical bytes

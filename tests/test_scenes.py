@@ -1,6 +1,5 @@
 """Synthetic scene generator: determinism, geometry, and on-disk format."""
 
-import io
 import json
 
 import numpy as np
@@ -9,19 +8,16 @@ import pytest
 from hirisk.config import SceneConfig
 from hirisk.grammar import parse_caption, tokenize
 from hirisk.scenes import (
-    MAGIC,
     MIN_DRAW_PX,
     SceneDataset,
     SceneObject,
     generate_scene,
     load_dataset,
     mask_box,
-    read_array,
     render_frame,
     risk_frames,
     save_dataset,
     size_bucket,
-    write_array,
 )
 
 
@@ -181,23 +177,6 @@ def test_size_bucket_rule():
     assert size_bucket((0.0, 0.0, 0.3, 0.3)) == "L"  # area 0.09 is not medium
 
 
-def test_array_io_round_trip():
-    rng = np.random.default_rng(0)
-    arrays = [
-        rng.integers(0, 255, size=(3, 4, 2), dtype=np.int64).astype(np.uint8),
-        rng.standard_normal((5,)).astype(np.float32),
-        rng.standard_normal((2, 2)).astype(np.float64),
-        np.arange(6, dtype=np.int32).reshape(2, 3),
-    ]
-    buf = io.BytesIO()
-    for a in arrays:
-        write_array(buf, a)
-    buf.seek(0)
-    for a in arrays:
-        b = read_array(buf)
-        assert b.dtype == a.dtype and np.array_equal(a, b)
-
-
 def test_dataset_save_load_round_trip(tmp_path):
     cfg = _small_cfg()
     ds = SceneDataset.generate(cfg, "train")
@@ -209,6 +188,7 @@ def test_dataset_save_load_round_trip(tmp_path):
     manifest = json.loads((tmp_path / "train_manifest.json").read_text())
     assert manifest["config"]["seed"] == 100
     assert len(manifest["samples"]) == len(ds)
+    assert sorted(p.name for p in (tmp_path / "train").iterdir()) == ["scenes.npz"]
 
 
 def test_load_rejects_a_version_1_manifest(tmp_path):
@@ -218,17 +198,21 @@ def test_load_rejects_a_version_1_manifest(tmp_path):
     manifest = json.loads(path.read_text())
     manifest["version"] = 1
     path.write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match="version 1.*version 2"):
+    with pytest.raises(ValueError, match="version 1.*version 3"):
         load_dataset(str(tmp_path), "train")
 
 
-def test_bad_magic_rejected(tmp_path):
-    cfg = _small_cfg(n_train=1)
+@pytest.mark.parametrize("fault", ["one_scene_short", "float_hr_frames"])
+def test_load_rejects_arrays_the_manifest_does_not_describe(tmp_path, fault):
+    cfg = _small_cfg(n_train=3)
     ds = SceneDataset.generate(cfg, "train")
     save_dataset(ds, cfg, str(tmp_path), "train")
-    victim = tmp_path / "train" / "sample_00000.bin"
-    data = bytearray(victim.read_bytes())
-    data[:4] = b"JUNK"
-    victim.write_bytes(bytes(data))
-    with pytest.raises(ValueError, match="bad magic"):
+    path = tmp_path / "train" / "scenes.npz"
+    if fault == "one_scene_short":
+        np.savez(path, clips=ds.clips[:-1], hrs=ds.hrs[:-1])
+        match = "clips is uint8 \\[2, 5, 32, 32, 3\\].*uint8 \\[3, 5, 32, 32, 3\\]"
+    else:
+        np.savez(path, clips=ds.clips, hrs=ds.hrs.astype(np.float32))
+        match = "hrs is float32 \\[3, 128, 128, 3\\].*uint8 \\[3, 128, 128, 3\\]"
+    with pytest.raises(ValueError, match=f"{path}: {match}"):
         load_dataset(str(tmp_path), "train")

@@ -20,7 +20,7 @@ from hirisk.metrics import report_to_json
 from hirisk.model import DualBranchModel
 from hirisk.optim import AdamW
 from hirisk.rng import named_rng
-from hirisk.scenes import SceneDataset
+from hirisk.scenes import SceneDataset, load_dataset, save_dataset
 from hirisk.train import (
     GateError,
     TrainAbort,
@@ -156,6 +156,19 @@ def test_checkpoint_resume_matches_uninterrupted_run(tmp_path, tiny_data):
         assert np.array_equal(p.data, ref[name].data), name
 
 
+def _savez_fails_after_half_a_zip(monkeypatch) -> list:
+    """Make `np.savez` write half a zip and raise; returns the files it wrote to."""
+    written_to = []
+
+    def savez_then_fail(file, **arrays):
+        written_to.append(getattr(file, "name", None))
+        file.write(b"PK\x03\x04 half a zip")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", savez_then_fail)
+    return written_to
+
+
 def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, tiny_data, monkeypatch):
     cfg = tiny_cfg()
     vocab = build_vocab()
@@ -167,20 +180,32 @@ def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, tiny_data, mo
     with open(path, "rb") as fh:
         before = fh.read()
 
-    written_to = []
-
-    def savez_then_fail(file, **arrays):
-        written_to.append(getattr(file, "name", None))
-        file.write(b"PK\x03\x04 half a zip")
-        raise OSError("disk full")
-
-    monkeypatch.setattr(np, "savez", savez_then_fail)
+    written_to = _savez_fails_after_half_a_zip(monkeypatch)
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(path, model, opt, cfg, 2, data["max_answer_len"], {})
     assert written_to == [path + ".tmp"]
     with open(path, "rb") as fh:
         assert fh.read() == before
     assert os.listdir(tmp_path) == ["checkpoint"]
+
+
+def test_failed_dataset_write_keeps_the_previous_split(tmp_path, tiny_data, monkeypatch):
+    cfg = tiny_cfg()
+    old, new = tiny_data
+    save_dataset(old, cfg.scene, str(tmp_path), "train")
+    files = [tmp_path / "train" / "scenes.npz", tmp_path / "train_manifest.json"]
+    before = [f.read_bytes() for f in files]
+
+    written_to = _savez_fails_after_half_a_zip(monkeypatch)
+    with pytest.raises(OSError, match="disk full"):
+        save_dataset(new, cfg.scene, str(tmp_path), "train")
+    assert written_to == [str(files[0]) + ".tmp"]
+    assert [f.read_bytes() for f in files] == before
+    assert sorted(os.listdir(tmp_path)) == ["train", "train_manifest.json"]
+    assert os.listdir(tmp_path / "train") == ["scenes.npz"]
+    back = load_dataset(str(tmp_path), "train")
+    assert np.array_equal(back.clips, old.clips) and np.array_equal(back.hrs, old.hrs)
+    assert back.meta == old.meta
 
 
 def test_checkpoint_keeps_every_moment_of_the_optimizer_layout(tmp_path, tiny_data):
@@ -328,6 +353,22 @@ def test_load_or_generate_caches_and_validates(tmp_path):
     bad.scene.n_train = 99
     with pytest.raises(ValueError):
         load_or_generate(bad, data_dir=data_dir, log=quiet)
+
+
+def test_load_or_generate_regenerates_a_cache_missing_a_split(tmp_path):
+    """A run that died between saving the train and the test split leaves a
+    cache that the next run generates again instead of failing on."""
+    cfg = tiny_cfg()
+    cfg.scene.n_train, cfg.scene.n_test = 2, 1
+    data_dir = tmp_path / "cache"
+    load_or_generate(cfg, data_dir=str(data_dir), log=quiet)
+    (data_dir / "test_manifest.json").unlink()
+    got = load_or_generate(cfg, data_dir=str(data_dir), log=quiet)
+    for ds, split in zip(got, ("train", "test")):
+        fresh = SceneDataset.generate(cfg.scene, split)
+        assert np.array_equal(ds.clips, fresh.clips) and np.array_equal(ds.hrs, fresh.hrs)
+        assert ds.meta == fresh.meta
+    assert (data_dir / "test_manifest.json").exists()
 
 
 def test_load_or_generate_rejects_a_cache_of_another_seed(tmp_path):
