@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ops
-from .autograd import Tensor, no_grad
+from .autograd import Tensor, concat, no_grad
 from .config import RunConfig
 from .encoder import VideoEncoder, incorporation_sites
 from .grammar import ANSWER_SPAN, INSTRUCTION_PROMPT, LOCALIZATION_PROMPT, Vocabulary, parse_caption
@@ -38,6 +38,15 @@ from .rng import named_rng
 # Extra decode steps past the longest training answer, so a slightly
 # rambling generation still reaches its end-of-sequence token.
 DECODE_MARGIN = 4
+
+# Samples per trunk pass at inference. The encoder and the HR CNN have no
+# cross-sample op, so any block size gives the same bits; a small block
+# bounds the transients (a [B*clip_len*(G*G+1), 4*d_v] MLP hidden, a
+# [B, hr/2, hr/2, cnn_width] stem) that set decode's peak memory. Decoding
+# 50-scene default-config batches on 2 CPUs peaks at 134 MB RSS at 8, against
+# 218 MB in one block (medians of 10 runs); single runs read 128 MB but
+# 1,205 ms a batch at 1, against about 920 ms at 8, and 143 MB at 16.
+TRUNK_BLOCK = 8
 
 # Parameters of the high-resolution perception route (extractor, its grid
 # positions, incorporation sites, detector), trained at `hr_lr_mult`.
@@ -165,6 +174,21 @@ class DualBranchModel(Module):
         )
         return z, feats, heat
 
+    @no_grad()
+    def encode_scene_blocks(self, batch: dict):
+        """`encode_scene` over `TRUNK_BLOCK` samples at a time, with no graph.
+
+        Every batch array is sliced along its leading (sample) axis. Returns
+        (z_v, feats) for the whole batch; feats is None without the HR route.
+        """
+        zs, fs = [], []
+        for start in range(0, batch["clip"].shape[0], TRUNK_BLOCK):
+            block = {k: v[start : start + TRUNK_BLOCK] for k, v in batch.items()}
+            z, feats, _ = self.encode_scene(block)
+            zs.append(z)
+            fs.append(feats)
+        return concat(zs), None if fs[0] is None else concat(fs)
+
     # -- training --------------------------------------------------------------
 
     def answer_rows(self, hidden: Tensor, answer_mask: np.ndarray):
@@ -208,7 +232,7 @@ class DualBranchModel(Module):
     @no_grad()
     def caption_logits(self, batch: dict) -> np.ndarray:
         """Teacher-forced answer-position logits; used by equivalence gates."""
-        z, _, _ = self.encode_scene(batch)
+        z, _ = self.encode_scene_blocks(batch)
         _, logits = self.lm.forward_hidden(z, batch["answer_ids"])
         p = self.lm.prefix_len
         ta = batch["answer_ids"].shape[1]
@@ -223,7 +247,7 @@ class DualBranchModel(Module):
         Each record carries the token list, the predicted box as a tuple (or
         None when coordinate text failed to parse), and the box source.
         """
-        z, feats, _ = self.encode_scene(batch)
+        z, feats = self.encode_scene_blocks(batch)
         pad, eos = self.vocab.pad_id, self.vocab.eos_id
         # The grammar pins the risk noun phrase to a fixed window, so decoding
         # runs at least that far (finished rows emit pad, which the token

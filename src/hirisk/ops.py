@@ -5,15 +5,16 @@ backward closure. Shapes follow a channels-last convention: images are
 [B, H, W, C] and token grids are [B, T, H, W, C].
 
 The graph keeps every closure until backward, so what the closures keep is
-most of a training step's memory. Besides views of their operands (which
-the operands' tensors hold anyway) they keep: `relu` a boolean mask; `gelu`
-the normal CDF of its input; `sigmoid`, `softmax_rows` and `attention` their
-probabilities (`attention` no scores and no per-head copies); `linear`
-nothing; `layer_norm` the normalised input and inverse deviations; `conv2d`
-and `depthwise_conv3d` their padded input (`conv2d` never an im2col
-matrix); `cross_entropy_logits` the log-sum-exps and mask weights;
-`l1_loss` the residual; `binary_cross_entropy_logits` the targets;
-`embedding_lookup` the indices; and `masked_mean_rows` the row weights.
+most of a training step's memory. Besides views of their operands and
+outputs (which those tensors hold anyway) they keep: `relu` nothing, since
+its output's sign is its mask; `gelu` the normal CDF of its input;
+`sigmoid`, `softmax_rows` and `attention` their probabilities (`attention`
+no scores and no per-head copies); `linear` nothing; `layer_norm` the
+normalised input and inverse deviations; `conv2d` and `depthwise_conv3d`
+their padded input (`conv2d` never an im2col matrix);
+`cross_entropy_logits` the log-sum-exps and mask weights; `l1_loss` the
+residual; `binary_cross_entropy_logits` the targets; `embedding_lookup` the
+indices; and `masked_mean_rows` the row weights.
 """
 
 from __future__ import annotations
@@ -36,11 +37,11 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 def relu(x: Tensor) -> Tensor:
     data = np.maximum(x.data, 0.0)
-    mask = x.data > 0.0
 
     def backward(g):
         if x.requires_grad:
-            x._accum(g * mask)
+            # data > 0 exactly where x > 0 (NaN and -0.0 included)
+            x._accum(g * (data > 0.0))
 
     return Tensor._from_op(data, (x,), backward, "relu")
 

@@ -406,7 +406,7 @@ def evaluation_samples(ds: SceneDataset, variant: str) -> list[dict]:
 
 
 def evaluate_model(model: DualBranchModel, vocab: Vocabulary, test_ds: SceneDataset,
-                   batch_size: int = 50) -> dict:
+                   batch_size: int) -> dict:
     data = prepare_data(test_ds, vocab, model.variant)
     samples = evaluation_samples(test_ds, model.variant)
     preds = []

@@ -1,8 +1,11 @@
 """Joint model: branch wiring, gating, loss arithmetic, decoding."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from hirisk import model as model_module
 from hirisk.config import Ablation, ModelConfig, RunConfig, SceneConfig, TrainConfig
 from hirisk.grammar import ANSWER_SPAN, build_vocab
 from hirisk.hrbranch import BoxMlp, LearnedQueryDetector, SpanQueryDetector
@@ -348,6 +351,61 @@ def test_cached_greedy_ids_are_the_teacher_forced_argmax(config, eos_nudge):
         n = ends[0] + 1 if ends.size else len(row)
         assert np.array_equal(row[:n], want[:n])
         assert (row[n:] == vocab.pad_id).all()
+
+
+def _decode_bits(records) -> list:
+    return [(r["tokens"], r["box_source"],
+             None if r["box"] is None else np.asarray(r["box"]).tobytes()) for r in records]
+
+
+@pytest.mark.parametrize("config", list(GREEDY_CONFIGS))
+def test_trunk_blocks_change_no_output_bit(config, monkeypatch):
+    """A trunk run two samples at a time, with a ragged last block of one,
+    gives the one-block run's tokens, boxes and logits bit for bit."""
+    cfg = tiny_cfg(**GREEDY_CONFIGS[config])
+    model, vocab = make_model(cfg)
+    # a nudge makes rows end at different steps
+    model.lm.head.bias.data[vocab.eos_id] += 3.5
+    batch = random_batch(cfg, vocab, n=5)
+
+    def run(block):
+        monkeypatch.setattr(model_module, "TRUNK_BLOCK", block)
+        return _decode_bits(model.decode(batch)), model.caption_logits(batch)
+
+    (dec_one, logits_one), (dec_two, logits_two) = run(5), run(2)
+    assert len(dec_two) == 5
+    assert dec_two == dec_one
+    assert logits_two.shape == logits_one.shape
+    assert logits_two.tobytes() == logits_one.tobytes()
+
+
+def test_decode_builds_no_graph_and_leaves_no_gradient():
+    cfg = tiny_cfg()
+    model, vocab = make_model(cfg)
+    batch = random_batch(cfg, vocab)
+    z, feats = model.encode_scene_blocks(batch)
+    assert not z.requires_grad and not feats.requires_grad
+    model.decode(batch)
+    assert [n for n, p in model.named_parameters() if p.grad is not None] == []
+
+
+def test_trunk_blocks_bound_decode_peak_memory(monkeypatch):
+    cfg = tiny_cfg()
+    model, vocab = make_model(cfg)
+    batch = random_batch(cfg, vocab, n=6)
+
+    def peak_bytes(block):
+        monkeypatch.setattr(model_module, "TRUNK_BLOCK", block)
+        tracemalloc.start()
+        try:
+            model.decode(batch)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_block = peak_bytes(6)
+    per_sample = peak_bytes(1)
+    assert per_sample < 0.5 * one_block, (per_sample, one_block)
 
 
 def test_greedy_decode_runs_to_min_new():

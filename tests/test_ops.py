@@ -56,6 +56,24 @@ def test_activations_keep_float32(op):
     assert x.grad.dtype == np.float32
 
 
+def test_relu_gradient_is_its_input_sign_and_no_grad_allocates_only_its_output():
+    x = Tensor(np.array([-2.0, -0.0, 0.0, 1e-30, 3.0], dtype=np.float32), requires_grad=True)
+    ops.relu(x).backward(np.full(5, 2.0, dtype=np.float32))
+    assert x.grad.tobytes() == (2.0 * (x.data > 0.0)).astype(np.float32).tobytes()
+    big = Tensor(rng("relu").normal(size=(64, 256)).astype(np.float32))
+    with no_grad():
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = ops.relu(big)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    # the output plus the finite check's transient boolean array (a quarter
+    # of the float32 output); a boolean mask would add another quarter
+    assert peak < 1.4 * out.data.nbytes
+
+
 def test_gelu_reference_points():
     # gelu(0)=0, gelu is odd-symmetric around 0 in the sense x*cdf(x);
     # gelu(large) ~ x, gelu(-large) ~ 0
