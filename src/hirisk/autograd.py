@@ -1,26 +1,30 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
-A `Tensor` wraps an ndarray plus an optional gradient accumulator. Operations
-build a graph through parent references and per-node backward closures; calling
-`backward()` on a scalar root materializes a `ComputationTape` (the nodes in
-topological order) and sweeps it once in reverse, accumulating gradients
-additively across fan-out. The sweep keeps three rules:
+A `Tensor` wraps an ndarray. An op output that requires grad also gets a
+`Node`: its gradient slot, its parents' nodes and its backward closure, with
+the output's shape and dtype but not its data. A leaf (a parameter or a
+user-made input) is its own node. Calling `backward()` on a scalar root
+materializes a `ComputationTape` (the nodes in topological order) and sweeps
+it once in reverse, accumulating gradients additively across fan-out. The
+graph and the sweep keep four rules:
 
-- Only leaves keep gradients. A leaf is a tensor with no backward closure
-  (parameters, user-made inputs); an interior node's gradient is dropped
-  as soon as its closure has passed it on.
+- The graph holds nodes, not op outputs. A closure captures its parents'
+  nodes plus exactly the arrays it reads, saved at forward time, and never a
+  parent `Tensor`; an output that no closure reads is freed as soon as the
+  forward code drops it.
+- Only leaves keep gradients. An interior node's gradient is dropped as soon
+  as its closure has passed it on.
 - A first gradient is adopted, not copied, when it is a writeable array of
-  the tensor's dtype. So no closure may hand one buffer, or overlapping
-  views of it, to two tensors.
+  the node's dtype. So no closure may hand one buffer, or overlapping views
+  of it, to two nodes.
 - A second backward over the same graph adds to the leaves exactly once more.
 
 Every forward op validates that its result is finite; NaN or Inf anywhere
 raises `NonFiniteError` immediately, which the training harness turns into an
 abort with diagnostics.
 
-Inside `no_grad()` ops record nothing: results keep no parents and no
-backward closure, so inference builds no graph and frees activations as soon
-as they go out of scope.
+Inside `no_grad()` ops record nothing: results get no node, so inference
+builds no graph and frees activations as soon as they go out of scope.
 """
 
 from __future__ import annotations
@@ -78,10 +82,50 @@ def unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-class Tensor:
-    """Dense n-dimensional array with an optional reverse-mode gradient slot."""
+class Node:
+    """The graph's record of one op output that requires grad, without its data."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
+    __slots__ = ("grad", "shape", "dtype", "_parents", "_backward", "_op")
+    requires_grad = True
+
+    def __init__(self, shape: tuple, dtype, parents: tuple, backward: Callable[[np.ndarray], None], op: str):
+        self.grad: np.ndarray | None = None
+        self.shape = shape
+        self.dtype = dtype
+        self._parents = parents
+        self._backward = backward
+        self._op = op
+
+    def _accum(self, grad: np.ndarray) -> None:
+        if np.shape(grad) != self.shape:
+            raise ShapeError(
+                f"gradient of shape {np.shape(grad)} for a tensor of shape {self.shape} "
+                f"(op '{self._op}')"
+            )
+        if self.grad is None:
+            # adopted: no closure hands one buffer, or overlapping views of it, to two
+            # nodes; a scalar, a read-only view or another dtype is cast-copied
+            own = isinstance(grad, np.ndarray) and grad.flags.writeable and grad.dtype == self.dtype
+            self.grad = grad if own else np.array(grad, dtype=self.dtype)
+        else:
+            self.grad += grad
+
+
+def grad_node(t: "Tensor") -> "Node | Tensor | None":
+    """The node a backward closure hands `t`'s gradient to, or None if `t` needs none."""
+    return t._node if t.requires_grad else None
+
+
+class Tensor:
+    """Dense n-dimensional array; a leaf also holds its own gradient slot.
+
+    An op output that requires grad keeps its graph in `_grad_fn`, a `Node`
+    (PyTorch's `grad_fn`); its own `grad` stays None and it has no
+    `_parents` or `_backward`. `_node` is the tensor's place in the graph:
+    that `Node`, or the tensor itself for a leaf.
+    """
+
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op", "_grad_fn")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = _as_array(data, dtype=dtype)
@@ -91,6 +135,7 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
         self._op = "leaf"
+        self._grad_fn: Node | None = None
 
     # -- graph construction -------------------------------------------------
 
@@ -107,28 +152,20 @@ class Tensor:
         out.data = data
         out.grad = None
         out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
+        out._op = op
         if out.requires_grad:
-            out._parents = tuple(parents)
-            out._backward = backward
+            out._grad_fn = Node(data.shape, data.dtype, tuple(p._node for p in parents), backward, op)
         else:
             out._parents = ()
             out._backward = None
-        out._op = op
+            out._grad_fn = None
         return out
 
-    def _accum(self, grad: np.ndarray) -> None:
-        if np.shape(grad) != self.data.shape:
-            raise ShapeError(
-                f"gradient of shape {np.shape(grad)} for a tensor of shape {self.data.shape} "
-                f"(op '{self._op}')"
-            )
-        if self.grad is None:
-            # adopted: no closure hands one buffer, or overlapping views of it, to two
-            # tensors; a scalar, a read-only view or another dtype is cast-copied
-            own = isinstance(grad, np.ndarray) and grad.flags.writeable and grad.dtype == self.data.dtype
-            self.grad = grad if own else np.array(grad, dtype=self.data.dtype)
-        else:
-            self.grad += grad
+    @property
+    def _node(self) -> "Node | Tensor":
+        return self if self._grad_fn is None else self._grad_fn
+
+    _accum = Node._accum
 
     # -- basic properties ----------------------------------------------------
 
@@ -160,13 +197,13 @@ class Tensor:
     # -- backward ------------------------------------------------------------
 
     def backward(self, grad=None) -> "ComputationTape":
-        """Run one reverse sweep from this node; returns the tape used.
+        """Run one reverse sweep from this tensor's node; returns the tape used.
 
-        Only leaves (tensors with no backward closure) keep a gradient: each
-        interior node's gradient is dropped as soon as its closure has passed
-        it on. A first gradient is adopted, not copied; the caller's `grad` is
-        copied, so it is never written. The graph stays, and a second
-        backward over it adds its gradients to the leaves exactly once more.
+        Only leaves keep a gradient: each interior node's gradient is dropped
+        as soon as its closure has passed it on. A first gradient is adopted,
+        not copied; the caller's `grad` is copied, so it is never written. The
+        graph stays, and a second backward over it adds its gradients to the
+        leaves exactly once more.
         """
         if grad is None:
             if self.size != 1:
@@ -177,7 +214,7 @@ class Tensor:
             if grad.shape != self.shape:
                 raise ShapeError("explicit backward grad must match root shape")
         tape = ComputationTape.trace(self)
-        self._accum(grad)
+        self._node._accum(grad)
         for node in reversed(tape.nodes):
             if node._backward is not None and node.grad is not None:
                 g, node.grad = node.grad, None
@@ -240,19 +277,19 @@ class Tensor:
 
 
 class ComputationTape:
-    """Nodes reachable from a root, in topological (parents-first) order."""
+    """Nodes reachable from a root tensor's node, in topological (parents-first) order."""
 
     __slots__ = ("nodes",)
 
-    def __init__(self, nodes: list[Tensor]):
+    def __init__(self, nodes: list[Node | Tensor]):
         self.nodes = nodes
 
     @classmethod
     def trace(cls, root: Tensor) -> "ComputationTape":
         # Iterative DFS; recursion would overflow on long decode chains.
-        order: list[Tensor] = []
+        order: list[Node | Tensor] = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(root, False)]
+        stack: list[tuple[Node | Tensor, bool]] = [(root._node, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -272,31 +309,38 @@ class ComputationTape:
 
 
 # -- primitive ops ------------------------------------------------------------
+#
+# Each closure captures `grad_node`s (None for an operand that needs no
+# gradient) and the arrays or shapes it reads, never an operand `Tensor`.
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
+    na, nb, sa, sb = grad_node(a), grad_node(b), a.shape, b.shape
 
     def backward(g):
-        ga = unbroadcast(g, a.shape) if a.requires_grad else None
+        ga = unbroadcast(g, sa) if na is not None else None
         if ga is not None:
-            a._accum(ga)
-        if b.requires_grad:
-            gb = unbroadcast(g, b.shape)
+            na._accum(ga)
+        if nb is not None:
+            gb = unbroadcast(g, sb)
             # both may be `g` itself: copy, so a and b never own one buffer
-            b._accum(gb.copy() if ga is not None and np.may_share_memory(ga, gb) else gb)
+            nb._accum(gb.copy() if ga is not None and np.may_share_memory(ga, gb) else gb)
 
     return Tensor._from_op(data, (a, b), backward, "add")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
+    na, nb, sa, sb = grad_node(a), grad_node(b), a.shape, b.shape
+    ad = a.data if nb is not None else None
+    bd = b.data if na is not None else None
 
     def backward(g):
-        if a.requires_grad:
-            a._accum(unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b._accum(unbroadcast(g * a.data, b.shape))
+        if na is not None:
+            na._accum(unbroadcast(g * bd, sa))
+        if nb is not None:
+            nb._accum(unbroadcast(g * ad, sb))
 
     return Tensor._from_op(data, (a, b), backward, "mul")
 
@@ -304,10 +348,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def power(a: Tensor, exponent: float) -> Tensor:
     e = float(exponent)
     data = a.data**e
+    na, ad = grad_node(a), a.data
 
     def backward(g):
-        if a.requires_grad:
-            a._accum(g * e * a.data ** (e - 1.0))
+        if na is not None:
+            na._accum(g * e * ad ** (e - 1.0))
 
     return Tensor._from_op(data, (a,), backward, "pow")
 
@@ -318,22 +363,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
     data = a.data @ b.data
+    na, nb, sa, sb = grad_node(a), grad_node(b), a.shape, b.shape
+    ad = a.data if nb is not None else None
+    bd = b.data if na is not None else None
 
     def backward(g):
-        if a.requires_grad:
-            a._accum(unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        if b.requires_grad:
-            b._accum(unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+        if na is not None:
+            na._accum(unbroadcast(g @ np.swapaxes(bd, -1, -2), sa))
+        if nb is not None:
+            nb._accum(unbroadcast(np.swapaxes(ad, -1, -2) @ g, sb))
 
     return Tensor._from_op(data, (a, b), backward, "matmul")
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     data = a.data.reshape(shape)
+    na, sa = grad_node(a), a.shape
 
     def backward(g):
-        if a.requires_grad:
-            a._accum(g.reshape(a.shape))
+        if na is not None:
+            na._accum(g.reshape(sa))
 
     return Tensor._from_op(data, (a,), backward, "reshape")
 
@@ -341,37 +390,40 @@ def reshape(a: Tensor, shape) -> Tensor:
 def transpose(a: Tensor, axes=None) -> Tensor:
     data = np.transpose(a.data, axes)
     inv = None if axes is None else tuple(np.argsort(axes))
+    na = grad_node(a)
 
     def backward(g):
-        if a.requires_grad:
-            a._accum(np.transpose(g, inv))
+        if na is not None:
+            na._accum(np.transpose(g, inv))
 
     return Tensor._from_op(data, (a,), backward, "transpose")
 
 
 def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
     data = np.swapaxes(a.data, ax1, ax2)
+    na = grad_node(a)
 
     def backward(g):
-        if a.requires_grad:
-            a._accum(np.swapaxes(g, ax1, ax2))
+        if na is not None:
+            na._accum(np.swapaxes(g, ax1, ax2))
 
     return Tensor._from_op(data, (a,), backward, "swapaxes")
 
 
 def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
+    na, sa, dtype = grad_node(a), a.shape, a.dtype
 
     def backward(g):
-        if not a.requires_grad:
+        if na is None:
             return
         if axis is None:
-            a._accum(np.broadcast_to(g, a.shape).copy() if np.ndim(g) else np.full(a.shape, g, dtype=a.dtype))
+            na._accum(np.broadcast_to(g, sa).copy() if np.ndim(g) else np.full(sa, g, dtype=dtype))
             return
         gg = g
         if not keepdims:
             gg = np.expand_dims(g, axis)
-        a._accum(np.broadcast_to(gg, a.shape).copy())
+        na._accum(np.broadcast_to(gg, sa).copy())
 
     data = np.asarray(data)
     return Tensor._from_op(data, (a,), backward, "sum")
@@ -394,16 +446,17 @@ def getitem(a: Tensor, idx) -> Tensor:
     fancy = isinstance(idx, (np.ndarray, list)) or (
         isinstance(idx, tuple) and any(isinstance(i, (np.ndarray, list)) for i in idx)
     )
+    na, sa, dtype = grad_node(a), a.shape, a.dtype
 
     def backward(g):
-        if not a.requires_grad:
+        if na is None:
             return
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(sa, dtype)
         if fancy:
             np.add.at(ga, idx, g)
         else:
             ga[idx] += g
-        a._accum(ga)
+        na._accum(ga)
 
     data = np.asarray(data)
     return Tensor._from_op(data, (a,), backward, "getitem")
@@ -414,43 +467,47 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     data = np.concatenate([t.data for t in ts], axis=axis)
     sizes = [t.shape[axis] for t in ts]
     offsets = np.cumsum([0] + sizes)
+    nodes = [grad_node(t) for t in ts]
 
     def backward(g):
-        for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
+        for n, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
+            if n is not None:
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(lo, hi)
-                t._accum(g[tuple(sl)])
+                n._accum(g[tuple(sl)])
 
     return Tensor._from_op(data, ts, backward, "concat")
 
 
 def broadcast_to(a: Tensor, shape) -> Tensor:
     data = np.broadcast_to(a.data, shape).copy()
+    na, sa = grad_node(a), a.shape
 
     def backward(g):
-        if a.requires_grad:
-            a._accum(unbroadcast(g, a.shape))
+        if na is not None:
+            na._accum(unbroadcast(g, sa))
 
     return Tensor._from_op(data, (a,), backward, "broadcast_to")
 
 
 def exp(a: Tensor) -> Tensor:
     data = np.exp(a.data)
+    na = grad_node(a)
 
     def backward(g):
-        if a.requires_grad:
-            a._accum(g * data)
+        if na is not None:
+            na._accum(g * data)
 
     return Tensor._from_op(data, (a,), backward, "exp")
 
 
 def log(a: Tensor) -> Tensor:
     data = np.log(a.data)
+    na, ad = grad_node(a), a.data
 
     def backward(g):
-        if a.requires_grad:
-            a._accum(g / a.data)
+        if na is not None:
+            na._accum(g / ad)
 
     return Tensor._from_op(data, (a,), backward, "log")
 
@@ -458,10 +515,11 @@ def log(a: Tensor) -> Tensor:
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     data = np.clip(a.data, lo, hi)
     mask = (a.data > lo) & (a.data < hi)
+    na = grad_node(a)
 
     def backward(g):
-        if a.requires_grad:
-            a._accum(g * mask)
+        if na is not None:
+            na._accum(g * mask)
 
     return Tensor._from_op(data, (a,), backward, "clip")
 
@@ -469,12 +527,12 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
 def maximum(a: Tensor, b: Tensor) -> Tensor:
     data = np.maximum(a.data, b.data)
     amask = a.data >= b.data
+    na, nb, sa, sb = grad_node(a), grad_node(b), a.shape, b.shape
 
     def backward(g):
-        if a.requires_grad:
-            a._accum(unbroadcast(g * amask, a.shape))
-        if b.requires_grad:
-            b._accum(unbroadcast(g * (~amask), b.shape))
+        if na is not None:
+            na._accum(unbroadcast(g * amask, sa))
+        if nb is not None:
+            nb._accum(unbroadcast(g * (~amask), sb))
 
     return Tensor._from_op(data, (a, b), backward, "maximum")
-

@@ -168,6 +168,9 @@ def _gradcheck_cases(rng):
         ("layernorm", lambda a, g, b: ops.layer_norm(a, g, b).sum(), [r(4, 6), r(6), r(6)]),
         ("gelu", lambda a: ops.gelu(a).sum(), [r(3, 4)]),
         ("conv2d", lambda x, k: ops.conv2d(x, k, padding=1).sum(), [r(1, 6, 6, 2), r(3, 3, 2, 3)]),
+        # the weight gradient re-pads the input
+        ("conv2d_s2_bias", lambda x, k, b: (ops.conv2d(x, k, b, stride=2, padding=1) ** 2).sum(),
+         [r(2, 7, 7, 2), r(3, 3, 2, 3), r(3)]),
         ("depthwise_conv3d", lambda x, k: (ops.depthwise_conv3d(x, k) ** 2).sum(),
          [r(1, 3, 4, 4, 2), r(3, 3, 3, 2)]),
         ("cross_entropy", lambda a: ops.cross_entropy_logits(a, np.array([1, 3])), [r(2, 5)]),
@@ -175,6 +178,9 @@ def _gradcheck_cases(rng):
         # closures that hand a gradient on as `g` itself or as a view of it
         ("views", lambda a: (swapaxes(concat([a + a, a, a]).reshape(2, 3, 3), 0, 2)[1:] ** 2).sum(),
          [r(2, 3)]),
+        # a repeated row in the fancy index scatter-adds its gradient
+        ("relu_mul_index", lambda a, s: ((ops.relu(a) * s)[np.array([2, 0, 2])] ** 2).sum(),
+         [r(3, 4), r(4)]),
     ]
 
 

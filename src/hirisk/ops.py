@@ -4,17 +4,20 @@ Everything here takes and returns `Tensor`s and registers a hand-derived
 backward closure. Shapes follow a channels-last convention: images are
 [B, H, W, C] and token grids are [B, T, H, W, C].
 
-The graph keeps every closure until backward, so what the closures keep is
-most of a training step's memory. Besides views of their operands and
-outputs (which those tensors hold anyway) they keep: `relu` nothing, since
-its output's sign is its mask; `gelu` the normal CDF of its input;
-`sigmoid`, `softmax_rows` and `attention` their probabilities (`attention`
-no scores and no per-head copies); `linear` nothing; `layer_norm` the
-normalised input and inverse deviations; `conv2d` and `depthwise_conv3d`
-their padded input (`conv2d` never an im2col matrix);
-`cross_entropy_logits` the log-sum-exps and mask weights; `l1_loss` the
-residual; `binary_cross_entropy_logits` the targets; `embedding_lookup` the
-indices; and `masked_mean_rows` the row weights.
+The graph holds nodes, not op outputs (see `autograd`), and keeps every
+closure until backward, so what the closures keep is most of a training
+step's memory. Each keeps its operands' nodes and only the arrays its
+backward reads: `relu` and `sigmoid` their output; `gelu` its input and
+the normal CDF of it; `softmax_rows` and `attention` their probabilities
+(`attention` also views of q, k and v, but no scores and no per-head
+copies); `linear` its input and weight; `layer_norm` the normalised input,
+inverse deviations and scale; `conv2d` its unpadded input and weight (never
+a padded copy or an im2col matrix); `depthwise_conv3d` its padded input and
+flipped kernel; `cross_entropy_logits` the logits, log-sum-exps and mask
+weights; `l1_loss` the residual; `binary_cross_entropy_logits` the logits
+and targets; `embedding_lookup` the indices; and `masked_mean_rows` the row
+weights. An array an operand's gradient does not need (say, `linear`'s
+input when its weight is frozen) is not kept.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 import numpy as np
 from scipy.special import erf
 
-from .autograd import ShapeError, Tensor, _check_finite
+from .autograd import ShapeError, Tensor, _check_finite, grad_node
 
 # Python floats, not numpy scalars: under NEP 50 a float64 numpy scalar
 # promotes float32 arrays to float64, a Python float does not.
@@ -37,11 +40,12 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 def relu(x: Tensor) -> Tensor:
     data = np.maximum(x.data, 0.0)
+    nx = grad_node(x)
 
     def backward(g):
-        if x.requires_grad:
+        if nx is not None:
             # data > 0 exactly where x > 0 (NaN and -0.0 included)
-            x._accum(g * (data > 0.0))
+            nx._accum(g * (data > 0.0))
 
     return Tensor._from_op(data, (x,), backward, "relu")
 
@@ -53,18 +57,19 @@ def gelu(x: Tensor) -> Tensor:
     cdf += 1.0
     cdf *= 0.5
     data = x.data * cdf
+    nx, xd = grad_node(x), x.data
 
     def backward(g):
-        if x.requires_grad:
+        if nx is not None:
             # g * (cdf + x * pdf), built in one buffer
-            d = -0.5 * x.data
-            d *= x.data
+            d = -0.5 * xd
+            d *= xd
             np.exp(d, out=d)
             d *= _INV_SQRT2PI
-            d *= x.data
+            d *= xd
             d += cdf
             d *= g
-            x._accum(d)
+            nx._accum(d)
 
     return Tensor._from_op(data, (x,), backward, "gelu")
 
@@ -78,10 +83,11 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(x: Tensor) -> Tensor:
     data = _stable_sigmoid(x.data)
+    nx = grad_node(x)
 
     def backward(g):
-        if x.requires_grad:
-            x._accum(g * data * (1.0 - data))
+        if nx is not None:
+            nx._accum(g * data * (1.0 - data))
 
     return Tensor._from_op(data, (x,), backward, "sigmoid")
 
@@ -101,15 +107,19 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None:
         out += b.data
     parents = (x, w) if b is None else (x, w, b)
+    nx, nw, nb, sx = grad_node(x), grad_node(w), None if b is None else grad_node(b), x.shape
+    # the x-gradient reads w, the w-gradient x
+    wd = w.data if nx is not None else None
+    xd = x2 if nw is not None else None
 
     def backward(g):
         g2 = g.reshape(-1, n)
-        if x.requires_grad:
-            x._accum((g2 @ w.data.T).reshape(x.shape))
-        if w.requires_grad:
-            w._accum(x2.T @ g2)
-        if b is not None and b.requires_grad:
-            b._accum(g2.sum(axis=0))
+        if nx is not None:
+            nx._accum((g2 @ wd.T).reshape(sx))
+        if nw is not None:
+            nw._accum(xd.T @ g2)
+        if nb is not None:
+            nb._accum(g2.sum(axis=0))
 
     return Tensor._from_op(out.reshape(x.shape[:-1] + (n,)), parents, backward, "linear")
 
@@ -134,10 +144,11 @@ def _softmax_grad(g: np.ndarray, p: np.ndarray) -> np.ndarray:
 def softmax_rows(x: Tensor) -> Tensor:
     """Softmax over the last axis, stabilized by max subtraction."""
     p = _softmax(x.data)
+    nx = grad_node(x)
 
     def backward(g):
-        if x.requires_grad:
-            x._accum(_softmax_grad(g, p))
+        if nx is not None:
+            nx._accum(_softmax_grad(g, p))
 
     return Tensor._from_op(p, (x,), backward, "softmax_rows")
 
@@ -167,19 +178,20 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray | No
     _check_finite(p, "attention")
     _softmax(p, out=p)
     data = np.swapaxes(p @ v4, 1, 2).reshape(b, tq, d)
+    nq, nk, nv = grad_node(q), grad_node(k), grad_node(v)
 
     def backward(g):
         g4 = np.swapaxes(g.reshape(b, tq, heads, dh), 1, 2)
-        if q.requires_grad or k.requires_grad:
+        if nq is not None or nk is not None:
             gs = _softmax_grad(g4 @ np.swapaxes(v4, -1, -2), p)
             gs *= scale
-            if q.requires_grad:
-                q._accum(np.swapaxes(gs @ k4, 1, 2).reshape(b, tq, d))
-            if k.requires_grad:
+            if nq is not None:
+                nq._accum(np.swapaxes(gs @ k4, 1, 2).reshape(b, tq, d))
+            if nk is not None:
                 gk = np.swapaxes(np.swapaxes(q4, -1, -2) @ gs, -1, -2)
-                k._accum(np.swapaxes(gk, 1, 2).reshape(b, tk, d))
-        if v.requires_grad:
-            v._accum(np.swapaxes(np.swapaxes(p, -1, -2) @ g4, 1, 2).reshape(b, tk, d))
+                nk._accum(np.swapaxes(gk, 1, 2).reshape(b, tk, d))
+        if nv is not None:
+            nv._accum(np.swapaxes(np.swapaxes(p, -1, -2) @ g4, 1, 2).reshape(b, tk, d))
 
     return Tensor._from_op(data, (q, k, v), backward, "attention")
 
@@ -195,22 +207,23 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     xhat = xc * inv
     data = gamma.data * xhat + beta.data
     d = x.shape[-1]
+    nx, ngamma, nbeta, gd = grad_node(x), grad_node(gamma), grad_node(beta), gamma.data
 
     def backward(g):
-        if gamma.requires_grad:
-            gamma._accum((g * xhat).reshape(-1, d).sum(axis=0))
-        if beta.requires_grad:
-            beta._accum(g.reshape(-1, d).sum(axis=0))
-        if x.requires_grad:
+        if ngamma is not None:
+            ngamma._accum((g * xhat).reshape(-1, d).sum(axis=0))
+        if nbeta is not None:
+            nbeta._accum(g.reshape(-1, d).sum(axis=0))
+        if nx is not None:
             # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), in two buffers
-            dxhat = g * gamma.data
+            dxhat = g * gd
             t = dxhat * xhat
             m2 = t.mean(axis=-1, keepdims=True)
             dxhat -= dxhat.mean(axis=-1, keepdims=True)
             np.multiply(xhat, m2, out=t)
             dxhat -= t
             dxhat *= inv
-            x._accum(dxhat)
+            nx._accum(dxhat)
 
     return Tensor._from_op(data, (x, gamma, beta), backward, "layer_norm")
 
@@ -228,9 +241,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
     """2D convolution (cross-correlation), channels last.
 
     x: [B, H, W, Cin]; w: [kh, kw, Cin, Cout]; returns [B, Ho, Wo, Cout].
-    Forward and the x-gradient run block by block over the images, and the
-    closure keeps the padded input, not the im2col matrix: the weight
-    gradient rebuilds that matrix for its one GEMM and drops it.
+    Forward and the x-gradient run block by block over the images. The
+    closure keeps the unpadded input, which a ReLU-fed conv's producer keeps
+    anyway, and neither a padded copy nor the im2col matrix: the weight
+    gradient re-pads the input and rebuilds that matrix for its one GEMM.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError("conv2d expects x[B,H,W,Cin] and w[kh,kw,Cin,Cout]")
@@ -238,43 +252,48 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
         raise ShapeError(f"conv2d channel mismatch: {x.shape} vs {w.shape}")
     kh, kw, cin, cout = w.shape
     s, p = int(stride), int(padding)
-    xp = np.pad(x.data, ((0, 0), (p, p), (p, p), (0, 0))) if p else x.data
-    bsz, hp, wp, _ = xp.shape
+    pads = ((0, 0), (p, p), (p, p), (0, 0))
+    bsz, hp, wp = x.shape[0], x.shape[1] + 2 * p, x.shape[2] + 2 * p
     ho = (hp - kh) // s + 1
     wo = (wp - kw) // s + 1
     n = ho * wo
     step = max(1, CONV_BLOCK_ROWS // n)
     blocks = [(i, min(i + step, bsz)) for i in range(0, bsz, step)]
 
-    def cols(lo, hi):
+    def cols(xp, lo, hi):
         win = np.lib.stride_tricks.sliding_window_view(xp[lo:hi], (kh, kw), axis=(1, 2))
         win = win[:, ::s, ::s]  # [B, Ho, Wo, Cin, kh, kw]
         return win.transpose(0, 1, 2, 4, 5, 3).reshape((hi - lo) * n, kh * kw * cin)
 
+    xp = np.pad(x.data, pads) if p else x.data
     w2 = w.data.reshape(kh * kw * cin, cout)
     out = np.empty((bsz * n, cout), dtype=np.result_type(xp, w2))
     for lo, hi in blocks:
-        np.matmul(cols(lo, hi), w2, out=out[lo * n : hi * n])
+        np.matmul(cols(xp, lo, hi), w2, out=out[lo * n : hi * n])
     if b is not None:
         out += b.data
     data = out.reshape(bsz, ho, wo, cout)
     parents = (x, w) if b is None else (x, w, b)
+    nx, nw, nb, dtype = grad_node(x), grad_node(w), None if b is None else grad_node(b), x.dtype
+    # the x-gradient reads w, the w-gradient x
+    wt = w2 if nx is not None else None
+    xd = x.data if nw is not None else None
 
     def backward(g):
         gflat = g.reshape(bsz * n, cout)
-        if b is not None and b.requires_grad:
-            b._accum(gflat.sum(axis=0))
-        if w.requires_grad:
-            w._accum((cols(0, bsz).T @ gflat).reshape(kh, kw, cin, cout))
-        if x.requires_grad:
-            dxp = np.zeros_like(xp)
+        if nb is not None:
+            nb._accum(gflat.sum(axis=0))
+        if nw is not None:
+            nw._accum((cols(np.pad(xd, pads) if p else xd, 0, bsz).T @ gflat).reshape(kh, kw, cin, cout))
+        if nx is not None:
+            dxp = np.zeros((bsz, hp, wp, cin), dtype)
             for lo, hi in blocks:
-                dcol = (gflat[lo * n : hi * n] @ w2.T).reshape(hi - lo, ho, wo, kh, kw, cin)
+                dcol = (gflat[lo * n : hi * n] @ wt.T).reshape(hi - lo, ho, wo, kh, kw, cin)
                 dblk = dxp[lo:hi]
                 for i in range(kh):
                     for j in range(kw):
                         dblk[:, i : i + ho * s : s, j : j + wo * s : s, :] += dcol[:, :, :, i, j, :]
-            x._accum(dxp[:, p : hp - p, p : wp - p, :] if p else dxp)
+            nx._accum(dxp[:, p : hp - p, p : wp - p, :] if p else dxp)
 
     return Tensor._from_op(data, parents, backward, "conv2d")
 
@@ -292,12 +311,13 @@ def depthwise_conv3d(x: Tensor, w: Tensor) -> Tensor:
     if kt % 2 == 0 or kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError("depthwise_conv3d requires odd kernel sizes")
     pads = ((0, 0), (kt // 2, kt // 2), (kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0))
-    _, t, h, wd, _ = x.shape
+    shape, sw = x.shape, w.shape
+    _, t, h, wd, _ = shape
     taps = [(dt, di, dj) for dt in range(kt) for di in range(kh) for dj in range(kw)]
 
     def correlate(src, kernel):
         # out[p] = sum over taps of src[p + tap] * kernel[tap], in two buffers
-        out = np.zeros(x.shape, dtype=np.result_type(src, kernel))
+        out = np.zeros(shape, dtype=np.result_type(src, kernel))
         tmp = np.empty_like(out)
         for dt, di, dj in taps:
             np.multiply(src[:, dt : dt + t, di : di + h, dj : dj + wd, :], kernel[dt, di, dj], out=tmp)
@@ -306,16 +326,20 @@ def depthwise_conv3d(x: Tensor, w: Tensor) -> Tensor:
 
     xp = np.pad(x.data, pads)
     data = correlate(xp, w.data)
+    nx, nw = grad_node(x), grad_node(w)
+    # the x-gradient reads w, the w-gradient the padded x
+    flipped = w.data[::-1, ::-1, ::-1] if nx is not None else None
+    xp = xp if nw is not None else None
 
     def backward(g):
-        if w.requires_grad:
+        if nw is not None:
             g2 = g.reshape(-1, c)
             dw = [np.einsum("nc,nc->c", xp[:, dt : dt + t, di : di + h, dj : dj + wd, :].reshape(-1, c), g2)
                   for dt, di, dj in taps]
-            w._accum(np.reshape(dw, w.shape))
-        if x.requires_grad:
+            nw._accum(np.reshape(dw, sw))
+        if nx is not None:
             # the x-gradient is the same correlation of the padded g with the flipped kernel
-            x._accum(correlate(np.pad(g, pads), w.data[::-1, ::-1, ::-1]))
+            nx._accum(correlate(np.pad(g, pads), flipped))
 
     return Tensor._from_op(data, (x, w), backward, "depthwise_conv3d")
 
@@ -347,13 +371,14 @@ def cross_entropy_logits(logits: Tensor, targets: np.ndarray, mask: np.ndarray |
     lse = m[:, 0] + np.log(np.exp(flat - m).sum(axis=-1))
     nll = lse - flat[np.arange(flat.shape[0]), tflat]
     data = np.asarray((nll * mflat).sum() / denom)
+    nl, sl = grad_node(logits), logits.shape
 
     def backward(g):
-        if logits.requires_grad:
+        if nl is not None:
             p = np.exp(flat - lse[:, None])
             p[np.arange(flat.shape[0]), tflat] -= 1.0
             p *= (mflat / denom)[:, None]
-            logits._accum((g * p).reshape(logits.shape))
+            nl._accum((g * p).reshape(sl))
 
     return Tensor._from_op(data, (logits,), backward, "cross_entropy")
 
@@ -365,11 +390,11 @@ def l1_loss(pred: Tensor, target: np.ndarray) -> Tensor:
         raise ShapeError("l1_loss target must match prediction shape")
     diff = pred.data - target
     data = np.asarray(np.abs(diff).mean())
-    n = pred.size
+    n, npred = pred.size, grad_node(pred)
 
     def backward(g):
-        if pred.requires_grad:
-            pred._accum(g * np.sign(diff) / n)
+        if npred is not None:
+            npred._accum(g * np.sign(diff) / n)
 
     return Tensor._from_op(data, (pred,), backward, "l1_loss")
 
@@ -382,11 +407,11 @@ def binary_cross_entropy_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     z = logits.data
     # log(1 + exp(-|z|)) + max(z,0) - z*t, the standard stable form
     data = np.asarray((np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))).mean())
-    n = logits.size
+    n, nl = logits.size, grad_node(logits)
 
     def backward(g):
-        if logits.requires_grad:
-            logits._accum(g * (_stable_sigmoid(z) - t) / n)
+        if nl is not None:
+            nl._accum(g * (_stable_sigmoid(z) - t) / n)
 
     return Tensor._from_op(data, (logits,), backward, "bce_logits")
 
@@ -401,12 +426,13 @@ def embedding_lookup(table: Tensor, idx: np.ndarray) -> Tensor:
     """
     idx = np.asarray(idx)
     data = table.data[idx]
+    nt, st, dtype = grad_node(table), table.shape, table.dtype
 
     def backward(g):
-        if table.requires_grad:
-            gt = np.zeros_like(table.data)
+        if nt is not None:
+            gt = np.zeros(st, dtype)
             np.add.at(gt, idx, g)
-            table._accum(gt)
+            nt._accum(gt)
 
     return Tensor._from_op(data, (table,), backward, "embedding_lookup")
 
@@ -421,9 +447,10 @@ def masked_mean_rows(x: Tensor, mask: np.ndarray) -> Tensor:
         raise ValueError("masked_mean_rows: empty mask row")
     wgt = (m / denom)[:, :, None]
     data = (x.data * wgt).sum(axis=1)
+    nx = grad_node(x)
 
     def backward(g):
-        if x.requires_grad:
-            x._accum(g[:, None, :] * wgt)
+        if nx is not None:
+            nx._accum(g[:, None, :] * wgt)
 
     return Tensor._from_op(data, (x,), backward, "masked_mean_rows")

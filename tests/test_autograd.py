@@ -5,6 +5,7 @@ import pytest
 
 from hirisk.autograd import (
     ComputationTape,
+    Node,
     NonFiniteError,
     ShapeError,
     Tensor,
@@ -151,6 +152,9 @@ def test_tape_topological_order():
     y = x * 2.0
     z = y + x
     tape = ComputationTape.trace(z)
+    # the tape holds the leaf itself and the op outputs' data-free nodes
+    assert tape.nodes[0] is x and tape.nodes[-1] is z._node
+    assert isinstance(z._node, Node) and isinstance(y._node, Node)
     pos = {id(n): i for i, n in enumerate(tape.nodes)}
     for node in tape.nodes:
         for parent in node._parents:
@@ -289,11 +293,11 @@ def test_no_grad_builds_no_graph_and_leaves_grads_alone():
         y = exp(h * 0.1).sum()
     for t in (h, y):
         assert not t.requires_grad
-        assert t._parents == () and t._backward is None
+        assert t._node is t and t._parents == () and t._backward is None
     assert np.array_equal(w.grad, np.full((2, 3), 0.5))
     # the same ops record a graph again outside the block
     z = matmul(x, w).sum()
-    assert z.requires_grad and z._parents and z._backward is not None
+    assert z.requires_grad and z._node._parents and z._node._backward is not None
 
 
 def test_no_grad_restores_the_flag_after_nesting_and_errors():

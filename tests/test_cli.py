@@ -57,6 +57,8 @@ def test_gradcheck_command(capsys):
     assert "all kernels within" in out
     assert "views " in out
     assert "attention " in out
+    assert "conv2d_s2_bias " in out
+    assert "relu_mul_index " in out
 
 
 def test_generate_train_evaluate_cycle(tmp_path, cfg_file, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hirisk import model as model_module
+from hirisk.autograd import ComputationTape, Node, Tensor
 from hirisk.config import Ablation, ModelConfig, RunConfig, SceneConfig, TrainConfig
 from hirisk.grammar import ANSWER_SPAN, build_vocab
 from hirisk.hrbranch import BoxMlp, LearnedQueryDetector, SpanQueryDetector
@@ -199,6 +200,37 @@ def test_backward_keeps_only_leaf_gradients_and_no_two_share_a_buffer():
     shared = [(i, j) for i in range(len(grads)) for j in range(i + 1, len(grads))
               if np.shares_memory(grads[i], grads[j])]
     assert shared == []
+
+
+def _captured(obj, seen):
+    """`obj` and everything its closure cells reach, through nested helpers too."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    yield obj
+    if isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _captured(item, seen)
+    for cell in getattr(obj, "__closure__", None) or ():
+        try:
+            contents = cell.cell_contents
+        except ValueError:  # an unassigned cell
+            continue
+        yield from _captured(contents, seen)
+
+
+def test_the_graph_holds_nodes_not_op_outputs():
+    cfg = tiny_cfg()
+    model, vocab = make_model(cfg)
+    loss, _ = model.forward_train(random_batch(cfg, vocab), box_weight=1.0)
+    tape = ComputationTape.trace(loss)
+    interior = [n for n in tape.nodes if n._backward is not None]
+    assert interior and all(type(n) is Node for n in interior)
+    assert all(isinstance(n, Tensor) and n._grad_fn is None for n in tape.nodes if n._backward is None)
+    # closures reach a tensor only to hand it a gradient: a trainable leaf
+    seen = set()
+    held = [o for n in interior for o in _captured(n._backward, seen) if isinstance(o, Tensor)]
+    assert held and all(t.requires_grad and t._grad_fn is None for t in held)
 
 
 # -- loss arithmetic -----------------------------------------------------------

@@ -4,12 +4,13 @@ finite-difference checks for every backward closure."""
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 from hirisk import ops
-from hirisk.autograd import NonFiniteError, ShapeError, Tensor, no_grad, swapaxes
+from hirisk.autograd import NonFiniteError, ShapeError, Tensor, concat, no_grad, swapaxes
 from hirisk.gradcheck import finite_difference_check
 from hirisk.lm import prefix_causal_mask
 from hirisk.rng import named_rng
@@ -206,13 +207,14 @@ def test_conv2d_graph_keeps_no_im2col_matrix():
         finally:
             tracemalloc.stop()
 
-    # the padded input and the output; a 9x-input im2col matrix would not fit
+    # the output only: the closure keeps the leaf x itself, no padded copy of
+    # it and no 9x-input im2col matrix
     kept, out = kept_bytes()
-    assert out._backward is not None
-    assert kept < 4 * x.data.nbytes
+    assert out._node._backward is not None
+    assert kept < 1.5 * x.data.nbytes
     with no_grad():
         kept, out = kept_bytes()
-    assert out._backward is None
+    assert out._node is out and out._backward is None
     assert kept < 1.5 * x.data.nbytes
 
 
@@ -414,8 +416,9 @@ def test_linear_module_is_one_tape_node():
     layer = Linear(8, 5, rng("lin_mod"))
     x = Tensor(rng("lin_x").normal(size=(2, 3, 8)).astype(np.float32), requires_grad=True)
     y = layer(x)
-    assert y._op == "linear"
-    assert set(map(id, y._parents)) == {id(x), id(layer.weight), id(layer.bias)}
+    assert y._node._op == "linear"
+    # leaves are their own nodes
+    assert set(map(id, y._node._parents)) == {id(x), id(layer.weight), id(layer.bias)}
     tape = y.sum().backward()
     assert [n._op for n in tape.nodes].count("linear") == 1
     assert len(tape) == 5  # x, weight, bias, linear, sum
@@ -467,7 +470,7 @@ def test_attention_matches_the_primitive_chain_bit_for_bit(heads, tq, tk, mask):
         q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
         out = fn(q, k, v, heads, mask)
         if fn is ops.attention:
-            assert out._op == "attention" and out._parents == (q, k, v)
+            assert out._node._op == "attention" and out._node._parents == (q, k, v)
         (out * probe).sum().backward()
         results.append([out.data, q.grad, k.grad, v.grad])
     assert results[0][0].shape == (3, tq, 8)
@@ -500,3 +503,68 @@ def test_attention_overflow_names_attention(keys):
 def test_attention_rejects_mismatched_shapes(q, kv, heads):
     with pytest.raises(ShapeError):
         ops.attention(Tensor(np.zeros(q)), *(Tensor(np.zeros(s)) for s in kv), heads)
+
+
+# -- what the graph keeps --------------------------------------------------------
+
+
+def _owner(a: np.ndarray) -> np.ndarray:
+    """The array that owns `a`'s memory."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def _leaf(r, *shape):
+    return Tensor(r.normal(size=shape).astype(np.float32), requires_grad=True)
+
+
+def _conv_then_relu(r):
+    x, w = _leaf(r, 2, 6, 6, 3), _leaf(r, 3, 3, 3, 4)
+    h = ops.conv2d(x, w, padding=1)
+    return [x, w], h, ops.relu(h)
+
+
+def _residual_add(r):
+    x, w, gamma, beta = _leaf(r, 2, 5, 8), _leaf(r, 8, 8), _leaf(r, 8), _leaf(r, 8)
+    s = x + ops.linear(x, w)
+    return [x, w, gamma, beta], s, ops.layer_norm(s, gamma, beta) + s
+
+
+def _concat_then_scale(r):
+    a, b = _leaf(r, 2, 3, 4), _leaf(r, 2, 5, 4)
+    c = concat([a, b], axis=1)
+    return [a, b], c, ops.gelu(c * 2.0)
+
+
+@pytest.mark.parametrize("build", [_conv_then_relu, _residual_add, _concat_then_scale])
+def test_an_output_no_closure_reads_is_freed_when_dropped(build):
+    grads = []
+    for drop in (True, False):
+        leaves, mid, out = build(rng("retain" + build.__name__))
+        ref = weakref.ref(_owner(mid.data))
+        if drop:
+            del mid
+            assert ref() is None
+        probe = rng("retain_probe").normal(size=out.shape).astype(np.float32)
+        (out * Tensor(probe)).sum().backward()
+        assert ref() is None or not drop
+        grads.append([leaf.grad for leaf in leaves])
+    # the same gradients as a run that kept the output alive
+    for got, want in zip(*grads):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_the_graph_keeps_linear_input_and_relu_output_until_it_goes():
+    r = rng("retain_kept")
+    x, w = _leaf(r, 4, 6), _leaf(r, 6, 5)
+    h = ops.gelu(x)  # linear's weight gradient reads its input
+    y = ops.relu(ops.linear(h, w))  # relu's backward reads its output
+    refs = [weakref.ref(_owner(h.data)), weakref.ref(_owner(y.data))]
+    loss = (y * 2.0).sum()
+    del h, y
+    assert all(ref() is not None for ref in refs)
+    loss.backward()
+    assert all(ref() is not None for ref in refs) and w.grad is not None
+    del loss
+    assert all(ref() is None for ref in refs)
