@@ -266,9 +266,6 @@ class Tensor:
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) > 1 or isinstance(shape[0], int) else shape[0])
 
-    def transpose(self, *axes):
-        return transpose(self, axes if axes else None)
-
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
 
@@ -385,18 +382,6 @@ def reshape(a: Tensor, shape) -> Tensor:
             na._accum(g.reshape(sa))
 
     return Tensor._from_op(data, (a,), backward, "reshape")
-
-
-def transpose(a: Tensor, axes=None) -> Tensor:
-    data = np.transpose(a.data, axes)
-    inv = None if axes is None else tuple(np.argsort(axes))
-    na = grad_node(a)
-
-    def backward(g):
-        if na is not None:
-            na._accum(np.transpose(g, inv))
-
-    return Tensor._from_op(data, (a,), backward, "transpose")
 
 
 def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:

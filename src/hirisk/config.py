@@ -13,15 +13,6 @@ from dataclasses import dataclass, field
 
 HEAD_VARIANTS = ("span_query", "learned_query", "text_coords")
 
-ABLATION_FLAGS = (
-    "baseline_only",
-    "no_st_adapter",
-    "no_em",
-    "no_im",
-    "no_qdh",
-    "no_hrse",
-)
-
 
 @dataclass
 class Ablation:
@@ -38,14 +29,6 @@ class Ablation:
         # no high-resolution branch at all implies every branch-module flag
         if self.baseline_only:
             self.no_em = self.no_im = self.no_qdh = self.no_hrse = True
-
-    @classmethod
-    def named(cls, name: str) -> "Ablation":
-        if name == "full":
-            return cls()
-        if name not in ABLATION_FLAGS:
-            raise ValueError(f"unknown ablation '{name}'; choose from {('full',) + ABLATION_FLAGS}")
-        return cls(**{name: True})
 
 
 @dataclass

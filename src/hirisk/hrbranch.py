@@ -5,8 +5,13 @@ spatial feature grid; the enumeration module turns a gradient-based saliency
 readout (feature-space class-activation mapping against a fixed localization
 prompt) into a [0,1] highlight map; the highlighted image re-enters the CNN;
 the incorporation module injects the resulting features into the video
-encoder's cls tokens through zero-gated cross-attention; and a detection
-head regresses the risk-object box.
+encoder's cls tokens through zero-gated cross-attention; and a box head
+regresses the risk-object box.
+
+Every box head has the same two methods, `loss(h_a, feats, span_mask, gt)`
+and `predict(h_a, feats, span_mask)`. The span-query head pools the answer
+span's attention over the features, or in its no-QDH form the span itself;
+the learned-query head ignores the span and picks among its own queries.
 
 Every attention here is `encoder.MultiHeadAttention` in its bare form
 (bias-free q/k/v projections, no output projection): an incorporation site
@@ -188,45 +193,44 @@ class IncorporationSite(MultiHeadAttention):
 class SpanQueryDetector(Module):
     """Answer-span hidden states query the highlighted HR features.
 
-    The cross-attention is multi-head; with a single head the attention is
-    slow to sharpen and box regression stalls near the dataset-mean box.
+    With `d_i=None` it is the no-QDH head: no cross-attention `ca`, and the
+    span is pooled as it is. The cross-attention is multi-head; with a single
+    head the attention is slow to sharpen and box regression stalls near the
+    dataset-mean box.
     """
 
-    def __init__(self, d_l: int, d_i: int, d_a: int, rng, heads: int = 4):
+    def __init__(self, d_l: int, d_i: int | None, d_a: int, rng, heads: int = 4):
         super().__init__()
-        self.ca = MultiHeadAttention(d_a, heads, rng, kv_dim=d_i, q_dim=d_l, project=False)
-        self.fc1 = Linear(d_a, d_a, rng)
+        if d_i is not None:
+            self.ca = MultiHeadAttention(d_a, heads, rng, kv_dim=d_i, q_dim=d_l, project=False)
+        self.fc1 = Linear(d_l if d_i is None else d_a, d_a, rng)
         self.fc2 = Linear(d_a, 4, rng)
 
-    def forward(self, h_a: Tensor, feats: Tensor, span_mask: np.ndarray | None = None) -> Tensor:
+    def forward(self, h_a: Tensor, feats, span_mask: np.ndarray | None = None) -> Tensor:
         if h_a.shape[1] == 0:
             raise ValueError("answer span is empty")
-        att = self.ca(h_a, kv=feats)
+        rows = self.ca(h_a, kv=feats) if hasattr(self, "ca") else h_a
         if span_mask is None:
-            pooled = att.mean(axis=1)
+            pooled = rows.mean(axis=1)
         else:
-            pooled = ops.masked_mean_rows(att, span_mask)
+            pooled = ops.masked_mean_rows(rows, span_mask)
         return box_tail(self.fc1, self.fc2, pooled)
 
+    def loss(self, h_a: Tensor, feats, span_mask: np.ndarray | None, gt: np.ndarray) -> Tensor:
+        """L1 distance of the span's box to the ground truth."""
+        return ops.l1_loss(self(h_a, feats, span_mask), gt)
 
-class BoxMlp(Module):
-    """Detector without cross-attention: box from mean-pooled hidden states."""
-
-    def __init__(self, d_l: int, d_a: int, rng):
-        super().__init__()
-        self.fc1 = Linear(d_l, d_a, rng)
-        self.fc2 = Linear(d_a, 4, rng)
-
-    def forward(self, h_a: Tensor, span_mask: np.ndarray | None = None) -> Tensor:
-        if span_mask is None:
-            pooled = h_a.mean(axis=1)
-        else:
-            pooled = ops.masked_mean_rows(h_a, span_mask)
-        return box_tail(self.fc1, self.fc2, pooled)
+    def predict(self, h_a: Tensor, feats, span_mask: np.ndarray | None) -> Tensor:
+        """Box [B, 4] of the span."""
+        return self(h_a, feats, span_mask)
 
 
 class LearnedQueryDetector(Module):
-    """Detection from learned query embeddings with per-query objectness."""
+    """Detection from learned query embeddings with per-query objectness.
+
+    `loss` and `predict` take the span arguments of every box head but read
+    only `feats`: the queries, not the answer span, attend the HR features.
+    """
 
     def __init__(self, n_queries: int, d_l: int, d_i: int, d_a: int, rng, heads: int = 4):
         super().__init__()
@@ -244,8 +248,9 @@ class LearnedQueryDetector(Module):
         att = self.ca(q, kv=feats)
         return box_tail(self.fc1, self.fc2, att), self.obj(att)[..., 0]
 
-    def loss(self, boxes: Tensor, obj: Tensor, gt: np.ndarray) -> Tensor:
+    def loss(self, h_a, feats: Tensor, span_mask, gt: np.ndarray) -> Tensor:
         """Min-cost matching against the single ground-truth box."""
+        boxes, obj = self(feats)
         gt = np.asarray(gt, dtype=boxes.data.dtype)
         b, n, _ = boxes.shape
         per_query = np.abs(boxes.data - gt[:, None, :]).mean(axis=-1)
@@ -257,6 +262,8 @@ class LearnedQueryDetector(Module):
         obj_loss = ops.binary_cross_entropy_logits(obj, onehot)
         return box_loss + obj_loss
 
-    def predict(self, boxes: Tensor, obj: Tensor) -> np.ndarray:
+    def predict(self, h_a, feats: Tensor, span_mask) -> Tensor:
+        """Box [B, 4] of the query with the highest objectness."""
+        boxes, obj = self(feats)
         istar = obj.data.argmax(axis=1)
-        return boxes.data[np.arange(boxes.shape[0]), istar]
+        return boxes[(np.arange(boxes.shape[0]), istar)]

@@ -47,12 +47,6 @@ class CaptionDecoder(Module):
         )
         self.final_ln = LayerNorm(cfg.d_l)
         self.head = Linear(cfg.d_l, vocab_size, named_rng(seed, "init/lm/head"))
-        self._mask_cache: dict[int, np.ndarray] = {}
-
-    def _mask(self, total: int) -> np.ndarray:
-        if total not in self._mask_cache:
-            self._mask_cache[total] = prefix_causal_mask(self.prefix_len, total)
-        return self._mask_cache[total]
 
     def _run(self, x: Tensor, start: int, mask: np.ndarray | None = None,
              caches: list[dict] | None = None):
@@ -78,7 +72,7 @@ class CaptionDecoder(Module):
         if answer_ids.shape[1]:
             parts.append(self.tok(answer_ids))
         total = self.prefix_len + answer_ids.shape[1]
-        return self._run(concat(parts, axis=1), 0, self._mask(total))
+        return self._run(concat(parts, axis=1), 0, prefix_causal_mask(self.prefix_len, total))
 
     def caption_loss(self, z_v: Tensor, answer_ids: np.ndarray, answer_mask: np.ndarray):
         """Mean cross-entropy on answer positions; returns (loss, hidden)."""

@@ -114,13 +114,6 @@ def iou(a, b) -> float:
     return float(inter / union)
 
 
-def miou(pairs) -> float:
-    vals = [iou(p, g) for p, g in pairs]
-    if not vals:
-        raise ValueError("cannot average zero boxes")
-    return float(np.mean(vals))
-
-
 # -- full evaluation -----------------------------------------------------------
 
 

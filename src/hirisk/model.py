@@ -9,21 +9,19 @@ result feeds both the gated incorporation sites inside the video encoder and
 the box detection head.
 
 Every optional piece can be switched off through the ablation flags; with
-all of them off the model degrades to the video-only captioner plus a plain
-box MLP.
+all of them off the model degrades to the video-only captioner plus the
+no-QDH box head, which regresses the box from the pooled answer span alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import ops
 from .autograd import Tensor, concat, no_grad
 from .config import RunConfig
 from .encoder import VideoEncoder, incorporation_sites
 from .grammar import ANSWER_SPAN, INSTRUCTION_PROMPT, LOCALIZATION_PROMPT, Vocabulary, parse_caption
 from .hrbranch import (
-    BoxMlp,
     IncorporationSite,
     LearnedQueryDetector,
     ObjectHighlighter,
@@ -104,14 +102,13 @@ class DualBranchModel(Module):
         r_head = named_rng(seed, "init/hr/head")
         if self.variant == "text_coords":
             pass  # the caption itself carries the coordinates
-        elif self.flags.no_qdh:
-            self.detector = BoxMlp(m.d_l, m.qdh_dim, r_head)
-        elif self.variant == "learned_query":
+        elif self.variant == "learned_query" and not self.flags.no_qdh:
             self.detector = LearnedQueryDetector(
                 m.n_learned_queries, m.d_l, d_i, m.qdh_dim, r_head, heads=m.qdh_heads
             )
         else:
-            self.detector = SpanQueryDetector(m.d_l, d_i, m.qdh_dim, r_head, heads=m.qdh_heads)
+            d_q = None if self.flags.no_qdh else d_i
+            self.detector = SpanQueryDetector(m.d_l, d_q, m.qdh_dim, r_head, heads=m.qdh_heads)
         self.astype(m.dtype)
 
     # -- feature plumbing ------------------------------------------------------
@@ -200,20 +197,15 @@ class DualBranchModel(Module):
         return self.lm.answer_hidden(hidden, s, e), None
 
     def predict_box(self, hidden: Tensor, feats, answer_mask: np.ndarray) -> Tensor:
-        """Span-pooling head: box [B, 4] from the answer rows of `hidden`."""
+        """The box head's prediction [B, 4] from the answer rows of `hidden`."""
         h_a, mask = self.answer_rows(hidden, answer_mask)
-        if self.flags.no_qdh:
-            return self.detector(h_a, span_mask=mask)
-        return self.detector(h_a, feats, span_mask=mask)
+        return self.detector.predict(h_a, feats, mask)
 
     def box_loss(self, hidden: Tensor, feats, batch: dict):
         if self.variant == "text_coords":
             return None
-        gt = batch["box"]
-        if isinstance(self.detector, LearnedQueryDetector):
-            boxes, obj = self.detector(feats)
-            return self.detector.loss(boxes, obj, gt)
-        return ops.l1_loss(self.predict_box(hidden, feats, batch["answer_mask"]), gt)
+        h_a, mask = self.answer_rows(hidden, batch["answer_mask"])
+        return self.detector.loss(h_a, feats, mask, batch["box"])
 
     def forward_train(self, batch: dict, box_weight: float):
         """Joint loss on one batch. Returns (loss Tensor, float part dict)."""
@@ -265,14 +257,11 @@ class DualBranchModel(Module):
                 out.append({"tokens": toks, "box": parsed.box, "box_source": source})
             return out
 
-        if isinstance(self.detector, LearnedQueryDetector):
-            pred = self.detector.predict(*self.detector(feats))
-        else:
-            # span-pooling heads read the decoder's own hidden states of the
-            # generated tokens; an all-pad row still pools its first position
-            mask = (gen != pad).astype(np.float64)
-            mask[mask.sum(axis=1) == 0, 0] = 1.0
-            pred = self.predict_box(hidden, feats, mask).data
+        # the head reads the decoder's own hidden states of the generated
+        # tokens; an all-pad row still pools its first position
+        mask = (gen != pad).astype(np.float64)
+        mask[mask.sum(axis=1) == 0, 0] = 1.0
+        pred = self.predict_box(hidden, feats, mask).data
         return [
             {"tokens": toks, "box": tuple(float(v) for v in pred[i]), "box_source": "head"}
             for i, toks in enumerate(texts)

@@ -228,21 +228,26 @@ def pretrain_highlighter(model: DualBranchModel, data: dict, cfg: RunConfig, log
             neg = {"clip": np.repeat(bg[:, None], s.clip_len, axis=1)}
         else:
             neg = {"hr": background_frames(s.hr_size, half, r)}
-        pos = model.presence_features(make_batch(data, idx))
-        neg = model.presence_features(neg)
-        pos_logit = model.highlighter.presence_logits(pos, prompt)
-        neg_logit = model.highlighter.presence_logits(neg, prompt)
-        logits = concat([pos_logit, neg_logit], axis=0)
-        labels = np.concatenate(
-            [np.ones(pos_logit.shape[0]), np.zeros(neg_logit.shape[0])]
-        ).astype(np.float64)
-        loss = ops.binary_cross_entropy_logits(logits, labels)
+        loss = presence_loss(model, make_batch(data, idx), neg, prompt)
         model.zero_grad()
         loss.backward()
         opt.step()
         if step % 50 == 0 or step == steps - 1:
             log(f"highlight warmup step {step} loss {float(loss.data):.4f}")
+        del loss  # the step's graph goes before the next step's forward
     model.zero_grad()
+
+
+def presence_loss(model: DualBranchModel, pos: dict, neg: dict, prompt: np.ndarray):
+    """The highlighter's presence BCE: frames of `pos` are labelled 1, of `neg` 0."""
+    pos = model.presence_features(pos)
+    neg = model.presence_features(neg)
+    pos_logit = model.highlighter.presence_logits(pos, prompt)
+    neg_logit = model.highlighter.presence_logits(neg, prompt)
+    labels = np.concatenate(
+        [np.ones(pos_logit.shape[0]), np.zeros(neg_logit.shape[0])]
+    ).astype(np.float64)
+    return ops.binary_cross_entropy_logits(concat([pos_logit, neg_logit], axis=0), labels)
 
 
 # -- checkpointing -------------------------------------------------------------
@@ -352,6 +357,7 @@ def train_model(cfg: RunConfig, train_ds: SceneDataset, run_dir=None, log=None) 
                 model.zero_grad()
                 loss.backward()
                 opt.step()
+                del loss  # the step's graph goes before the next batch is built
             except NonFiniteError as err:
                 diag = {
                     "step": step,

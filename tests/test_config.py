@@ -33,14 +33,6 @@ def test_baseline_only_implies_branch_flags():
     assert not ab.no_st_adapter
 
 
-def test_named_ablations():
-    assert Ablation.named("full") == Ablation()
-    assert Ablation.named("no_em").no_em
-    assert Ablation.named("baseline_only").no_qdh
-    with pytest.raises(ValueError):
-        Ablation.named("nonsense")
-
-
 def test_dict_round_trip():
     cfg = RunConfig()
     cfg.train.lr = 3e-4

@@ -6,7 +6,6 @@ import pytest
 from hirisk.autograd import Tensor
 from hirisk.hrbranch import (
     MIN_EXTENT,
-    BoxMlp,
     IncorporationSite,
     LearnedQueryDetector,
     ObjectHighlighter,
@@ -171,18 +170,21 @@ def test_span_detector_outputs_valid_boxes():
         det(Tensor(np.zeros((3, 0, 8))), feats)
 
 
-def test_box_mlp_respects_span_mask():
-    det = BoxMlp(8, 16, named_rng(9, "test/mlp"))
+def test_no_qdh_head_respects_span_mask():
+    det = SpanQueryDetector(8, None, 16, named_rng(9, "test/mlp"))
+    assert not hasattr(det, "ca") and det.fc1.weight.shape == (8, 16)
     rng = np.random.default_rng(10)
     h = rng.normal(size=(2, 4, 8))
     mask = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
-    out = det(Tensor(h), mask).data
+    out = det.predict(Tensor(h), None, mask).data
     # zeroed-out rows must not influence the pooled box
     h2 = h.copy()
     h2[0, 2:] += 100.0
-    out2 = det(Tensor(h2), mask).data
+    out2 = det.predict(Tensor(h2), None, mask).data
     assert np.allclose(out[0], out2[0], atol=1e-12)
     assert out.shape == (2, 4)
+    gt = np.array([[0.2, 0.2, 0.6, 0.6], [0.1, 0.4, 0.5, 0.9]])
+    assert det.loss(Tensor(h), None, mask, gt).data == np.abs(out - gt).mean()
 
 
 def test_learned_query_head_and_matching():
@@ -192,11 +194,14 @@ def test_learned_query_head_and_matching():
     boxes, obj = det(feats)
     assert boxes.shape == (2, 4, 4) and obj.shape == (2, 4)
     gt = np.array([[0.2, 0.2, 0.6, 0.6], [0.1, 0.4, 0.5, 0.9]])
-    loss = det.loss(boxes, obj, gt)
+    # the span arguments are not read: the queries attend the features
+    loss = det.loss(None, feats, None, gt)
     assert loss.data.shape == () and np.isfinite(loss.data)
-    # prediction follows the objectness argmax
+    # prediction follows the objectness argmax of the queries' own outputs
     fake_boxes = Tensor(np.arange(2 * 4 * 4, dtype=np.float64).reshape(2, 4, 4))
     fake_obj = Tensor(np.array([[0.0, 9.0, 1.0, 2.0], [3.0, 0.0, 0.0, 8.0]]))
-    picked = det.predict(fake_boxes, fake_obj)
-    assert np.array_equal(picked[0], fake_boxes.data[0, 1])
-    assert np.array_equal(picked[1], fake_boxes.data[1, 3])
+    det.forward = lambda f: (fake_boxes, fake_obj)
+    picked = det.predict(None, feats, None)
+    assert picked.shape == (2, 4)
+    assert np.array_equal(picked.data[0], fake_boxes.data[0, 1])
+    assert np.array_equal(picked.data[1], fake_boxes.data[1, 3])

@@ -13,7 +13,6 @@ from hirisk.metrics import (
     evaluate_predictions,
     export_csv,
     iou,
-    miou,
     report_to_json,
     save_report,
     sentence_bleu_smoothed,
@@ -194,14 +193,6 @@ def test_iou_random_box_properties():
         # boxes pushed to opposite sides of a gap never overlap
         far = [a[0] + 2.0, a[1], a[2] + 2.0, a[3]]
         assert iou(a, far) == 0.0
-
-
-def test_miou_mean():
-    pairs = [
-        ([0, 0, 1, 1], [0, 0, 1, 1]),
-        ([0, 0, 0.5, 0.5], [0.25, 0.25, 0.75, 0.75]),
-    ]
-    assert abs(miou(pairs) - (1.0 + 1.0 / 7.0) / 2.0) < 1e-12
 
 
 def test_box_is_valid():

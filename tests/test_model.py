@@ -9,7 +9,7 @@ from hirisk import model as model_module
 from hirisk.autograd import ComputationTape, Node, Tensor
 from hirisk.config import Ablation, ModelConfig, RunConfig, SceneConfig, TrainConfig
 from hirisk.grammar import ANSWER_SPAN, build_vocab
-from hirisk.hrbranch import BoxMlp, LearnedQueryDetector, SpanQueryDetector
+from hirisk.hrbranch import LearnedQueryDetector, SpanQueryDetector
 from hirisk.model import DualBranchModel
 from hirisk.optim import AdamW
 from hirisk.rng import named_rng
@@ -50,8 +50,9 @@ def test_baseline_strips_every_hr_module():
     model, _ = make_model(tiny_cfg(ablation=Ablation(baseline_only=True)))
     for name in ("cnn", "hr_pos", "highlighter", "incorporation", "sites"):
         assert not hasattr(model, name)
-    # the box head degrades to a caption-only regressor
-    assert isinstance(model.detector, BoxMlp)
+    # the box head degrades to a caption-only regressor: the no-QDH span head
+    assert isinstance(model.detector, SpanQueryDetector)
+    assert not hasattr(model.detector, "ca")
 
 
 def test_full_model_has_all_hr_modules():
@@ -113,12 +114,15 @@ HEAD_PARAMS = {
     "span_query": CROSS_ATTN + BOX_TAIL,
     "learned_query": [("queries", (4, 96))] + CROSS_ATTN + BOX_TAIL
                      + [("obj.weight", (64, 1)), ("obj.bias", (1,))],
+    # no cross-attention: fc1 reads the d_l-wide span itself
+    "no_qdh": [("fc1.weight", (96, 64))] + BOX_TAIL[1:],
 }
 
 
 @pytest.mark.parametrize("variant", list(HEAD_PARAMS))
 def test_attention_parameter_names_are_the_checkpoint_format(variant):
-    model = DualBranchModel(RunConfig(model=ModelConfig(head_variant=variant)), build_vocab(), TA, 0)
+    kw = {"ablation": Ablation(no_qdh=True)} if variant == "no_qdh" else {"head_variant": variant}
+    model = DualBranchModel(RunConfig(model=ModelConfig(**kw)), build_vocab(), TA, 0)
     named = [(n, p.shape) for n, p in model.named_parameters()]
     expected = [(f"incorporation.{j}.{n}", shape) for j in range(3) for n, shape in SITE]
     expected += [(f"detector.{n}", shape) for n, shape in HEAD_PARAMS[variant]]
@@ -321,14 +325,20 @@ def test_decode_learned_query_uses_head():
         assert len(rec["box"]) == 4
 
 
-@pytest.mark.parametrize("no_qdh", [False, True])
+# keys keep the test ids of the former no_qdh switch: "False" is the
+# span-query head, "True" its no-QDH form
+BOX_HEADS = {"False": {}, "True": {"ablation": Ablation(no_qdh=True)},
+             "learned_query": {"head_variant": "learned_query"}}
+
+
+@pytest.mark.parametrize("head", list(BOX_HEADS))
 @pytest.mark.parametrize("span_mode", ["noun_phrase", "full_answer"])
-def test_training_and_decoding_agree_on_boxes(span_mode, no_qdh):
-    """Greedy ids fed back teacher-forced give decode's boxes.
+def test_training_and_decoding_agree_on_boxes(span_mode, head):
+    """Greedy ids fed back teacher-forced give decode's boxes, for every head.
 
     Decode reads the cached hidden states of its own greedy pass, which
     differ from a teacher-forced pass only in summation order."""
-    cfg = tiny_cfg(span_mode=span_mode, ablation=Ablation(no_qdh=no_qdh))
+    cfg = tiny_cfg(span_mode=span_mode, **BOX_HEADS[head])
     model, vocab = make_model(cfg)
     batch = random_batch(cfg, vocab)
     pad = vocab.pad_id

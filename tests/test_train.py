@@ -2,10 +2,12 @@
 
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
 
+from hirisk import ops
 from hirisk.autograd import Tensor
 from hirisk.config import (
     Ablation,
@@ -300,6 +302,30 @@ def test_freeze_backbone_keeps_trunk_at_init(tiny_data):
         if "adapters" in name and not np.array_equal(p.data, init_params[name].data):
             adapter_moved = True
     assert adapter_moved
+
+
+def test_each_step_graph_is_freed_before_the_next_forward(tiny_data, monkeypatch):
+    """Neither the highlight warmup nor the main loop keeps a step's loss,
+    and with it the step's graph, alive into the next step's forward."""
+    losses, stale = [], []
+
+    def watched(fn):
+        def wrapper(*args, **kwargs):
+            stale.append(sum(ref() is not None for ref in losses))
+            out = fn(*args, **kwargs)
+            loss = out[0] if isinstance(out, tuple) else out
+            loss.data = np.asarray(loss.data)  # a numpy scalar takes no weak reference
+            losses.append(weakref.ref(loss.data))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(ops, "binary_cross_entropy_logits", watched(ops.binary_cross_entropy_logits))
+    monkeypatch.setattr(DualBranchModel, "forward_train", watched(DualBranchModel.forward_train))
+    cfg = tiny_cfg()
+    train_model(cfg, tiny_data[0], log=quiet)
+    assert len(losses) == cfg.train.highlight_pretrain_steps + cfg.train.steps
+    assert stale == [0] * len(losses)
+    assert all(ref() is None for ref in losses)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
