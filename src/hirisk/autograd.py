@@ -147,6 +147,7 @@ class Tensor:
         backward: Callable[[np.ndarray], None],
         op: str,
     ) -> "Tensor":
+        data = np.asarray(data)  # numpy arithmetic gives a 0-d result as a scalar
         _check_finite(data, op)
         out = cls.__new__(cls)
         out.data = data
@@ -410,7 +411,6 @@ def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
             gg = np.expand_dims(g, axis)
         na._accum(np.broadcast_to(gg, sa).copy())
 
-    data = np.asarray(data)
     return Tensor._from_op(data, (a,), backward, "sum")
 
 
@@ -443,7 +443,6 @@ def getitem(a: Tensor, idx) -> Tensor:
             ga[idx] += g
         na._accum(ga)
 
-    data = np.asarray(data)
     return Tensor._from_op(data, (a,), backward, "getitem")
 
 

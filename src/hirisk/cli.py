@@ -22,19 +22,35 @@ from .autograd import Tensor, concat, swapaxes
 from .config import RunConfig, apply_override, load_config
 from .gradcheck import finite_difference_check
 from .metrics import export_csv, save_report
+from .model import MODEL_SCENE_FIELDS
 from .rng import named_rng
+from .scenes import load_dataset
 from .train import (
     GateError,
-    Logger,
     TrainAbort,
     evaluate_model,
     format_grid,
     load_checkpoint,
     load_or_generate,
-    load_split_for,
     run_ablation_grid,
     train_model,
 )
+
+
+class Logger:
+    """Prints each line and appends it to `<run_dir>/log.txt`."""
+
+    def __init__(self, run_dir: str):
+        os.makedirs(run_dir, exist_ok=True)
+        self.fh = open(os.path.join(run_dir, "log.txt"), "a", encoding="utf-8")
+
+    def __call__(self, msg: str):
+        print(msg)
+        self.fh.write(msg + "\n")
+        self.fh.flush()
+
+    def close(self):
+        self.fh.close()
 
 
 def build_cfg(args) -> RunConfig:
@@ -58,8 +74,7 @@ def add_config_args(p: argparse.ArgumentParser) -> None:
 
 def cmd_generate_data(args) -> int:
     cfg = build_cfg(args)
-    log = Logger(echo=True)
-    load_or_generate(cfg, data_dir=args.out, log=log)
+    load_or_generate(cfg, data_dir=args.out)
     print(f"dataset ready at {args.out}")
     return 0
 
@@ -67,7 +82,6 @@ def cmd_generate_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = build_cfg(args)
     run_dir = args.run_dir
-    os.makedirs(run_dir, exist_ok=True)
     log = Logger(run_dir)
     try:
         train_ds, test_ds = load_or_generate(cfg, data_dir=args.data, log=log)
@@ -94,7 +108,8 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model, vocab, cfg, _ = load_checkpoint(args.checkpoint)
-    test_ds = load_split_for(cfg, args.data, args.split)
+    # the fields that shape the model must match; the rest may differ
+    test_ds = load_dataset(args.data, args.split, cfg.scene, MODEL_SCENE_FIELDS)
     report = evaluate_model(model, vocab, test_ds, batch_size=cfg.train.eval_batch)
     if args.out:
         save_report(report, args.out)

@@ -5,9 +5,11 @@ runs adapter-then-block layers with attention confined to each frame, pools
 over time, and compresses the result to a fixed number of learned query
 tokens projected into the language model's dimension.
 
-Incorporation hooks: after designated layers, an external module may rewrite
-the per-frame cls tokens (used by the high-resolution branch). The encoder
-itself stays agnostic about what those modules do.
+Incorporation hooks: the encoder places the sites, after layers ceil(K/4),
+ceil(K/2) and ceil(3K/4) of its K (`incorporation_sites`). Given one module
+per site, it lets the module of each site rewrite the per-frame cls tokens
+from the high-resolution features, and stays agnostic about what those
+modules do.
 """
 
 from __future__ import annotations
@@ -178,26 +180,26 @@ class VideoEncoder(Module):
         cls = broadcast_to(self.cls, (b * l, 1, self.d_v))
         return concat([cls, tok], axis=1) + self.pos
 
-    def encode(self, tokens: Tensor, batch: int, incorporation=None, hr_feats: Tensor | None = None,
-               sites: dict[int, int] | None = None):
-        """Run the layer stack and pool.
+    def encode(self, tokens: Tensor, incorporation=None, hr_feats: Tensor | None = None):
+        """Run the layer stack over `tokens` from `embed` and pool.
 
-        incorporation: ModuleList of cls-rewrite modules; sites maps layer
-        index (1-based, applied after that layer) to the module index.
+        incorporation: ModuleList of cls-rewrite modules, one per site of
+        `incorporation_sites`, each called with the cls tokens and `hr_feats`.
         Returns z_v [B, n_q, d_l].
         """
         bl, t, d = tokens.shape
-        l = bl // batch
+        l = self.clip_len
+        batch = bl // l
         g = self.grid
+        sites = {} if incorporation is None else incorporation_sites(self.n_layers)
         x = tokens
         for i in range(self.n_layers):
             if self.use_adapters:
                 x = self.adapters[i](x, batch, l, g, g)
             x = self.blocks[i](x)
-            k = i + 1
-            if incorporation is not None and sites and k in sites:
+            if i + 1 in sites:
                 cls = x[:, 0, :].reshape(batch, l, d)
-                new_cls = incorporation[sites[k]](cls, hr_feats)
+                new_cls = incorporation[sites[i + 1]](cls, hr_feats)
                 x = concat([new_cls.reshape(bl, 1, d), x[:, 1:, :]], axis=1)
         x = self.final_ln(x)
         pooled = x.reshape(batch, l, t, d).mean(axis=1)

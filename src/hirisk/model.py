@@ -11,6 +11,8 @@ the box detection head.
 Every optional piece can be switched off through the ablation flags; with
 all of them off the model degrades to the video-only captioner plus the
 no-QDH box head, which regresses the box from the pooled answer span alone.
+Only the constructor reads the flags; later code checks which modules it
+built.
 """
 
 from __future__ import annotations
@@ -46,6 +48,9 @@ DECODE_MARGIN = 4
 # 1,205 ms a batch at 1, against about 920 ms at 8, and 143 MB at 16.
 TRUNK_BLOCK = 8
 
+# The scene fields that set the model's input shapes.
+MODEL_SCENE_FIELDS = ("clip_len", "lr_size", "hr_size")
+
 # Parameters of the high-resolution perception route (extractor, its grid
 # positions, incorporation sites, detector), trained at `hr_lr_mult`.
 HR_BRANCH_PARAMS = ("cnn.", "hr_pos", "incorporation.", "detector.")
@@ -61,7 +66,7 @@ class DualBranchModel(Module):
     def __init__(self, cfg: RunConfig, vocab: Vocabulary, max_answer_len: int, seed: int):
         super().__init__()
         m = cfg.model
-        self.flags = m.ablation
+        flags = m.ablation
         self.variant = m.head_variant
         self.span_mode = m.span_mode
         self.vocab = vocab
@@ -75,10 +80,11 @@ class DualBranchModel(Module):
 
         # High-resolution route. d_i is the feature width the incorporation
         # sites and detection heads attend over; without the dedicated
-        # extractor it falls back to the encoder's own patch embeddings.
+        # extractor it falls back to the encoder's own patch embeddings. The
+        # caption-only baseline has no such route, and d_i 0 marks it.
         d_i = 0
-        if not self.flags.baseline_only:
-            if self.flags.no_hrse:
+        if not flags.baseline_only:
+            if flags.no_hrse:
                 d_i = m.d_v
             else:
                 self.cnn = SpatialExtractor(m.cnn_width, named_rng(seed, "init/hr/cnn"))
@@ -88,26 +94,24 @@ class DualBranchModel(Module):
                 # be regressed past the dataset mean
                 cells = (cfg.scene.hr_size // 16) ** 2
                 self.hr_pos = Parameter(named_rng(seed, "init/hr/pos").normal(0.0, 0.02, (cells, d_i)))
-            if not self.flags.no_em:
+            if not flags.no_em:
                 self.highlighter = ObjectHighlighter(d_i, m.d_l, named_rng(seed, "init/hr/highlight"))
-            if not self.flags.no_im:
-                self.sites = incorporation_sites(m.n_layers)
-                n_sites = len(set(self.sites.values()))
+            if not flags.no_im:
                 self.incorporation = ModuleList(
                     IncorporationSite(m.d_v, d_i, named_rng(seed, f"init/hr/incorporate{j}"))
-                    for j in range(n_sites)
+                    for j in range(len(incorporation_sites(m.n_layers)))
                 )
         self.d_i = d_i
 
         r_head = named_rng(seed, "init/hr/head")
         if self.variant == "text_coords":
             pass  # the caption itself carries the coordinates
-        elif self.variant == "learned_query" and not self.flags.no_qdh:
+        elif self.variant == "learned_query" and not flags.no_qdh:
             self.detector = LearnedQueryDetector(
                 m.n_learned_queries, m.d_l, d_i, m.qdh_dim, r_head, heads=m.qdh_heads
             )
         else:
-            d_q = None if self.flags.no_qdh else d_i
+            d_q = None if flags.no_qdh else d_i
             self.detector = SpanQueryDetector(m.d_l, d_q, m.qdh_dim, r_head, heads=m.qdh_heads)
         self.astype(m.dtype)
 
@@ -129,7 +133,7 @@ class DualBranchModel(Module):
         """Feature grid the highlighter scores: the extractor's grid of the HR
         frame, or without the extractor the patch tokens of the clip's last
         frame (`tokens` from `encoder.embed`, embedded here when not given)."""
-        if not self.flags.no_hrse:
+        if hasattr(self, "cnn"):
             return self.cnn(Tensor(batch["hr"]))
         if tokens is None:
             tokens = self.encoder.embed(batch["clip"])
@@ -143,12 +147,12 @@ class DualBranchModel(Module):
         the live feature grid, so gradients reach the extractor through the
         highlighted product but never through the map.
         """
-        if self.flags.baseline_only:
+        if not self.d_i:
             return None, None
         b = batch["clip"].shape[0]
         grid = self.presence_features(batch, tokens)
         heat = None
-        if not self.flags.no_em:
+        if hasattr(self, "highlighter"):
             heat = self.highlighter.heatmap(grid.data, self.localization_prompt_vec())
             grid = apply_highlight(heat, grid)
         feats = grid.reshape(b, -1, self.d_i)
@@ -157,19 +161,12 @@ class DualBranchModel(Module):
         return feats, heat
 
     def encode_scene(self, batch: dict):
-        """Shared trunk: clip plus HR frame -> (z_v, feats, highlight)."""
-        b = batch["clip"].shape[0]
+        """Shared trunk: clip plus HR frame -> (z_v, feats); feats is None
+        without the HR route."""
         tokens = self.encoder.embed(batch["clip"])
-        feats, heat = self.hr_features(batch, tokens)
-        inject = feats is not None and not self.flags.no_im
-        z = self.encoder.encode(
-            tokens,
-            b,
-            incorporation=self.incorporation if inject else None,
-            hr_feats=feats if inject else None,
-            sites=self.sites if inject else None,
-        )
-        return z, feats, heat
+        feats, _ = self.hr_features(batch, tokens)
+        z = self.encoder.encode(tokens, getattr(self, "incorporation", None), feats)
+        return z, feats
 
     @no_grad()
     def encode_scene_blocks(self, batch: dict):
@@ -181,7 +178,7 @@ class DualBranchModel(Module):
         zs, fs = [], []
         for start in range(0, batch["clip"].shape[0], TRUNK_BLOCK):
             block = {k: v[start : start + TRUNK_BLOCK] for k, v in batch.items()}
-            z, feats, _ = self.encode_scene(block)
+            z, feats = self.encode_scene(block)
             zs.append(z)
             fs.append(feats)
         return concat(zs), None if fs[0] is None else concat(fs)
@@ -209,7 +206,7 @@ class DualBranchModel(Module):
 
     def forward_train(self, batch: dict, box_weight: float):
         """Joint loss on one batch. Returns (loss Tensor, float part dict)."""
-        z, feats, _ = self.encode_scene(batch)
+        z, feats = self.encode_scene(batch)
         cap_loss, hidden = self.lm.caption_loss(z, batch["answer_ids"], batch["answer_mask"])
         box = self.box_loss(hidden, feats, batch)
         if box is None:

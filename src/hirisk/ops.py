@@ -370,7 +370,7 @@ def cross_entropy_logits(logits: Tensor, targets: np.ndarray, mask: np.ndarray |
     m = flat.max(axis=-1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(flat - m).sum(axis=-1))
     nll = lse - flat[np.arange(flat.shape[0]), tflat]
-    data = np.asarray((nll * mflat).sum() / denom)
+    data = (nll * mflat).sum() / denom
     nl, sl = grad_node(logits), logits.shape
 
     def backward(g):
@@ -389,7 +389,7 @@ def l1_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     if target.shape != pred.shape:
         raise ShapeError("l1_loss target must match prediction shape")
     diff = pred.data - target
-    data = np.asarray(np.abs(diff).mean())
+    data = np.abs(diff).mean()
     n, npred = pred.size, grad_node(pred)
 
     def backward(g):
@@ -406,7 +406,7 @@ def binary_cross_entropy_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
         raise ShapeError("bce targets must match logits shape")
     z = logits.data
     # log(1 + exp(-|z|)) + max(z,0) - z*t, the standard stable form
-    data = np.asarray((np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))).mean())
+    data = (np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))).mean()
     n, nl = logits.size, grad_node(logits)
 
     def backward(g):

@@ -420,18 +420,33 @@ def save_dataset(ds: SceneDataset, cfg: SceneConfig, out_dir: str, split: str) -
                  lambda fh: fh.write(text.encode()))
 
 
-def load_dataset(out_dir: str, split: str) -> SceneDataset:
-    """Read a split back; ValueError unless its arrays match its manifest."""
-    with open(os.path.join(out_dir, f"{split}_manifest.json")) as fh:
+def load_dataset(out_dir: str, split: str, scene: SceneConfig | None = None,
+                 fields=None) -> SceneDataset:
+    """Read a split back, checked against its manifest and, when given,
+    against `scene` (on every field, or only on `fields`).
+
+    Raises FileNotFoundError when a file of the split is missing, and
+    ValueError when the manifest version is not this generator's, when the
+    manifest's generator config differs from `scene` (naming the fields),
+    or when the arrays are not the ones the manifest describes.
+    """
+    with open(os.path.join(out_dir, f"{split}_manifest.json"), encoding="utf-8") as fh:
         manifest = json.load(fh)
     if manifest.get("version") != MANIFEST_VERSION:
         raise ValueError(f"{split} split in {out_dir} has manifest version "
                          f"{manifest.get('version')}, but this generator writes version "
                          f"{MANIFEST_VERSION}; regenerate it")
+    cfg, n = manifest["config"], len(manifest["samples"])
+    if scene is not None:
+        asked = asdict(scene)
+        keys = asked.keys() | cfg.keys() if fields is None else fields
+        differ = sorted(k for k in keys if asked.get(k) != cfg.get(k))
+        if differ:
+            raise ValueError(f"{split} split in {out_dir} was built with a different "
+                             f"scene config: {differ}")
     path = os.path.join(out_dir, split, "scenes.npz")
     with np.load(path) as z:
         arrays = {"clips": z["clips"], "hrs": z["hrs"]}
-    cfg, n = manifest["config"], len(manifest["samples"])
     lr, hr = cfg["lr_size"], cfg["hr_size"]
     want = {"clips": (n, cfg["clip_len"], lr, lr, 3), "hrs": (n, hr, hr, 3)}
     for name, arr in arrays.items():

@@ -9,7 +9,6 @@ a fresh caption-only baseline); training refuses to start if the gate fails.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 
@@ -38,27 +37,13 @@ class GateError(RuntimeError):
     """The zero-disturbance gate failed before training started."""
 
 
-class Logger:
-    """Writes lines to stdout and, when given a directory, to log.txt."""
-
-    def __init__(self, run_dir=None, echo: bool = True):
-        self.echo = echo
-        self.fh = None
-        if run_dir:
-            os.makedirs(run_dir, exist_ok=True)
-            self.fh = open(os.path.join(run_dir, "log.txt"), "a", encoding="utf-8")
-
-    def __call__(self, msg: str):
-        if self.echo:
-            print(msg)
-        if self.fh:
-            self.fh.write(msg + "\n")
-            self.fh.flush()
-
-    def close(self):
-        if self.fh:
-            self.fh.close()
-            self.fh = None
+def _abort(log, phase: str, step: int, opt: AdamW, err: Exception) -> TrainAbort:
+    """Log a non-finite value at `step` of `phase` and build its TrainAbort."""
+    diag = {"phase": phase, "step": step, "lr": opt.lr, "grad_norm": opt.grad_norm(),
+            "error": str(err)}
+    log(f"abort: non-finite value in {phase} step {step} (lr {opt.lr:.3e}, "
+        f"grad norm {diag['grad_norm']:.3e})")
+    return TrainAbort(diag)
 
 
 # -- data plumbing -------------------------------------------------------------
@@ -107,58 +92,29 @@ def make_batch(data: dict, idx: np.ndarray) -> dict:
     }
 
 
-# The scene fields that set the model's input shapes.
-MODEL_SCENE_FIELDS = ("clip_len", "lr_size", "hr_size")
-
-
-def scene_config_differences(data_dir: str, split: str, scene, fields=None) -> list[str]:
-    """The fields (all, or just `fields`) on which a cached split's manifest
-    config differs from `scene`, sorted."""
-    want = dataclasses.asdict(scene)
-    with open(os.path.join(data_dir, f"{split}_manifest.json"), encoding="utf-8") as fh:
-        cached = json.load(fh)["config"]
-    keys = want.keys() | cached.keys() if fields is None else fields
-    return sorted(k for k in keys if want.get(k) != cached.get(k))
-
-
-def load_split_for(cfg: RunConfig, data_dir: str, split: str) -> SceneDataset:
-    """Load a cached split for a model built with `cfg`.
-
-    Raises ValueError naming the MODEL_SCENE_FIELDS on which the split
-    differs from `cfg.scene`, before any model shape can disagree.
-    """
-    differ = scene_config_differences(data_dir, split, cfg.scene, MODEL_SCENE_FIELDS)
-    if differ:
-        raise ValueError(f"{split} split in {data_dir} differs from the model's "
-                         f"scene config on {differ}")
-    return load_dataset(data_dir, split)
-
-
-def load_or_generate(cfg: RunConfig, data_dir=None, log=None):
+def load_or_generate(cfg: RunConfig, data_dir=None, log=print):
     """Fetch both splits, generating and caching them when needed.
 
-    The cache is used only when both splits' manifests exist, so a cache that
-    a run left half-written is generated again. A cached split is used only if
-    it was built with `cfg.scene`; otherwise ValueError names the fields that
-    differ.
+    A cache missing a file of either split, as a run that stopped while
+    writing it leaves one, is generated again. A cached split is used only
+    if it was built with `cfg.scene`; otherwise `load_dataset` raises
+    ValueError naming the fields that differ.
     """
-    say = log or (lambda s: None)
-    if data_dir and all(os.path.exists(os.path.join(data_dir, f"{split}_manifest.json"))
-                        for split in ("train", "test")):
-        say(f"loading dataset from {data_dir}")
-        for split in ("train", "test"):
-            differ = scene_config_differences(data_dir, split, cfg.scene)
-            if differ:
-                raise ValueError(f"cached {split} split in {data_dir} was built with a "
-                                 f"different scene config: {differ}")
-        return load_dataset(data_dir, "train"), load_dataset(data_dir, "test")
-    say(f"generating dataset ({cfg.scene.n_train} train / {cfg.scene.n_test} test)")
+    if data_dir:
+        try:
+            splits = tuple(load_dataset(data_dir, split, cfg.scene) for split in ("train", "test"))
+        except FileNotFoundError:
+            pass
+        else:
+            log(f"loaded dataset from {data_dir}")
+            return splits
+    log(f"generating dataset ({cfg.scene.n_train} train / {cfg.scene.n_test} test)")
     train_ds = SceneDataset.generate(cfg.scene, "train")
     test_ds = SceneDataset.generate(cfg.scene, "test")
     if data_dir:
         save_dataset(train_ds, cfg.scene, data_dir, "train")
         save_dataset(test_ds, cfg.scene, data_dir, "test")
-        say(f"cached dataset at {data_dir}")
+        log(f"cached dataset at {data_dir}")
     return train_ds, test_ds
 
 
@@ -202,20 +158,18 @@ def pretrain_highlighter(model: DualBranchModel, data: dict, cfg: RunConfig, log
     Positives are training frames (every scene contains objects); negatives
     are road renders with no objects plus pixel noise. With the dedicated
     extractor active it trains jointly with the head; in the shared-feature
-    mode only the head trains.
+    mode only the head trains. A non-finite value raises TrainAbort.
     """
-    flags = model.flags
-    if flags.baseline_only or flags.no_em:
-        return
     t = cfg.train
     steps = t.highlight_pretrain_steps
-    if steps <= 0:
+    if not hasattr(model, "highlighter") or steps <= 0:
         return
     r = named_rng(t.seed, "pretrain/highlight")
     prompt = model.localization_prompt_vec()
     half = max(t.batch_size // 2, 2)
 
-    params = {} if flags.no_hrse else dict(model.cnn.named_parameters("cnn."))
+    has_cnn = hasattr(model, "cnn")
+    params = dict(model.cnn.named_parameters("cnn.")) if has_cnn else {}
     params.update(model.highlighter.named_parameters("highlighter."))
     opt = AdamW(params, lr=t.highlight_pretrain_lr, weight_decay=0.0)
 
@@ -223,15 +177,18 @@ def pretrain_highlighter(model: DualBranchModel, data: dict, cfg: RunConfig, log
     s = cfg.scene
     for step in range(steps):
         idx = r.integers(0, n, size=half)
-        if flags.no_hrse:
+        if has_cnn:
+            neg = {"hr": background_frames(s.hr_size, half, r)}
+        else:
             bg = background_frames(s.lr_size, half, r)
             neg = {"clip": np.repeat(bg[:, None], s.clip_len, axis=1)}
-        else:
-            neg = {"hr": background_frames(s.hr_size, half, r)}
-        loss = presence_loss(model, make_batch(data, idx), neg, prompt)
-        model.zero_grad()
-        loss.backward()
-        opt.step()
+        try:
+            loss = presence_loss(model, make_batch(data, idx), neg, prompt)
+            model.zero_grad()
+            loss.backward()
+            opt.step()
+        except NonFiniteError as err:
+            raise _abort(log, "highlight_warmup", step, opt, err) from err
         if step % 50 == 0 or step == steps - 1:
             log(f"highlight warmup step {step} loss {float(loss.data):.4f}")
         del loss  # the step's graph goes before the next step's forward
@@ -312,82 +269,73 @@ def restore_optimizer(opt: AdamW, opt_arrays: dict) -> None:
 # -- training ------------------------------------------------------------------
 
 
-def train_model(cfg: RunConfig, train_ds: SceneDataset, run_dir=None, log=None) -> dict:
-    """Full training run. Returns model, vocab, and the per-step history."""
-    say = log or Logger(run_dir)
-    try:
-        t = cfg.train
-        vocab = build_vocab()
-        data = prepare_data(train_ds, vocab, cfg.model.head_variant)
-        ta = data["max_answer_len"]
+def train_model(cfg: RunConfig, train_ds: SceneDataset, run_dir=None, log=print) -> dict:
+    """Full training run. Returns model, vocab, and the per-step history.
 
-        if run_dir:
-            os.makedirs(run_dir, exist_ok=True)
-            with open(os.path.join(run_dir, "config.snapshot"), "w", encoding="utf-8") as fh:
-                fh.write(canonical_json(cfg) + "\n")
+    `log` receives each progress line. With `run_dir`, the config snapshot
+    and the checkpoint are written there.
+    """
+    t = cfg.train
+    vocab = build_vocab()
+    data = prepare_data(train_ds, vocab, cfg.model.head_variant)
+    ta = data["max_answer_len"]
 
-        if not cfg.model.ablation.baseline_only:
-            gap = gating_gap(cfg, vocab, ta)
-            say(f"zero-disturbance gate: max logit gap {gap:.3e}")
-            if gap > 1e-6:
-                raise GateError(f"gate failed: logit gap {gap:.3e} exceeds 1e-6")
+    if run_dir:
+        os.makedirs(run_dir, exist_ok=True)
+        with open(os.path.join(run_dir, "config.snapshot"), "w", encoding="utf-8") as fh:
+            fh.write(canonical_json(cfg) + "\n")
 
-        model = DualBranchModel(cfg, vocab, ta, t.seed)
-        pretrain_highlighter(model, data, cfg, say)
+    if not cfg.model.ablation.baseline_only:
+        gap = gating_gap(cfg, vocab, ta)
+        log(f"zero-disturbance gate: max logit gap {gap:.3e}")
+        if gap > 1e-6:
+            raise GateError(f"gate failed: logit gap {gap:.3e} exceeds 1e-6")
 
-        groups = model.param_groups(t.hr_lr_mult, t.freeze_backbone)
-        opt = AdamW(groups, lr=t.lr, weight_decay=t.weight_decay)
-        order = named_rng(t.seed, "train/order")
-        n = len(train_ds)
-        history = []
+    model = DualBranchModel(cfg, vocab, ta, t.seed)
+    pretrain_highlighter(model, data, cfg, log)
 
-        say(f"training: {t.steps} steps, batch {t.batch_size}, lr {t.lr:g} "
-            f"(hr x{t.hr_lr_mult:g}), box weight {t.box_weight:g}, config {config_hash(cfg)[:12]}")
-        for step in range(t.steps):
-            lr = float(cosine_lr(step, t.steps, t.lr, t.lr_floor))
-            if t.warmup_steps > 0:
-                lr *= min(1.0, (step + 1) / t.warmup_steps)
-            opt.lr = lr
-            idx = order.integers(0, n, size=t.batch_size)
-            batch = make_batch(data, idx)
-            try:
-                loss, parts = model.forward_train(batch, t.box_weight)
-                if not np.isfinite(parts["total"]):
-                    raise NonFiniteError(f"loss value {parts['total']}")
-                model.zero_grad()
-                loss.backward()
-                opt.step()
-                del loss  # the step's graph goes before the next batch is built
-            except NonFiniteError as err:
-                diag = {
-                    "step": step,
-                    "lr": lr,
-                    "grad_norm": opt.grad_norm(),
-                    "error": str(err),
-                }
-                say(f"abort: non-finite loss at step {step} (lr {lr:.3e}, "
-                    f"grad norm {diag['grad_norm']:.3e})")
-                raise TrainAbort(diag) from err
-            history.append({"step": step, "lr": lr, **parts})
-            if step % t.log_every == 0 or step == t.steps - 1:
-                say(f"step {step} lr {lr:.3e} loss {parts['total']:.4f} "
-                    f"caption {parts['caption']:.4f} box {parts['box']:.4f}")
+    groups = model.param_groups(t.hr_lr_mult, t.freeze_backbone)
+    opt = AdamW(groups, lr=t.lr, weight_decay=t.weight_decay)
+    order = named_rng(t.seed, "train/order")
+    n = len(train_ds)
+    history = []
 
-        rng_state = order.bit_generator.state
-        if run_dir:
-            save_checkpoint(os.path.join(run_dir, "checkpoint"), model, opt, cfg, t.steps, ta, rng_state)
-            say(f"checkpoint written to {os.path.join(run_dir, 'checkpoint')}")
-        return {
-            "model": model,
-            "vocab": vocab,
-            "history": history,
-            "max_answer_len": ta,
-            "optimizer": opt,
-            "rng_state": rng_state,
-        }
-    finally:
-        if say is not log:
-            say.close()
+    log(f"training: {t.steps} steps, batch {t.batch_size}, lr {t.lr:g} "
+        f"(hr x{t.hr_lr_mult:g}), box weight {t.box_weight:g}, config {config_hash(cfg)[:12]}")
+    for step in range(t.steps):
+        lr = float(cosine_lr(step, t.steps, t.lr, t.lr_floor))
+        if t.warmup_steps > 0:
+            lr *= min(1.0, (step + 1) / t.warmup_steps)
+        opt.lr = lr
+        idx = order.integers(0, n, size=t.batch_size)
+        batch = make_batch(data, idx)
+        try:
+            loss, parts = model.forward_train(batch, t.box_weight)
+            if not np.isfinite(parts["total"]):
+                raise NonFiniteError(f"loss value {parts['total']}")
+            model.zero_grad()
+            loss.backward()
+            opt.step()
+            del loss  # the step's graph goes before the next batch is built
+        except NonFiniteError as err:
+            raise _abort(log, "train", step, opt, err) from err
+        history.append({"step": step, "lr": lr, **parts})
+        if step % t.log_every == 0 or step == t.steps - 1:
+            log(f"step {step} lr {lr:.3e} loss {parts['total']:.4f} "
+                f"caption {parts['caption']:.4f} box {parts['box']:.4f}")
+
+    rng_state = order.bit_generator.state
+    if run_dir:
+        save_checkpoint(os.path.join(run_dir, "checkpoint"), model, opt, cfg, t.steps, ta, rng_state)
+        log(f"checkpoint written to {os.path.join(run_dir, 'checkpoint')}")
+    return {
+        "model": model,
+        "vocab": vocab,
+        "history": history,
+        "max_answer_len": ta,
+        "optimizer": opt,
+        "rng_state": rng_state,
+    }
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -444,44 +392,39 @@ def _row_config(cfg: RunConfig, flags: Ablation, seed: int) -> RunConfig:
 
 
 def run_ablation_grid(cfg: RunConfig, seeds, train_ds: SceneDataset,
-                      test_ds: SceneDataset, rows=None, run_dir=None, log=None) -> list[dict]:
+                      test_ds: SceneDataset, rows=None, run_dir=None, log=print) -> list[dict]:
     """One training run per (flag setting, seed); aggregates mean and spread."""
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
-    say = log or Logger(run_dir)
-    try:
-        table = []
-        for name, flags in rows or GRID_ROWS:
-            reports = []
-            for seed in seeds:
-                row_cfg = _row_config(cfg, flags, seed)
-                say(f"[{name} seed {seed}] training")
-                result = train_model(row_cfg, train_ds, run_dir=None, log=say)
-                rep = evaluate_model(result["model"], result["vocab"], test_ds,
-                                     batch_size=row_cfg.train.eval_batch)
-                say(f"[{name} seed {seed}] miou {rep['miou']:.4f} bleu4 {rep['bleu4']:.4f}")
-                reports.append(rep)
-            row = {"name": name, "seeds": seeds,
-                   "config_hash": config_hash(_row_config(cfg, flags, seeds[0]))}
-            for key in GRID_METRICS:
-                vals = [r[key] for r in reports if key in r]
-                if vals:
-                    row[f"{key}_mean"] = float(np.mean(vals))
-                    row[f"{key}_min"] = float(min(vals))
-                    row[f"{key}_max"] = float(max(vals))
-            row["reports"] = reports
-            table.append(row)
-        if run_dir:
-            os.makedirs(run_dir, exist_ok=True)
-            with open(os.path.join(run_dir, "ablation.json"), "w", encoding="utf-8") as fh:
-                json.dump(table, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            write_grid_csv(table, os.path.join(run_dir, "ablation.csv"))
-        return table
-    finally:
-        if say is not log:
-            say.close()
+    table = []
+    for name, flags in rows or GRID_ROWS:
+        reports = []
+        for seed in seeds:
+            row_cfg = _row_config(cfg, flags, seed)
+            log(f"[{name} seed {seed}] training")
+            result = train_model(row_cfg, train_ds, run_dir=None, log=log)
+            rep = evaluate_model(result["model"], result["vocab"], test_ds,
+                                 batch_size=row_cfg.train.eval_batch)
+            log(f"[{name} seed {seed}] miou {rep['miou']:.4f} bleu4 {rep['bleu4']:.4f}")
+            reports.append(rep)
+        row = {"name": name, "seeds": seeds,
+               "config_hash": config_hash(_row_config(cfg, flags, seeds[0]))}
+        for key in GRID_METRICS:
+            vals = [r[key] for r in reports if key in r]
+            if vals:
+                row[f"{key}_mean"] = float(np.mean(vals))
+                row[f"{key}_min"] = float(min(vals))
+                row[f"{key}_max"] = float(max(vals))
+        row["reports"] = reports
+        table.append(row)
+    if run_dir:
+        os.makedirs(run_dir, exist_ok=True)
+        with open(os.path.join(run_dir, "ablation.json"), "w", encoding="utf-8") as fh:
+            json.dump(table, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        write_grid_csv(table, os.path.join(run_dir, "ablation.csv"))
+    return table
 
 
 def write_grid_csv(table: list[dict], path: str) -> None:

@@ -37,6 +37,16 @@ def test_add_mul_scalar_graph():
     assert y.grad.item() == 3.0
 
 
+@pytest.mark.parametrize("op", ["add", "mul", "mean"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_0d_op_output_is_an_ndarray(op, dtype):
+    """numpy gives 0-d arithmetic results as scalars; a Tensor still wraps an array."""
+    a = Tensor(np.asarray(1.5, dtype=dtype), requires_grad=True)
+    b = Tensor(np.asarray(2.0, dtype=dtype))
+    out = {"add": lambda: a + b, "mul": lambda: a * b, "mean": lambda: a.mean()}[op]()
+    assert type(out.data) is np.ndarray and out.data.shape == () and out.dtype == dtype
+
+
 def test_fanout_accumulates():
     # z = x*x + x*x uses x three... four times through two product nodes
     x = Tensor(2.0, requires_grad=True)

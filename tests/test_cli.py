@@ -132,6 +132,17 @@ def test_train_abort_exit_code(tmp_path, cfg_file):
     assert code == 3
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_highlight_warmup_exit_code(tmp_path, cfg_file):
+    data_dir = str(tmp_path / "data")
+    assert main(["generate-data", "--config", cfg_file, "--out", data_dir]) == 0
+    code = main(["train", "--config", cfg_file, "--data", data_dir,
+                 "--run-dir", str(tmp_path / "r"),
+                 "--set", "train.highlight_pretrain_lr=1e38",
+                 "--set", "train.highlight_pretrain_steps=30"])
+    assert code == 3
+
+
 def test_gate_failure_exit_code(tmp_path, cfg_file, monkeypatch):
     import hirisk.train as train_mod
 

@@ -91,7 +91,7 @@ def test_encoder_shapes():
     clip = _clip(np.random.default_rng(0))
     tokens = enc.embed(clip)
     assert tokens.shape == (6, 1 + 16, 32)
-    z = enc.encode(tokens, 2)
+    z = enc.encode(tokens)
     assert z.shape == (2, 4, 48)
 
 

@@ -48,7 +48,7 @@ def random_batch(cfg: RunConfig, vocab, n: int = 3, seed: int = 7) -> dict:
 
 def test_baseline_strips_every_hr_module():
     model, _ = make_model(tiny_cfg(ablation=Ablation(baseline_only=True)))
-    for name in ("cnn", "hr_pos", "highlighter", "incorporation", "sites"):
+    for name in ("cnn", "hr_pos", "highlighter", "incorporation"):
         assert not hasattr(model, name)
     # the box head degrades to a caption-only regressor: the no-QDH span head
     assert isinstance(model.detector, SpanQueryDetector)
@@ -60,6 +60,9 @@ def test_full_model_has_all_hr_modules():
     for name in ("cnn", "hr_pos", "highlighter", "incorporation"):
         assert hasattr(model, name)
     assert isinstance(model.detector, SpanQueryDetector)
+    # the modules __init__ built are the record of the flags; the encoder
+    # places the incorporation sites
+    assert not hasattr(model, "flags") and not hasattr(model, "sites")
 
 
 def test_detector_variant_selection():
@@ -350,7 +353,7 @@ def test_training_and_decoding_agree_on_boxes(span_mode, head):
                                           (pad, 100.0, True, True)):
         bias[:] = init
         bias[tok] += nudge
-        z, feats, _ = model.encode_scene(batch)
+        z, feats = model.encode_scene(batch)
         ids, _ = model.lm.greedy_decode(z, model.max_new, vocab.eos_id, pad)
         assert (ids == pad).any() == some_pad and (ids == pad).all() == all_pad
         mask = (ids != pad).astype(np.float64)
@@ -381,7 +384,7 @@ def test_cached_greedy_ids_are_the_teacher_forced_argmax(config, eos_nudge):
     model, vocab = make_model(cfg)
     # a nudge makes rows end at different steps, so later steps feed pad
     model.lm.head.bias.data[vocab.eos_id] += eos_nudge
-    z, _, _ = model.encode_scene(random_batch(cfg, vocab))
+    z, _ = model.encode_scene(random_batch(cfg, vocab))
     ids, hidden = model.lm.greedy_decode(z, model.max_new, vocab.eos_id, vocab.pad_id)
     ref_hidden, ref_logits = model.lm.forward_hidden(z, ids)
     assert hidden.shape == ref_hidden.shape
@@ -455,7 +458,7 @@ def test_greedy_decode_runs_to_min_new():
     model, vocab = make_model(cfg)
     # every row ends at its first step
     model.lm.head.bias.data[vocab.eos_id] += 100.0
-    z, _, _ = model.encode_scene(random_batch(cfg, vocab))
+    z, _ = model.encode_scene(random_batch(cfg, vocab))
     eos, pad = vocab.eos_id, vocab.pad_id
     ids, _ = model.lm.greedy_decode(z, model.max_new, eos, pad)
     assert ids.tolist() == [[eos]] * 3
@@ -469,7 +472,7 @@ def test_float32_model_stays_float32():
     cfg = tiny_cfg()
     model, vocab = make_model(cfg)
     batch = random_batch(cfg, vocab)
-    z, _, _ = model.encode_scene(batch)
+    z, _ = model.encode_scene(batch)
     hidden, logits = model.lm.forward_hidden(z, batch["answer_ids"])
     loss, _ = model.forward_train(batch, box_weight=1.0)
     for name, t in (("z", z), ("hidden", hidden), ("logits", logits), ("loss", loss)):
@@ -494,7 +497,7 @@ def test_answer_rows_span_window():
     cfg = tiny_cfg()
     model, vocab = make_model(cfg)
     batch = random_batch(cfg, vocab)
-    z, _, _ = model.encode_scene(batch)
+    z, _ = model.encode_scene(batch)
     hidden, _ = model.lm.forward_hidden(z, batch["answer_ids"])
     rows, mask = model.answer_rows(hidden, batch["answer_mask"])
     assert rows.shape == (3, ANSWER_SPAN[1] - ANSWER_SPAN[0], cfg.model.d_l)

@@ -7,6 +7,7 @@ import pytest
 
 from hirisk.config import SceneConfig
 from hirisk.grammar import parse_caption, tokenize
+from hirisk.model import MODEL_SCENE_FIELDS
 from hirisk.scenes import (
     MIN_DRAW_PX,
     SceneDataset,
@@ -189,6 +190,19 @@ def test_dataset_save_load_round_trip(tmp_path):
     assert manifest["config"]["seed"] == 100
     assert len(manifest["samples"]) == len(ds)
     assert sorted(p.name for p in (tmp_path / "train").iterdir()) == ["scenes.npz"]
+
+
+def test_load_checks_the_split_against_a_scene_config(tmp_path):
+    cfg = _small_cfg(n_train=1)
+    save_dataset(SceneDataset.generate(cfg, "train"), cfg, str(tmp_path), "train")
+    other = _small_cfg(n_train=1, seed=cfg.seed + 1)
+    # the seed does not shape the model, so a model-shape check lets it pass
+    back = load_dataset(str(tmp_path), "train", other, MODEL_SCENE_FIELDS)
+    assert back.meta[0]["seed"] == cfg.seed
+    with pytest.raises(ValueError, match=r"\['seed'\]"):
+        load_dataset(str(tmp_path), "train", other)
+    with pytest.raises(ValueError, match=r"\['hr_size'\]"):
+        load_dataset(str(tmp_path), "train", _small_cfg(n_train=1, hr_size=64), MODEL_SCENE_FIELDS)
 
 
 def test_load_rejects_a_version_1_manifest(tmp_path):

@@ -314,7 +314,6 @@ def test_each_step_graph_is_freed_before_the_next_forward(tiny_data, monkeypatch
             stale.append(sum(ref() is not None for ref in losses))
             out = fn(*args, **kwargs)
             loss = out[0] if isinstance(out, tuple) else out
-            loss.data = np.asarray(loss.data)  # a numpy scalar takes no weak reference
             losses.append(weakref.ref(loss.data))
             return out
         return wrapper
@@ -338,34 +337,23 @@ def test_exploding_lr_aborts_with_diagnostics(tiny_data):
     assert diag["step"] < 30
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_highlight_warmup_aborts_with_diagnostics(tiny_data):
+    cfg = tiny_cfg(highlight_pretrain_lr=1e38, highlight_pretrain_steps=30)
+    with pytest.raises(TrainAbort) as err:
+        train_model(cfg, tiny_data[0], log=quiet)
+    diag = err.value.diagnostics
+    assert diag["phase"] == "highlight_warmup"
+    assert set(diag) >= {"step", "lr", "grad_norm", "error"}
+    assert diag["step"] < 30 and diag["lr"] == 1e38
+
+
 def test_gate_failure_refuses_to_train(tiny_data, monkeypatch):
     import hirisk.train as train_mod
 
     monkeypatch.setattr(train_mod, "gating_gap", lambda *a, **k: 1.0)
     with pytest.raises(GateError):
         train_model(tiny_cfg(), tiny_data[0], log=quiet)
-
-
-def test_every_logger_a_run_opens_is_closed(tmp_path, tiny_data, monkeypatch):
-    import hirisk.train as train_mod
-
-    opened = []
-
-    class SpyLogger(train_mod.Logger):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            opened.append(self)
-
-    monkeypatch.setattr(train_mod, "Logger", SpyLogger)
-    with monkeypatch.context() as gate:
-        gate.setattr(train_mod, "gating_gap", lambda *a, **k: 1.0)
-        with pytest.raises(GateError):
-            train_model(tiny_cfg(), tiny_data[0], run_dir=str(tmp_path / "run"))
-    assert len(opened) == 1 and opened[0].fh is None
-    rows = [("baseline_only", Ablation(baseline_only=True))]
-    run_ablation_grid(tiny_cfg(steps=1), [0], tiny_data[0], tiny_data[1], rows=rows,
-                      run_dir=str(tmp_path / "grid"))
-    assert len(opened) == 2 and opened[1].fh is None
 
 
 def test_load_or_generate_caches_and_validates(tmp_path):
