@@ -310,6 +310,8 @@ class ComputationTape:
 #
 # Each closure captures `grad_node`s (None for an operand that needs no
 # gradient) and the arrays or shapes it reads, never an operand `Tensor`.
+# A closure is kept only when its output requires grad; for a one-operand
+# op that means its operand needs a gradient, so its node is never None.
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -349,8 +351,7 @@ def power(a: Tensor, exponent: float) -> Tensor:
     na, ad = grad_node(a), a.data
 
     def backward(g):
-        if na is not None:
-            na._accum(g * e * ad ** (e - 1.0))
+        na._accum(g * e * ad ** (e - 1.0))
 
     return Tensor._from_op(data, (a,), backward, "pow")
 
@@ -379,8 +380,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     na, sa = grad_node(a), a.shape
 
     def backward(g):
-        if na is not None:
-            na._accum(g.reshape(sa))
+        na._accum(g.reshape(sa))
 
     return Tensor._from_op(data, (a,), backward, "reshape")
 
@@ -390,8 +390,7 @@ def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
     na = grad_node(a)
 
     def backward(g):
-        if na is not None:
-            na._accum(np.swapaxes(g, ax1, ax2))
+        na._accum(np.swapaxes(g, ax1, ax2))
 
     return Tensor._from_op(data, (a,), backward, "swapaxes")
 
@@ -401,8 +400,6 @@ def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
     na, sa, dtype = grad_node(a), a.shape, a.dtype
 
     def backward(g):
-        if na is None:
-            return
         if axis is None:
             na._accum(np.broadcast_to(g, sa).copy() if np.ndim(g) else np.full(sa, g, dtype=dtype))
             return
@@ -434,8 +431,6 @@ def getitem(a: Tensor, idx) -> Tensor:
     na, sa, dtype = grad_node(a), a.shape, a.dtype
 
     def backward(g):
-        if na is None:
-            return
         ga = np.zeros(sa, dtype)
         if fancy:
             np.add.at(ga, idx, g)
@@ -468,32 +463,9 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
     na, sa = grad_node(a), a.shape
 
     def backward(g):
-        if na is not None:
-            na._accum(unbroadcast(g, sa))
+        na._accum(unbroadcast(g, sa))
 
     return Tensor._from_op(data, (a,), backward, "broadcast_to")
-
-
-def exp(a: Tensor) -> Tensor:
-    data = np.exp(a.data)
-    na = grad_node(a)
-
-    def backward(g):
-        if na is not None:
-            na._accum(g * data)
-
-    return Tensor._from_op(data, (a,), backward, "exp")
-
-
-def log(a: Tensor) -> Tensor:
-    data = np.log(a.data)
-    na, ad = grad_node(a), a.data
-
-    def backward(g):
-        if na is not None:
-            na._accum(g / ad)
-
-    return Tensor._from_op(data, (a,), backward, "log")
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
@@ -502,8 +474,7 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     na = grad_node(a)
 
     def backward(g):
-        if na is not None:
-            na._accum(g * mask)
+        na._accum(g * mask)
 
     return Tensor._from_op(data, (a,), backward, "clip")
 

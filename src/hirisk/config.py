@@ -129,14 +129,13 @@ def load_config(path: str) -> RunConfig:
         return from_dict(json.load(fh))
 
 
-def save_config(cfg: RunConfig, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(to_dict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def apply_override(cfg: RunConfig, key: str, value: str) -> None:
-    """Set a dotted field like 'train.lr=3e-4' from its string form."""
+    """Set a dotted field like 'train.lr=3e-4' from its string form.
+
+    The section set on re-runs its `__post_init__`, so an override is checked
+    and implies what the constructor would (`baseline_only` sets the branch
+    flags); a section itself cannot be replaced.
+    """
     parts = key.split(".")
     obj = cfg
     for p in parts[:-1]:
@@ -147,6 +146,8 @@ def apply_override(cfg: RunConfig, key: str, value: str) -> None:
     if not hasattr(obj, leaf):
         raise KeyError(f"no config field '{leaf}' in '{key}'")
     current = getattr(obj, leaf)
+    if dataclasses.is_dataclass(current):
+        raise KeyError(f"'{key}' is a config section; set one of its fields")
     if isinstance(current, bool):
         setattr(obj, leaf, value.lower() in ("1", "true", "yes"))
     elif isinstance(current, int):
@@ -155,3 +156,5 @@ def apply_override(cfg: RunConfig, key: str, value: str) -> None:
         setattr(obj, leaf, float(value))
     else:
         setattr(obj, leaf, value)
+    if hasattr(obj, "__post_init__"):
+        obj.__post_init__()

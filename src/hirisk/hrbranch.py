@@ -3,9 +3,10 @@
 Pipeline on one high-resolution frame: a small residual CNN produces a
 spatial feature grid; the enumeration module turns a gradient-based saliency
 readout (feature-space class-activation mapping against a fixed localization
-prompt) into a [0,1] highlight map; the highlighted image re-enters the CNN;
-the incorporation module injects the resulting features into the video
-encoder's cls tokens through zero-gated cross-attention; and a box head
+prompt) into a [0,1] highlight map, which scales the CNN's output grid cell
+by cell (`apply_highlight`, called from `model.hr_features`; the CNN runs
+once); the incorporation module injects the highlighted features into the
+video encoder's cls tokens through zero-gated cross-attention; and a box head
 regresses the risk-object box.
 
 Every box head has the same two methods, `loss(h_a, feats, span_mask, gt)`

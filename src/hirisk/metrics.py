@@ -15,7 +15,6 @@ from collections import Counter
 import numpy as np
 
 from .grammar import parse_caption
-from .scenes import size_bucket
 
 
 # -- caption overlap -----------------------------------------------------------
@@ -120,9 +119,9 @@ def iou(a, b) -> float:
 def evaluate_predictions(samples, predictions) -> dict:
     """Score decoded outputs against ground truth.
 
-    samples: dicts with caption_tokens, box, risk_class, bucket (optional,
-    recomputed from the box when missing), and optional distractor and
-    hr_critical flags, scenario and id.
+    samples: scene manifest records (see `scenes.SceneSample`) with `id` and
+    `caption_tokens` added; evaluation reads caption_tokens, box, bucket,
+    risk_class, hr_critical, distractor, scenario and id.
     predictions: dicts with tokens, box (tuple or None), box_source.
 
     A missing or malformed predicted box scores zero overlap instead of
@@ -130,8 +129,7 @@ def evaluate_predictions(samples, predictions) -> dict:
     JSON-ready dict. Besides the size buckets it holds the mIoU slices
     `iou_hr_critical`/`iou_not_hr_critical`, `iou_distractor`/
     `iou_not_distractor`, `iou_scenario_<scenario>` and
-    `iou_class_<risk_class>`; empty buckets and slices are simply absent,
-    and a sample without a flag or scenario joins none of its slices.
+    `iou_class_<risk_class>`; empty buckets and slices are simply absent.
     """
     if len(samples) != len(predictions):
         raise ValueError("sample and prediction counts differ")
@@ -155,46 +153,41 @@ def evaluate_predictions(samples, predictions) -> dict:
         refs.append(ref)
         hyps.append(hyp)
 
-        box = p.get("box")
+        box = p["box"]
         if box_is_valid(box):
             n_valid_box += 1
             overlap = iou(box, s["box"])
         else:
             overlap = 0.0
         iou_sum += overlap
-        bucket = s.get("bucket") or size_bucket(s["box"])
-        bucket_ious.setdefault(bucket, []).append(overlap)
-        flags = {name: s.get(name) for name in ("hr_critical", "distractor")}
-        for name, flag in flags.items():
-            if flag is not None:
-                flags[name] = bool(flag)
-                slice_ious.setdefault(f"iou_{name}" if flag else f"iou_not_{name}", []).append(overlap)
-        scenario = s.get("scenario")
-        if scenario is not None:
-            slice_ious.setdefault(f"iou_scenario_{scenario}", []).append(overlap)
+        bucket_ious.setdefault(s["bucket"], []).append(overlap)
+        for name in ("hr_critical", "distractor"):
+            key = f"iou_{name}" if s[name] else f"iou_not_{name}"
+            slice_ious.setdefault(key, []).append(overlap)
+        slice_ious.setdefault(f"iou_scenario_{s['scenario']}", []).append(overlap)
         slice_ious.setdefault(f"iou_class_{s['risk_class']}", []).append(overlap)
 
         parsed = parse_caption(hyp)
         hit = parsed.obj_class == s["risk_class"]
         class_hits.append(hit)
-        if s.get("distractor"):
+        if s["distractor"]:
             distractor_hits.append(hit)
         is_exact = hyp == ref
         exact += is_exact
 
         per_sample.append(
             {
-                "id": s.get("id", len(per_sample)),
+                "id": s["id"],
                 "iou": float(overlap),
-                "bucket": bucket,
-                "hr_critical": flags["hr_critical"],
-                "distractor": flags["distractor"],
-                "scenario": scenario,
+                "bucket": s["bucket"],
+                "hr_critical": s["hr_critical"],
+                "distractor": s["distractor"],
+                "scenario": s["scenario"],
                 "pred_class": parsed.obj_class,
                 "true_class": s["risk_class"],
                 "class_hit": bool(hit),
                 "exact": bool(is_exact),
-                "box_source": p.get("box_source", "head"),
+                "box_source": p["box_source"],
                 "bleu_smoothed": sentence_bleu_smoothed(hyp, ref),
             }
         )

@@ -55,9 +55,6 @@ class Module:
             p.data = p.data.astype(dtype)
         return self
 
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.named_parameters()}
-
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         own = dict(self.named_parameters())
         if set(own) != set(state):

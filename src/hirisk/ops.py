@@ -43,9 +43,8 @@ def relu(x: Tensor) -> Tensor:
     nx = grad_node(x)
 
     def backward(g):
-        if nx is not None:
-            # data > 0 exactly where x > 0 (NaN and -0.0 included)
-            nx._accum(g * (data > 0.0))
+        # data > 0 exactly where x > 0 (NaN and -0.0 included)
+        nx._accum(g * (data > 0.0))
 
     return Tensor._from_op(data, (x,), backward, "relu")
 
@@ -60,16 +59,15 @@ def gelu(x: Tensor) -> Tensor:
     nx, xd = grad_node(x), x.data
 
     def backward(g):
-        if nx is not None:
-            # g * (cdf + x * pdf), built in one buffer
-            d = -0.5 * xd
-            d *= xd
-            np.exp(d, out=d)
-            d *= _INV_SQRT2PI
-            d *= xd
-            d += cdf
-            d *= g
-            nx._accum(d)
+        # g * (cdf + x * pdf), built in one buffer
+        d = -0.5 * xd
+        d *= xd
+        np.exp(d, out=d)
+        d *= _INV_SQRT2PI
+        d *= xd
+        d += cdf
+        d *= g
+        nx._accum(d)
 
     return Tensor._from_op(data, (x,), backward, "gelu")
 
@@ -86,8 +84,7 @@ def sigmoid(x: Tensor) -> Tensor:
     nx = grad_node(x)
 
     def backward(g):
-        if nx is not None:
-            nx._accum(g * data * (1.0 - data))
+        nx._accum(g * data * (1.0 - data))
 
     return Tensor._from_op(data, (x,), backward, "sigmoid")
 
@@ -147,8 +144,7 @@ def softmax_rows(x: Tensor) -> Tensor:
     nx = grad_node(x)
 
     def backward(g):
-        if nx is not None:
-            nx._accum(_softmax_grad(g, p))
+        nx._accum(_softmax_grad(g, p))
 
     return Tensor._from_op(p, (x,), backward, "softmax_rows")
 
@@ -374,11 +370,10 @@ def cross_entropy_logits(logits: Tensor, targets: np.ndarray, mask: np.ndarray |
     nl, sl = grad_node(logits), logits.shape
 
     def backward(g):
-        if nl is not None:
-            p = np.exp(flat - lse[:, None])
-            p[np.arange(flat.shape[0]), tflat] -= 1.0
-            p *= (mflat / denom)[:, None]
-            nl._accum((g * p).reshape(sl))
+        p = np.exp(flat - lse[:, None])
+        p[np.arange(flat.shape[0]), tflat] -= 1.0
+        p *= (mflat / denom)[:, None]
+        nl._accum((g * p).reshape(sl))
 
     return Tensor._from_op(data, (logits,), backward, "cross_entropy")
 
@@ -393,8 +388,7 @@ def l1_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     n, npred = pred.size, grad_node(pred)
 
     def backward(g):
-        if npred is not None:
-            npred._accum(g * np.sign(diff) / n)
+        npred._accum(g * np.sign(diff) / n)
 
     return Tensor._from_op(data, (pred,), backward, "l1_loss")
 
@@ -410,8 +404,7 @@ def binary_cross_entropy_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     n, nl = logits.size, grad_node(logits)
 
     def backward(g):
-        if nl is not None:
-            nl._accum(g * (_stable_sigmoid(z) - t) / n)
+        nl._accum(g * (_stable_sigmoid(z) - t) / n)
 
     return Tensor._from_op(data, (logits,), backward, "bce_logits")
 
@@ -429,10 +422,9 @@ def embedding_lookup(table: Tensor, idx: np.ndarray) -> Tensor:
     nt, st, dtype = grad_node(table), table.shape, table.dtype
 
     def backward(g):
-        if nt is not None:
-            gt = np.zeros(st, dtype)
-            np.add.at(gt, idx, g)
-            nt._accum(gt)
+        gt = np.zeros(st, dtype)
+        np.add.at(gt, idx, g)
+        nt._accum(gt)
 
     return Tensor._from_op(data, (table,), backward, "embedding_lookup")
 
@@ -450,7 +442,6 @@ def masked_mean_rows(x: Tensor, mask: np.ndarray) -> Tensor:
     nx = grad_node(x)
 
     def backward(g):
-        if nx is not None:
-            nx._accum(g[:, None, :] * wgt)
+        nx._accum(g[:, None, :] * wgt)
 
     return Tensor._from_op(data, (x,), backward, "masked_mean_rows")

@@ -23,22 +23,13 @@ class AdamW:
                  eps: float = 1e-8, weight_decay: float = 0.01):
         if isinstance(param_groups, dict):
             param_groups = [{"params": param_groups}]
-        self.groups = []
-        for g in param_groups:
-            self.groups.append({
-                "params": dict(g["params"]),
-                "lr_scale": float(g.get("lr_scale", 1.0)),
-                "weight_decay": float(g.get("weight_decay", weight_decay)),
-            })
+        self.groups = [{"params": dict(g["params"]), "lr_scale": float(g.get("lr_scale", 1.0))}
+                       for g in param_groups]
         self.lr = float(lr)
+        self.weight_decay = float(weight_decay)
         self.beta1, self.beta2 = betas
         self.eps = float(eps)
         self.state: dict[str, tuple[np.ndarray, np.ndarray, int]] = {}
-
-    def zero_grad(self):
-        for g in self.groups:
-            for p in g["params"].values():
-                p.zero_grad()
 
     def load_state(self, state: dict) -> None:
         """Replace the moments with copies of `state`, {name: (m, v, t)}."""
@@ -51,7 +42,6 @@ class AdamW:
     def step(self):
         for g in self.groups:
             lr = self.lr * g["lr_scale"]
-            wd = g["weight_decay"]
             for name, p in g["params"].items():
                 if p.grad is None:
                     continue
@@ -65,8 +55,8 @@ class AdamW:
                 v += (1.0 - self.beta2) * grad * grad
                 mhat = m / (1.0 - self.beta1**t)
                 vhat = v / (1.0 - self.beta2**t)
-                if wd:
-                    p.data -= lr * wd * p.data
+                if self.weight_decay:
+                    p.data -= lr * self.weight_decay * p.data
                 p.data -= lr * mhat / (np.sqrt(vhat) + self.eps)
 
     def grad_norm(self) -> float:

@@ -58,18 +58,11 @@ CLASS_SHAPE = {
     "light": ("circle", 1.0, 1.0),
 }
 
-SCENARIOS = ("end_in_band", "cross_right", "cross_left")
-SCENARIO_PROBS = (0.5, 0.25, 0.25)
-
-SCENARIO_MOTION = {
-    "end_in_band": "into_band",
-    "cross_right": "cross_right",
-    "cross_left": "cross_left",
-}
-SCENARIO_POSITION = {
-    "end_in_band": "in_band",
-    "cross_right": "right",
-    "cross_left": "left",
+# scenario -> (probability, motion key, position key)
+SCENARIOS = {
+    "end_in_band": (0.5, "into_band", "in_band"),
+    "cross_right": (0.25, "cross_right", "right"),
+    "cross_left": (0.25, "cross_left", "left"),
 }
 
 
@@ -93,36 +86,15 @@ class SceneObject:
 
 @dataclass
 class SceneSample:
+    """One scene: the clip, the HR frame and `meta`, the manifest record
+    that `save_dataset` writes and evaluation reads: caption, box
+    (normalized x1, y1, x2, y2), risk_class, color, motion_key,
+    position_key, suggestion_idx, bucket, distractor, hr_critical, scenario
+    and seed."""
+
     clip: np.ndarray  # uint8 [L, lr, lr, 3]
     hr: np.ndarray  # uint8 [hr, hr, 3]
-    caption: str
-    box: tuple  # normalized (x1, y1, x2, y2)
-    risk_class: str
-    color: str
-    motion_key: str
-    position_key: str
-    suggestion_idx: int
-    bucket: str
-    distractor: bool
-    hr_critical: bool
-    scenario: str
-    seed: int
-
-    def meta(self) -> dict:
-        return {
-            "caption": self.caption,
-            "box": [float(v) for v in self.box],
-            "risk_class": self.risk_class,
-            "color": self.color,
-            "motion_key": self.motion_key,
-            "position_key": self.position_key,
-            "suggestion_idx": int(self.suggestion_idx),
-            "bucket": self.bucket,
-            "distractor": bool(self.distractor),
-            "hr_critical": bool(self.hr_critical),
-            "scenario": self.scenario,
-            "seed": int(self.seed),
-        }
+    meta: dict
 
 
 # -- geometry ------------------------------------------------------------------
@@ -312,7 +284,8 @@ def generate_scene(seed: int, cfg: SceneConfig) -> SceneSample:
                          f"at lr_size={cfg.lr_size}: hr_size must exceed about 3 * lr_size, "
                          f"or hr_critical_frac must be 0")
     rng = named_rng(seed, "scene")
-    scenario = SCENARIOS[int(rng.choice(len(SCENARIOS), p=SCENARIO_PROBS))]
+    probs = [p for p, _, _ in SCENARIOS.values()]
+    scenario = list(SCENARIOS)[int(rng.choice(len(SCENARIOS), p=probs))]
     hr_critical = bool(rng.random() < cfg.hr_critical_frac)
     risk = _sample_risk_object(rng, scenario, hr_critical, cfg)
 
@@ -334,29 +307,26 @@ def generate_scene(seed: int, cfg: SceneConfig) -> SceneSample:
         [render_frame(objects, t, cfg.lr_size) for t in range(cfg.clip_len)]
     )
     hr = render_frame(objects, cfg.clip_len - 1, cfg.hr_size)
-    box = mask_box(risk, cfg.clip_len - 1, cfg.hr_size)
 
-    motion_key = SCENARIO_MOTION[scenario]
-    position_key = SCENARIO_POSITION[scenario]
+    _, motion_key, position_key = SCENARIOS[scenario]
     suggestion_idx = suggestion_index(risk.obj_class, motion_key, position_key)
-    caption = make_caption(risk.color, risk.obj_class, motion_key, position_key, suggestion_idx)
-
-    return SceneSample(
-        clip=clip,
-        hr=hr,
-        caption=caption,
-        box=box,
-        risk_class=risk.obj_class,
-        color=risk.color,
-        motion_key=motion_key,
-        position_key=position_key,
-        suggestion_idx=suggestion_idx,
-        bucket=size_bucket(box),
-        distractor=has_distractor,
-        hr_critical=hr_critical,
-        scenario=scenario,
-        seed=seed,
-    )
+    box = [float(v) for v in mask_box(risk, cfg.clip_len - 1, cfg.hr_size)]
+    meta = {
+        "caption": make_caption(risk.color, risk.obj_class, motion_key, position_key,
+                                suggestion_idx),
+        "box": box,
+        "risk_class": risk.obj_class,
+        "color": risk.color,
+        "motion_key": motion_key,
+        "position_key": position_key,
+        "suggestion_idx": suggestion_idx,
+        "bucket": size_bucket(box),
+        "distractor": has_distractor,
+        "hr_critical": hr_critical,
+        "scenario": scenario,
+        "seed": int(seed),
+    }
+    return SceneSample(clip, hr, meta)
 
 
 # -- dataset -------------------------------------------------------------------
@@ -383,7 +353,7 @@ class SceneDataset:
         return cls(
             clips=np.stack([s.clip for s in samples]),
             hrs=np.stack([s.hr for s in samples]),
-            meta=[s.meta() for s in samples],
+            meta=[s.meta for s in samples],
         )
 
 

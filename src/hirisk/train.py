@@ -342,21 +342,9 @@ def train_model(cfg: RunConfig, train_ds: SceneDataset, run_dir=None, log=print)
 
 
 def evaluation_samples(ds: SceneDataset, variant: str) -> list[dict]:
-    out = []
-    for i, m in enumerate(ds.meta):
-        out.append(
-            {
-                "id": i,
-                "caption_tokens": tokenize(caption_text(m, variant)),
-                "box": m["box"],
-                "risk_class": m["risk_class"],
-                "bucket": m["bucket"],
-                "distractor": m["distractor"],
-                "hr_critical": m["hr_critical"],
-                "scenario": m["scenario"],
-            }
-        )
-    return out
+    """Each scene's manifest record, with its `id` and reference `caption_tokens`."""
+    return [{**m, "id": i, "caption_tokens": tokenize(caption_text(m, variant))}
+            for i, m in enumerate(ds.meta)]
 
 
 def evaluate_model(model: DualBranchModel, vocab: Vocabulary, test_ds: SceneDataset,

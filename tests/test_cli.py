@@ -7,29 +7,22 @@ import os
 import pytest
 
 from hirisk.cli import main
-from hirisk.config import (
-    ModelConfig,
-    RunConfig,
-    SceneConfig,
-    TrainConfig,
-    save_config,
-)
+from hirisk.config import RunConfig, SceneConfig, TrainConfig, canonical_json
+from tiny_model import tiny_model
 
 
 def tiny_cfg() -> RunConfig:
     scene = SceneConfig(n_train=12, n_test=4, clip_len=4, lr_size=16, hr_size=64, seed=5)
-    model = ModelConfig(patch=8, d_v=16, n_layers=2, n_heads=2, adapter_dim=4,
-                        n_queries=4, d_l=32, lm_layers=1, lm_heads=2, cnn_width=4,
-                        qdh_dim=16, qdh_heads=2)
     train = TrainConfig(steps=2, batch_size=4, highlight_pretrain_steps=2,
                         log_every=100, eval_batch=4)
-    return RunConfig(model=model, scene=scene, train=train)
+    return RunConfig(model=tiny_model(), scene=scene, train=train)
 
 
 @pytest.fixture()
 def cfg_file(tmp_path):
     path = str(tmp_path / "cfg.json")
-    save_config(tiny_cfg(), path)
+    with open(path, "w") as fh:
+        fh.write(canonical_json(tiny_cfg()))
     return path
 
 

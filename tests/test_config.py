@@ -11,7 +11,6 @@ from hirisk.config import (
     config_hash,
     from_dict,
     load_config,
-    save_config,
     to_dict,
 )
 
@@ -54,8 +53,8 @@ def test_canonical_json_stable_and_hash_sensitivity():
 def test_file_round_trip(tmp_path):
     cfg = RunConfig()
     cfg.scene.n_train = 64
-    path = tmp_path / "run.json"
-    save_config(cfg, path)
+    path = tmp_path / "config.snapshot"
+    path.write_text(canonical_json(cfg))
     assert load_config(path) == cfg
 
 
@@ -77,6 +76,30 @@ def test_apply_override_rejects_unknown():
     cfg = RunConfig()
     with pytest.raises((AttributeError, ValueError, KeyError)):
         apply_override(cfg, "train.not_a_field", "1")
+
+
+def test_apply_override_implies_what_the_constructor_does():
+    cfg = RunConfig()
+    apply_override(cfg, "model.ablation.baseline_only", "true")
+    assert cfg.model.ablation == Ablation(baseline_only=True)
+    # so the run's checkpoint, checked by config hash, loads again
+    assert config_hash(from_dict(to_dict(cfg))) == config_hash(cfg)
+
+
+def test_apply_override_validates_the_section():
+    cfg = RunConfig()
+    with pytest.raises(ValueError, match="head_variant"):
+        apply_override(cfg, "model.head_variant", "bogus")
+    with pytest.raises(ValueError, match="span_mode"):
+        apply_override(RunConfig(), "model.span_mode", "bogus")
+
+
+@pytest.mark.parametrize("key", ["model.ablation", "train"])
+def test_apply_override_rejects_a_section(key):
+    cfg = RunConfig()
+    with pytest.raises(KeyError, match="section"):
+        apply_override(cfg, key, "x")
+    assert cfg == RunConfig()
 
 
 def test_invalid_variant_rejected():

@@ -211,11 +211,14 @@ def _toy_eval():
     ref3 = "there is a green pedestrian".split()
     samples = [
         {"id": 0, "caption_tokens": ref1, "box": [0.25, 0.25, 0.75, 0.75],
-         "risk_class": "car", "bucket": "L", "distractor": False},
+         "risk_class": "car", "bucket": "L", "distractor": False, "hr_critical": True,
+         "scenario": "end_in_band"},
         {"id": 1, "caption_tokens": ref2, "box": [0.25, 0.25, 0.75, 0.75],
-         "risk_class": "truck", "bucket": "L", "distractor": True},
+         "risk_class": "truck", "bucket": "L", "distractor": True, "hr_critical": False,
+         "scenario": "cross_left"},
         {"id": 2, "caption_tokens": ref3, "box": [0.1, 0.1, 0.18, 0.18],
-         "risk_class": "pedestrian", "bucket": "S", "distractor": True},
+         "risk_class": "pedestrian", "bucket": "S", "distractor": True, "hr_critical": True,
+         "scenario": "end_in_band"},
     ]
     preds = [
         {"tokens": list(ref1), "box": (0.25, 0.25, 0.75, 0.75), "box_source": "head"},
@@ -246,8 +249,6 @@ def test_evaluate_report_values():
 
 def test_evaluate_hr_critical_slices():
     samples, preds = _toy_eval()
-    for s, flag in zip(samples, (True, False, True)):
-        s["hr_critical"] = flag
     rep = evaluate_predictions(samples, preds)
     # ious 1.0 and 0.0 are HR-critical, 1/7 is not
     assert rep["iou_hr_critical"] == 0.5
@@ -258,16 +259,10 @@ def test_evaluate_hr_critical_slices():
     rep = evaluate_predictions(samples, preds)
     assert "iou_not_hr_critical" not in rep
     assert abs(rep["iou_hr_critical"] - rep["miou"]) < 1e-12
-    # samples without the field make no slice
-    rep = evaluate_predictions(*_toy_eval())
-    assert "iou_hr_critical" not in rep and "iou_not_hr_critical" not in rep
-    assert [r["hr_critical"] for r in rep["per_sample"]] == [None, None, None]
 
 
 def test_evaluate_distractor_scenario_and_class_slices():
     samples, preds = _toy_eval()
-    for s, scenario in zip(samples, ("end_in_band", "cross_left", "end_in_band")):
-        s["scenario"] = scenario
     rep = evaluate_predictions(samples, preds)
     # ious 1.0, 1/7 and 0.0; samples 1 and 2 are distractor scenes
     assert abs(rep["iou_distractor"] - 1.0 / 14.0) < 1e-12
@@ -277,33 +272,24 @@ def test_evaluate_distractor_scenario_and_class_slices():
     assert rep["iou_class_car"] == 1.0
     assert abs(rep["iou_class_truck"] - 1.0 / 7.0) < 1e-12
     assert rep["iou_class_pedestrian"] == 0.0
+    assert {key for key in rep if key.startswith("iou_class_")} == {
+        "iou_class_car", "iou_class_truck", "iou_class_pedestrian"}
     assert [r["distractor"] for r in rep["per_sample"]] == [False, True, True]
     assert [r["scenario"] for r in rep["per_sample"]] == ["end_in_band", "cross_left", "end_in_band"]
-    # empty slices are absent; samples without the fields make no slice
+    # an empty slice is absent
     for s in samples:
         s["distractor"] = True
-        del s["scenario"]
     rep = evaluate_predictions(samples, preds)
     assert "iou_not_distractor" not in rep
     assert abs(rep["iou_distractor"] - rep["miou"]) < 1e-12
-    assert not any(key.startswith("iou_scenario_") for key in rep)
-    assert [r["scenario"] for r in rep["per_sample"]] == [None, None, None]
-    for s in samples:
-        del s["distractor"]
-    rep = evaluate_predictions(samples, preds)
-    assert "iou_distractor" not in rep and "iou_not_distractor" not in rep
-    assert [r["distractor"] for r in rep["per_sample"]] == [None, None, None]
-    assert {key for key in rep if key.startswith("iou_class_")} == {
-        "iou_class_car", "iou_class_truck", "iou_class_pedestrian"}
 
 
-def test_evaluate_bucket_fallback_from_box():
+def test_evaluate_reads_the_record_as_written():
+    # no field is recomputed or defaulted: a record without its bucket is a caller error
     samples, preds = _toy_eval()
-    for s in samples:
-        s.pop("bucket")
-    rep = evaluate_predictions(samples, preds)
-    # area 0.25 -> L, area 0.0064 -> S
-    assert "iou_L" in rep and "iou_S" in rep
+    del samples[2]["bucket"]
+    with pytest.raises(KeyError, match="bucket"):
+        evaluate_predictions(samples, preds)
 
 
 def test_evaluate_empty_or_mismatched_raises():

@@ -14,16 +14,14 @@ from hirisk.model import DualBranchModel
 from hirisk.optim import AdamW
 from hirisk.rng import named_rng
 from hirisk.train import gating_gap
+from tiny_model import tiny_model
 
 TA = 10
 
 
 def tiny_cfg(**model_kw) -> RunConfig:
     scene = SceneConfig(n_train=8, n_test=4, clip_len=2, lr_size=16, hr_size=64)
-    model = ModelConfig(patch=8, d_v=16, n_layers=2, n_heads=2, adapter_dim=4,
-                        n_queries=4, d_l=32, lm_layers=1, lm_heads=2, cnn_width=4,
-                        qdh_dim=16, qdh_heads=2, **model_kw)
-    return RunConfig(model=model, scene=scene, train=TrainConfig(seed=0))
+    return RunConfig(model=tiny_model(**model_kw), scene=scene, train=TrainConfig(seed=0))
 
 
 def make_model(cfg: RunConfig, seed: int = 0):

@@ -58,9 +58,9 @@ def test_caption_is_a_function_of_the_scene():
     cfg = _small_cfg(clip_len=3, lr_size=16, hr_size=64)
     captions: dict[tuple, set] = {}
     for seed in range(300):
-        s = generate_scene(seed, cfg)
-        key = (s.color, s.risk_class, s.motion_key, s.position_key)
-        captions.setdefault(key, set()).add(s.caption)
+        m = generate_scene(seed, cfg).meta
+        key = (m["color"], m["risk_class"], m["motion_key"], m["position_key"])
+        captions.setdefault(key, set()).add(m["caption"])
     assert sum(len(c) for c in captions.values()) == len(captions)
     assert len(captions) < 150  # most keys were drawn more than once
 
@@ -71,13 +71,24 @@ def test_shortest_allowed_clip_generates_every_scenario():
     assert {m["scenario"] for m in ds.meta} == {"end_in_band", "cross_right", "cross_left"}
 
 
+def test_scene_record_is_the_manifest_record():
+    s = generate_scene(3, _small_cfg())
+    assert set(vars(s)) == {"clip", "hr", "meta"}
+    assert set(s.meta) == {"caption", "box", "risk_class", "color", "motion_key", "position_key",
+                           "suggestion_idx", "bucket", "distractor", "hr_critical", "scenario",
+                           "seed"}
+    # plain JSON types, so the record is written and read back unchanged
+    assert json.loads(json.dumps(s.meta)) == s.meta
+    assert type(s.meta["hr_critical"]) is bool and type(s.meta["distractor"]) is bool
+
+
 def test_scene_generation_deterministic():
     cfg = _small_cfg()
     a = generate_scene(3, cfg)
     b = generate_scene(3, cfg)
     assert np.array_equal(a.clip, b.clip)
     assert np.array_equal(a.hr, b.hr)
-    assert a.meta() == b.meta()
+    assert a.meta == b.meta
     c = generate_scene(4, cfg)
     assert not np.array_equal(a.hr, c.hr)
 
@@ -104,11 +115,11 @@ def test_only_risk_object_enters_band():
     # the rule matches the rendered caption on generated scenes
     cfg = _small_cfg(n_train=20)
     for seed in range(100, 120):
-        s = generate_scene(seed, cfg)
-        parsed = parse_caption(tokenize(s.caption))
-        assert parsed.obj_class == s.risk_class
-        assert parsed.color == s.color
-        assert s.bucket == size_bucket(s.box)
+        m = generate_scene(seed, cfg).meta
+        parsed = parse_caption(tokenize(m["caption"]))
+        assert parsed.obj_class == m["risk_class"]
+        assert parsed.color == m["color"]
+        assert m["bucket"] == size_bucket(m["box"])
 
 
 def test_ground_truth_box_matches_pixel_extent():
@@ -151,12 +162,12 @@ def test_hr_critical_scenes_are_lr_invisible_and_small():
     empty_lr = render_frame([], 0, cfg.lr_size)
     for seed in range(200, 212):
         s = generate_scene(seed, cfg)
-        assert s.hr_critical
-        assert s.bucket == "S"
+        assert s.meta["hr_critical"]
+        assert s.meta["bucket"] == "S"
         for t in range(cfg.clip_len):
             assert np.array_equal(s.clip[t], empty_lr)
         # ... but the object does appear in the high-resolution view
-        x1, y1, x2, y2 = s.box
+        x1, y1, x2, y2 = s.meta["box"]
         r1, r2 = int(y1 * cfg.hr_size), int(np.ceil(y2 * cfg.hr_size))
         c1, c2 = int(x1 * cfg.hr_size), int(np.ceil(x2 * cfg.hr_size))
         crop = s.hr[r1:r2, c1:c2]
@@ -166,7 +177,7 @@ def test_hr_critical_scenes_are_lr_invisible_and_small():
 
 def test_distractor_scenes_flagged():
     cfg = _small_cfg(distractor_frac=1.0, n_train=8)
-    flagged = [generate_scene(s, cfg).distractor for s in range(300, 308)]
+    flagged = [generate_scene(s, cfg).meta["distractor"] for s in range(300, 308)]
     assert sum(flagged) >= 6  # placement can rarely fail, never silently lie
 
 

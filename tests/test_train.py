@@ -11,13 +11,12 @@ from hirisk import ops
 from hirisk.autograd import Tensor
 from hirisk.config import (
     Ablation,
-    ModelConfig,
     RunConfig,
     SceneConfig,
     TrainConfig,
     config_hash,
 )
-from hirisk.grammar import build_vocab
+from hirisk.grammar import build_vocab, tokenize
 from hirisk.metrics import report_to_json
 from hirisk.model import DualBranchModel
 from hirisk.optim import AdamW
@@ -38,21 +37,19 @@ from hirisk.train import (
     save_checkpoint,
     train_model,
 )
+from tiny_model import tiny_model
 
 quiet = lambda s: None
 
 
 def tiny_cfg(**train_kw) -> RunConfig:
     scene = SceneConfig(n_train=16, n_test=6, clip_len=4, lr_size=16, hr_size=64, seed=3)
-    model = ModelConfig(patch=8, d_v=16, n_layers=2, n_heads=2, adapter_dim=4,
-                        n_queries=4, d_l=32, lm_layers=1, lm_heads=2, cnn_width=4,
-                        qdh_dim=16, qdh_heads=2)
     train_kw.setdefault("steps", 5)
     train_kw.setdefault("batch_size", 4)
     train_kw.setdefault("highlight_pretrain_steps", 4)
     train_kw.setdefault("log_every", 100)
     train_kw.setdefault("eval_batch", 6)
-    return RunConfig(model=model, scene=scene, train=TrainConfig(**train_kw))
+    return RunConfig(model=tiny_model(), scene=scene, train=TrainConfig(**train_kw))
 
 
 @pytest.fixture(scope="module")
@@ -94,8 +91,8 @@ def test_evaluate_is_deterministic(tiny_data):
 def test_evaluation_samples_keep_the_slice_fields(tiny_data):
     test_ds = tiny_data[1]
     samples = evaluation_samples(test_ds, "span_query")
-    assert [s["hr_critical"] for s in samples] == [m["hr_critical"] for m in test_ds.meta]
-    assert [s["scenario"] for s in samples] == [m["scenario"] for m in test_ds.meta]
+    for i, (s, m) in enumerate(zip(samples, test_ds.meta)):
+        assert s == {**m, "id": i, "caption_tokens": tokenize(m["caption"])}
 
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path, tiny_data):
@@ -423,10 +420,7 @@ def test_highlight_warmup_finds_objects():
     """After warmup the map should peak on an object, not on background."""
     scene = SceneConfig(n_train=48, n_test=4, clip_len=4, lr_size=16, hr_size=64,
                         seed=11, hr_critical_frac=0.0, distractor_frac=0.0, max_clutter=0)
-    model_cfg = ModelConfig(patch=8, d_v=16, n_layers=2, n_heads=2, adapter_dim=4,
-                            n_queries=4, d_l=32, lm_layers=1, lm_heads=2, cnn_width=4,
-                            qdh_dim=16, qdh_heads=2)
-    cfg = RunConfig(model=model_cfg, scene=scene,
+    cfg = RunConfig(model=tiny_model(), scene=scene,
                     train=TrainConfig(highlight_pretrain_steps=150, batch_size=8))
     ds = SceneDataset.generate(scene, "train")
     vocab = build_vocab()
