@@ -13,6 +13,9 @@ from dataclasses import dataclass, field
 
 HEAD_VARIANTS = ("span_query", "learned_query", "text_coords")
 
+# the spellings `apply_override` accepts for a bool field, in any case
+BOOL_WORDS = {"1": True, "0": False, "true": True, "false": False, "yes": True, "no": False}
+
 
 @dataclass
 class Ablation:
@@ -134,7 +137,8 @@ def apply_override(cfg: RunConfig, key: str, value: str) -> None:
 
     The section set on re-runs its `__post_init__`, so an override is checked
     and implies what the constructor would (`baseline_only` sets the branch
-    flags); a section itself cannot be replaced.
+    flags); a rejected value leaves the field as it was. A bool takes one of
+    `BOOL_WORDS`, and a section itself cannot be replaced.
     """
     parts = key.split(".")
     obj = cfg
@@ -149,7 +153,11 @@ def apply_override(cfg: RunConfig, key: str, value: str) -> None:
     if dataclasses.is_dataclass(current):
         raise KeyError(f"'{key}' is a config section; set one of its fields")
     if isinstance(current, bool):
-        setattr(obj, leaf, value.lower() in ("1", "true", "yes"))
+        word = value.lower()
+        if word not in BOOL_WORDS:
+            raise ValueError(f"'{key}' takes a bool (one of {'/'.join(BOOL_WORDS)}), "
+                             f"got '{value}'")
+        setattr(obj, leaf, BOOL_WORDS[word])
     elif isinstance(current, int):
         setattr(obj, leaf, int(value))
     elif isinstance(current, float):
@@ -157,4 +165,8 @@ def apply_override(cfg: RunConfig, key: str, value: str) -> None:
     else:
         setattr(obj, leaf, value)
     if hasattr(obj, "__post_init__"):
-        obj.__post_init__()
+        try:
+            obj.__post_init__()
+        except ValueError:
+            setattr(obj, leaf, current)
+            raise

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -120,55 +121,82 @@ def size_bucket(box) -> str:
 # -- rasterizer ----------------------------------------------------------------
 
 
-def _shape_mask(obj: SceneObject, t: int, size: int) -> np.ndarray:
+# the road background of each frame size, built on first use
+_BACKGROUNDS: dict[int, np.ndarray] = {}
+
+
+def _background(size: int) -> np.ndarray:
+    bg = _BACKGROUNDS.get(size)
+    if bg is None:
+        bg = np.empty((size, size, 3), dtype=np.uint8)
+        xg = (np.arange(size) + 0.5) / size
+        bg[:] = BG_LEFT
+        bg[:, xg >= ROAD_X[0]] = BG_ROAD
+        bg[:, xg >= BAND_X[0]] = BG_BAND
+        bg[:, xg > BAND_X[1]] = BG_ROAD
+        bg[:, xg > ROAD_X[1]] = BG_RIGHT
+        bg.flags.writeable = False
+        _BACKGROUNDS[size] = bg
+    return bg
+
+
+def _pixel_span(lo: float, hi: float, size: int) -> slice:
+    """The pixels whose centres may lie in [lo, hi], widened by one pixel on
+    each side so rounding in the shape predicates cannot reach past it."""
+    start = math.floor(lo * size - 0.5) - 1
+    stop = math.ceil(hi * size - 0.5) + 2
+    return slice(min(max(start, 0), size), min(max(stop, 0), size))
+
+
+def _shape_mask(obj: SceneObject, t: int, size: int) -> tuple[slice, slice, np.ndarray]:
+    """The object's pixels at frame `t` as (rows, cols, mask): `mask` covers
+    the window `[rows, cols]` of the frame, and no pixel outside it is set."""
     shape, _, _ = CLASS_SHAPE[obj.obj_class]
     w, h = obj.wh
     cx, cy = obj.centers[t]
+    rows = _pixel_span(cy - h / 2.0, cy + h / 2.0, size)
+    cols = _pixel_span(cx - w / 2.0, cx + w / 2.0, size)
     coords = (np.arange(size) + 0.5) / size
-    xg = coords[None, :]
-    yg = coords[:, None]
+    xg = coords[None, cols]
+    yg = coords[rows, None]
     if shape == "rect":
-        return (np.abs(xg - cx) <= w / 2.0) & (np.abs(yg - cy) <= h / 2.0)
-    if shape == "circle":
-        return ((xg - cx) / (w / 2.0)) ** 2 + ((yg - cy) / (h / 2.0)) ** 2 <= 1.0
-    if shape == "tri":
+        mask = (np.abs(xg - cx) <= w / 2.0) & (np.abs(yg - cy) <= h / 2.0)
+    elif shape == "circle":
+        mask = ((xg - cx) / (w / 2.0)) ** 2 + ((yg - cy) / (h / 2.0)) ** 2 <= 1.0
+    elif shape == "tri":
         inside_y = (yg >= cy - h / 2.0) & (yg <= cy + h / 2.0)
         halfw = (w / 2.0) * np.clip((yg - (cy - h / 2.0)) / h, 0.0, 1.0)
-        return inside_y & (np.abs(xg - cx) <= halfw)
-    raise ValueError(shape)
+        mask = inside_y & (np.abs(xg - cx) <= halfw)
+    else:
+        raise ValueError(shape)
+    return rows, cols, mask
 
 
 def render_frame(objects: list[SceneObject], t: int, size: int,
                  min_draw_px: float = MIN_DRAW_PX) -> np.ndarray:
     """Rasterize one frame; objects thinner than min_draw_px are culled."""
-    canvas = np.empty((size, size, 3), dtype=np.uint8)
-    xg = (np.arange(size) + 0.5) / size
-    canvas[:] = BG_LEFT
-    canvas[:, xg >= ROAD_X[0]] = BG_ROAD
-    canvas[:, xg >= BAND_X[0]] = BG_BAND
-    canvas[:, xg > BAND_X[1]] = BG_ROAD
-    canvas[:, xg > ROAD_X[1]] = BG_RIGHT
+    canvas = _background(size).copy()
     for obj in objects:
         w, h = obj.wh
         if min(w, h) * size < min_draw_px:
             continue
-        mask = _shape_mask(obj, t, size)
-        canvas[mask] = OBJECT_RGB[obj.color]
+        rows, cols, mask = _shape_mask(obj, t, size)
+        canvas[rows, cols][mask] = OBJECT_RGB[obj.color]
     return canvas
 
 
 def mask_box(obj: SceneObject, t: int, size: int) -> tuple:
     """Pixel-tight normalized box of the object's rendered mask."""
-    mask = _shape_mask(obj, t, size)
+    rows, cols, mask = _shape_mask(obj, t, size)
     if not mask.any():
         raise RuntimeError("risk object rendered to an empty mask")
-    rows = np.flatnonzero(mask.any(axis=1))
-    cols = np.flatnonzero(mask.any(axis=0))
+    r = rows.start + np.flatnonzero(mask.any(axis=1))
+    c = cols.start + np.flatnonzero(mask.any(axis=0))
     return (
-        cols[0] / size,
-        rows[0] / size,
-        (cols[-1] + 1) / size,
-        (rows[-1] + 1) / size,
+        c[0] / size,
+        r[0] / size,
+        (c[-1] + 1) / size,
+        (r[-1] + 1) / size,
     )
 
 

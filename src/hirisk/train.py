@@ -10,7 +10,9 @@ a fresh caption-only baseline); training refuses to start if the gate fails.
 from __future__ import annotations
 
 import json
+import math
 import os
+import time
 
 import numpy as np
 
@@ -109,8 +111,14 @@ def load_or_generate(cfg: RunConfig, data_dir=None, log=print):
             log(f"loaded dataset from {data_dir}")
             return splits
     log(f"generating dataset ({cfg.scene.n_train} train / {cfg.scene.n_test} test)")
-    train_ds = SceneDataset.generate(cfg.scene, "train")
-    test_ds = SceneDataset.generate(cfg.scene, "test")
+    splits = []
+    for split in ("train", "test"):
+        start = time.perf_counter()
+        splits.append(SceneDataset.generate(cfg.scene, split))
+        secs = time.perf_counter() - start
+        log(f"generated {split} split: {len(splits[-1])} scenes in {secs:.2f} s "
+            f"({len(splits[-1]) / max(secs, 1e-9):.0f} scenes/s)")
+    train_ds, test_ds = splits
     if data_dir:
         save_dataset(train_ds, cfg.scene, data_dir, "train")
         save_dataset(test_ds, cfg.scene, data_dir, "test")
@@ -223,37 +231,82 @@ def _json_safe(obj):
     return obj
 
 
+# Format 2: five flat members split by a name index in `meta` (format 1 wrote
+# one member per parameter and moment).
+CHECKPOINT_FORMAT = 2
+CHECKPOINT_MEMBERS = ("params", "opt_m", "opt_v", "opt_t", "meta")
+
+
+def _flat(arrays: list[np.ndarray], dtype) -> np.ndarray:
+    return np.concatenate([a.ravel() for a in arrays]) if arrays else np.zeros(0, dtype)
+
+
+def _split(flat: np.ndarray, index: list, path: str, member: str) -> dict:
+    """Cut `flat` into `{name: array of shape}` for each (name, shape) of `index`."""
+    sizes = [math.prod(shape) for _, shape in index]
+    if flat.ndim != 1 or flat.size != sum(sizes):
+        raise ValueError(f"{path}: checkpoint member '{member}' holds {flat.size} values, "
+                         f"but its index describes {sum(sizes)}")
+    parts = np.split(flat, np.cumsum(sizes)[:-1])
+    return {name: part.reshape(shape) for (name, shape), part in zip(index, parts)}
+
+
 def save_checkpoint(path: str, model: DualBranchModel, opt: AdamW, cfg: RunConfig,
                     step: int, max_answer_len: int, rng_state: dict) -> None:
-    arrays = {"param/" + name: p.data for name, p in model.named_parameters()}
-    for name, (m, v, t) in opt.state.items():
-        arrays["opt/m/" + name] = m
-        arrays["opt/v/" + name] = v
-        arrays["opt/t/" + name] = np.asarray(t, dtype=np.int64)
+    params = list(model.named_parameters())
+    values = np.concatenate([p.data.ravel() for _, p in params])
+    state = list(opt.state.items())
     meta = {
+        "format": CHECKPOINT_FORMAT,
         "config": to_dict(cfg),
         "config_hash": config_hash(cfg),
         "step": step,
         "max_answer_len": max_answer_len,
         "rng_state": _json_safe(rng_state),
+        "param_shapes": [[name, list(p.shape)] for name, p in params],
+        "opt_names": [name for name, _ in state],
     }
-    arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
+    arrays = {
+        "params": values,
+        "opt_m": _flat([m for _, (m, _, _) in state], values.dtype),
+        "opt_v": _flat([v for _, (_, v, _) in state], values.dtype),
+        "opt_t": np.asarray([t for _, (_, _, t) in state], dtype=np.int64),
+        "meta": np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8),
+    }
     write_atomic(path, lambda fh: np.savez(fh, **arrays))
 
 
 def load_checkpoint(path: str):
-    """Rebuild (model, vocab, cfg, meta) from a checkpoint file."""
+    """Rebuild (model, vocab, cfg, meta) from a checkpoint file.
+
+    `meta["opt_arrays"]` holds the optimizer state keyed `opt/{m,v,t}/<name>`.
+    Raises ValueError for a checkpoint of another format or whose arrays
+    disagree with its index.
+    """
     with np.load(path) as z:
+        if sorted(z.files) != sorted(CHECKPOINT_MEMBERS):
+            shown = ", ".join(z.files[:4]) + (", ..." if len(z.files) > 4 else "")
+            raise ValueError(f"{path}: not a format {CHECKPOINT_FORMAT} checkpoint: it holds "
+                             f"{len(z.files)} members ({shown}), not "
+                             f"{', '.join(CHECKPOINT_MEMBERS)}; checkpoints of the older "
+                             f"per-parameter layout cannot be loaded")
         arrays = {k: z[k] for k in z.files}
     meta = json.loads(bytes(arrays.pop("meta")).decode())
+    if meta.get("format") != CHECKPOINT_FORMAT:
+        raise ValueError(f"{path}: checkpoint format {meta.get('format')}, but this version "
+                         f"reads format {CHECKPOINT_FORMAT}")
     cfg = from_dict(meta["config"])
     if config_hash(cfg) != meta["config_hash"]:
         raise ValueError("checkpoint config hash mismatch")
+    shapes = {name: tuple(shape) for name, shape in meta["param_shapes"]}
+    names = meta["opt_names"]
+    opt_index = [(name, shapes[name]) for name in names]
+    moments = {k: _split(arrays[f"opt_{k}"], opt_index, path, f"opt_{k}") for k in "mv"}
+    moments["t"] = _split(arrays["opt_t"], [(name, ()) for name in names], path, "opt_t")
+    opt_state = {f"opt/{k}/{name}": moments[k][name] for name in names for k in "mvt"}
     vocab = build_vocab()
     model = DualBranchModel(cfg, vocab, meta["max_answer_len"], cfg.train.seed)
-    state = {k[len("param/"):]: v for k, v in arrays.items() if k.startswith("param/")}
-    model.load_state_dict(state)
-    opt_state = {k: v for k, v in arrays.items() if k.startswith("opt/")}
+    model.load_state_dict(_split(arrays["params"], list(shapes.items()), path, "params"))
     return model, vocab, cfg, {**meta, "opt_arrays": opt_state}
 
 

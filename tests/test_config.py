@@ -94,6 +94,34 @@ def test_apply_override_validates_the_section():
         apply_override(RunConfig(), "model.span_mode", "bogus")
 
 
+@pytest.mark.parametrize("key, value", [("model.head_variant", "bogus"),
+                                        ("model.span_mode", "bogus")])
+def test_a_rejected_override_leaves_the_field_as_it_was(key, value):
+    cfg = RunConfig()
+    with pytest.raises(ValueError):
+        apply_override(cfg, key, value)
+    assert cfg == RunConfig()
+
+
+@pytest.mark.parametrize("value, want", [("1", True), ("0", False), ("TRUE", True),
+                                         ("False", False), ("yes", True), ("No", False)])
+def test_apply_override_reads_each_bool_spelling(value, want):
+    cfg = RunConfig()
+    cfg.model.ablation.no_em = not want
+    apply_override(cfg, "model.ablation.no_em", value)
+    assert cfg.model.ablation.no_em is want
+
+
+@pytest.mark.parametrize("key, value", [("train.freeze_backbone", "ture"),
+                                        ("model.ablation.no_em", "on"),
+                                        ("model.ablation.no_em", "")])
+def test_apply_override_rejects_a_word_that_is_not_a_bool(key, value):
+    cfg = RunConfig()
+    with pytest.raises(ValueError, match=f"'{key}'.*got '{value}'"):
+        apply_override(cfg, key, value)
+    assert cfg == RunConfig()
+
+
 @pytest.mark.parametrize("key", ["model.ablation", "train"])
 def test_apply_override_rejects_a_section(key):
     cfg = RunConfig()

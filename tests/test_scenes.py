@@ -1,5 +1,6 @@
 """Synthetic scene generator: determinism, geometry, and on-disk format."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -9,9 +10,11 @@ from hirisk.config import SceneConfig
 from hirisk.grammar import parse_caption, tokenize
 from hirisk.model import MODEL_SCENE_FIELDS
 from hirisk.scenes import (
+    CLASS_SHAPE,
     MIN_DRAW_PX,
     SceneDataset,
     SceneObject,
+    _shape_mask,
     generate_scene,
     load_dataset,
     mask_box,
@@ -80,6 +83,63 @@ def test_scene_record_is_the_manifest_record():
     # plain JSON types, so the record is written and read back unchanged
     assert json.loads(json.dumps(s.meta)) == s.meta
     assert type(s.meta["hr_critical"]) is bool and type(s.meta["distractor"]) is bool
+
+
+# sha256 over each scene's clip, HR frame and canonical meta JSON for seeds
+# 0-299, as written by the full-frame rasterizer that painted every pixel of
+# every object and background on each frame
+@pytest.mark.parametrize("cfg, want", [
+    (SceneConfig(), "4c31d3b8863bf997ec5f00ca34b6c37d5eca37fd2d3b64caf9897a369d8bfaf8"),
+    (SceneConfig(clip_len=4, lr_size=16, hr_size=64),
+     "e4eeb0d02d01147e8c1bac17e31d687a24c47808f54b42dec53e5d44b6741de7"),
+], ids=["default", "tiny"])
+def test_generated_scenes_are_pinned_bit_for_bit(cfg, want):
+    h = hashlib.sha256()
+    for seed in range(300):
+        s = generate_scene(seed, cfg)
+        h.update(s.clip.tobytes())
+        h.update(s.hr.tobytes())
+        h.update(json.dumps(s.meta, sort_keys=True, separators=(",", ":")).encode())
+    assert h.hexdigest() == want
+
+
+def _full_frame_mask(obj, t, size):
+    """The object's predicate evaluated at every pixel centre of the frame."""
+    shape, _, _ = CLASS_SHAPE[obj.obj_class]
+    w, h = obj.wh
+    cx, cy = obj.centers[t]
+    coords = (np.arange(size) + 0.5) / size
+    xg, yg = coords[None, :], coords[:, None]
+    if shape == "rect":
+        return (np.abs(xg - cx) <= w / 2.0) & (np.abs(yg - cy) <= h / 2.0)
+    if shape == "circle":
+        return ((xg - cx) / (w / 2.0)) ** 2 + ((yg - cy) / (h / 2.0)) ** 2 <= 1.0
+    inside_y = (yg >= cy - h / 2.0) & (yg <= cy + h / 2.0)
+    halfw = (w / 2.0) * np.clip((yg - (cy - h / 2.0)) / h, 0.0, 1.0)
+    return inside_y & (np.abs(xg - cx) <= halfw)
+
+
+@pytest.mark.parametrize("obj_class", sorted(CLASS_SHAPE))
+def test_windowed_mask_equals_the_full_frame_predicate(obj_class):
+    rng = np.random.default_rng(sorted(CLASS_SHAPE).index(obj_class))
+    _, mw, mh = CLASS_SHAPE[obj_class]
+    for size in (16, 32, 128):
+        for i in range(80):
+            if i % 4 == 0:  # culled when drawn at this size
+                obj_size = rng.uniform(0.1, 1.0) * MIN_DRAW_PX / size
+            elif i % 4 == 1:  # an x or y edge exactly on a pixel centre
+                obj_size = 2 * int(rng.integers(1, 8)) / (size * (mw if i % 8 == 1 else mh))
+            else:
+                obj_size = rng.uniform(0.01, 0.4)
+            if i % 4 == 1:
+                cx, cy = (rng.integers(size, size=2) + 0.5) / size
+            else:  # some centres near or past an edge of the frame
+                cx, cy = rng.uniform(-0.1, 1.1, 2)
+            obj = _static(obj_class, "red", float(obj_size), cx, cy, n=1)
+            rows, cols, mask = _shape_mask(obj, 0, size)
+            placed = np.zeros((size, size), dtype=bool)
+            placed[rows, cols] = mask
+            assert np.array_equal(placed, _full_frame_mask(obj, 0, size)), (size, obj_size, cx, cy)
 
 
 def test_scene_generation_deterministic():

@@ -23,6 +23,7 @@ from hirisk.optim import AdamW
 from hirisk.rng import named_rng
 from hirisk.scenes import SceneDataset, load_dataset, save_dataset
 from hirisk.train import (
+    CHECKPOINT_MEMBERS,
     GateError,
     TrainAbort,
     evaluate_model,
@@ -107,6 +108,95 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path, tiny_data):
     live = dict(out["model"].named_parameters())
     for name, p in model2.named_parameters():
         assert np.array_equal(p.data, live[name].data), name
+
+
+def _stepped_model(tiny_data, steps=1):
+    """A tiny model and its optimizer after `steps` steps on one batch."""
+    cfg = tiny_cfg()
+    vocab = build_vocab()
+    data = prepare_data(tiny_data[0], vocab, cfg.model.head_variant)
+    t = cfg.train
+    model = DualBranchModel(cfg, vocab, data["max_answer_len"], t.seed)
+    opt = AdamW(model.param_groups(t.hr_lr_mult), lr=t.lr, weight_decay=t.weight_decay)
+    for _ in range(steps):
+        loss, _ = model.forward_train(make_batch(data, np.arange(t.batch_size)), t.box_weight)
+        model.zero_grad()
+        loss.backward()
+        opt.step()
+    return cfg, model, opt, data["max_answer_len"]
+
+
+def test_checkpoint_is_five_flat_members(tmp_path, tiny_data):
+    cfg, model, opt, ta = _stepped_model(tiny_data)
+    path = str(tmp_path / "ckpt")
+    save_checkpoint(path, model, opt, cfg, 1, ta, {})
+    params = dict(model.named_parameters())
+    n_values = sum(p.data.size for p in params.values())
+    n_moments = sum(params[name].data.size for name in opt.state)
+    with np.load(path) as z:
+        assert z.files == list(CHECKPOINT_MEMBERS)
+        assert z["params"].shape == (n_values,)
+        assert z["opt_m"].shape == z["opt_v"].shape == (n_moments,)
+        assert z["opt_t"].dtype == np.int64 and list(z["opt_t"]) == [1] * len(opt.state)
+        meta = json.loads(bytes(z["meta"]).decode())
+    assert meta["format"] == 2
+    assert meta["param_shapes"] == [[name, list(p.shape)] for name, p in params.items()]
+    assert meta["opt_names"] == list(opt.state)
+
+
+def test_checkpoint_of_an_optimizer_with_no_state_loads(tmp_path, tiny_data):
+    cfg, model, opt, ta = _stepped_model(tiny_data, steps=0)
+    path = str(tmp_path / "ckpt")
+    save_checkpoint(path, model, opt, cfg, 0, ta, {})
+    model2, _, _, meta = load_checkpoint(path)
+    assert meta["opt_arrays"] == {}
+    opt2 = AdamW(model2.param_groups(cfg.train.hr_lr_mult))
+    restore_optimizer(opt2, meta["opt_arrays"])
+    assert opt2.state == {}
+    live = dict(model.named_parameters())
+    for name, p in model2.named_parameters():
+        assert np.array_equal(p.data, live[name].data), name
+
+
+def _rewrite(path, **members):
+    """Write the members of the checkpoint at `path` back, changed by `members`."""
+    with np.load(path) as z:
+        arrays = {k: z[k] for k in z.files}
+    arrays.update(members)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+@pytest.mark.parametrize("fault", ["per_name_layout", "params_one_short", "opt_m_one_long",
+                                   "another_format"])
+def test_load_rejects_a_checkpoint_its_index_does_not_describe(tmp_path, tiny_data, fault):
+    cfg, model, opt, ta = _stepped_model(tiny_data)
+    path = str(tmp_path / "ckpt")
+    save_checkpoint(path, model, opt, cfg, 1, ta, {})
+    with np.load(path) as z:
+        params, opt_m, meta = z["params"], z["opt_m"], json.loads(bytes(z["meta"]).decode())
+    if fault == "per_name_layout":
+        arrays = {"param/" + name: p.data for name, p in model.named_parameters()}
+        for name, (m, v, t) in opt.state.items():
+            arrays.update({"opt/m/" + name: m, "opt/v/" + name: v, "opt/t/" + name: np.int64(t)})
+        older = {k: meta[k] for k in ("config", "config_hash", "step", "max_answer_len",
+                                      "rng_state")}
+        arrays["meta"] = np.frombuffer(json.dumps(older).encode(), dtype=np.uint8)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        match = r"not a format 2 checkpoint: it holds \d+ members \(param/.*older"
+    elif fault == "params_one_short":
+        _rewrite(path, params=params[:-1])
+        match = f"'params' holds {params.size - 1} values, but its index describes {params.size}"
+    elif fault == "opt_m_one_long":
+        _rewrite(path, opt_m=np.append(opt_m, opt_m[:1]))
+        match = f"'opt_m' holds {opt_m.size + 1} values, but its index describes {opt_m.size}"
+    else:
+        meta["format"] = 3
+        _rewrite(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
+        match = "checkpoint format 3, but this version reads format 2"
+    with pytest.raises(ValueError, match=match):
+        load_checkpoint(path)
 
 
 def test_checkpoint_resume_matches_uninterrupted_run(tmp_path, tiny_data):
@@ -364,6 +454,17 @@ def test_load_or_generate_caches_and_validates(tmp_path):
     bad.scene.n_train = 99
     with pytest.raises(ValueError):
         load_or_generate(bad, data_dir=data_dir, log=quiet)
+
+
+def test_load_or_generate_logs_each_split_rate():
+    cfg = tiny_cfg()
+    cfg.scene.n_train, cfg.scene.n_test = 3, 2
+    lines = []
+    load_or_generate(cfg, log=lines.append)
+    rates = [line for line in lines if line.endswith("scenes/s)")]
+    assert [line.split(":")[0] for line in rates] == ["generated train split",
+                                                       "generated test split"]
+    assert "3 scenes in" in rates[0] and "2 scenes in" in rates[1]
 
 
 def test_load_or_generate_regenerates_a_cache_missing_a_split(tmp_path):
