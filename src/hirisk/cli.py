@@ -53,13 +53,25 @@ class Logger:
         self.fh.close()
 
 
+def usage_error(msg: str):
+    """End the command as argparse does on a bad argument: one line, exit 2."""
+    print(f"hirisk: error: {msg}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def build_cfg(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig()
+    try:
+        cfg = load_config(args.config) if args.config else RunConfig()
+    except ValueError as err:
+        usage_error(f"--config {args.config}: {err}")
     for item in args.set or []:
         if "=" not in item:
-            raise SystemExit(f"override '{item}' is not of the form key=value")
+            usage_error(f"override '{item}' is not of the form key=value")
         key, value = item.split("=", 1)
-        apply_override(cfg, key, value)
+        try:
+            apply_override(cfg, key, value)
+        except (KeyError, ValueError) as err:
+            usage_error(f"--set {item}: {err.args[0]}")
     return cfg
 
 
@@ -121,7 +133,10 @@ def cmd_evaluate(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = build_cfg(args)
-    seeds = [int(s) for s in args.seeds.split(",") if s != ""]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s != ""]
+    except ValueError:
+        usage_error(f"--seeds takes comma-separated integers, got '{args.seeds}'")
     rows = None
     if args.rows:
         from .train import GRID_ROWS
@@ -130,15 +145,18 @@ def cmd_ablate(args) -> int:
         by_name = dict(GRID_ROWS)
         missing = [w for w in wanted if w not in by_name]
         if missing:
-            raise SystemExit(f"unknown grid rows: {missing}; have {list(by_name)}")
+            usage_error(f"unknown grid rows: {missing}; have {list(by_name)}")
         rows = [(w, by_name[w]) for w in wanted]
     log = Logger(args.run_dir)
     try:
         train_ds, test_ds = load_or_generate(cfg, data_dir=args.data, log=log)
         table = run_ablation_grid(cfg, seeds, train_ds, test_ds, rows=rows,
                                   run_dir=args.run_dir, log=log)
-    except (GateError, TrainAbort) as err:
-        log(f"ablation failed: {err}")
+    except GateError as err:
+        log(f"gate failure: {err}")
+        return 2
+    except TrainAbort as err:
+        log(f"aborted: {err.diagnostics}")
         return 3
     finally:
         log.close()

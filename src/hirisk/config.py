@@ -65,17 +65,12 @@ class ModelConfig:
     qdh_heads: int = 4
     n_learned_queries: int = 4
     head_variant: str = "span_query"
-    span_mode: str = "noun_phrase"
     dtype: str = "float32"
     ablation: Ablation = field(default_factory=Ablation)
 
     def __post_init__(self):
         if self.head_variant not in HEAD_VARIANTS:
             raise ValueError(f"head_variant must be one of {HEAD_VARIANTS}")
-        if self.span_mode not in ("noun_phrase", "full_answer"):
-            raise ValueError("span_mode must be 'noun_phrase' or 'full_answer'")
-        if isinstance(self.ablation, dict):
-            self.ablation = Ablation(**self.ablation)
 
 
 @dataclass
@@ -84,7 +79,6 @@ class TrainConfig:
     batch_size: int = 16
     lr: float = 1e-4
     lr_floor: float = 1e-5
-    warmup_steps: int = 0
     hr_lr_mult: float = 4.0
     weight_decay: float = 0.01
     box_weight: float = 2.0
@@ -102,21 +96,25 @@ class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
 
-    def __post_init__(self):
-        if isinstance(self.scene, dict):
-            self.scene = SceneConfig(**self.scene)
-        if isinstance(self.model, dict):
-            self.model = ModelConfig(**self.model)
-        if isinstance(self.train, dict):
-            self.train = TrainConfig(**self.train)
-
 
 def to_dict(cfg) -> dict:
     return dataclasses.asdict(cfg)
 
 
-def from_dict(data: dict) -> RunConfig:
-    return RunConfig(**data)
+def from_dict(data: dict, cls=RunConfig, prefix: str = ""):
+    """Build `cls`, by default a RunConfig, from its `to_dict` form.
+
+    Raises ValueError naming each key its section has no field for, such as
+    a field that a config or checkpoint of an older version carries.
+    """
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - set(fields))
+    if unknown:
+        raise ValueError("no config field " + ", ".join(f"'{prefix}{k}'" for k in unknown))
+    # a section's field builds its default with the section's own class
+    return cls(**{k: from_dict(v, fields[k].default_factory, f"{prefix}{k}.")
+                  if dataclasses.is_dataclass(fields[k].default_factory) else v
+                  for k, v in data.items()})
 
 
 def canonical_json(cfg) -> str:
@@ -158,10 +156,13 @@ def apply_override(cfg: RunConfig, key: str, value: str) -> None:
             raise ValueError(f"'{key}' takes a bool (one of {'/'.join(BOOL_WORDS)}), "
                              f"got '{value}'")
         setattr(obj, leaf, BOOL_WORDS[word])
-    elif isinstance(current, int):
-        setattr(obj, leaf, int(value))
-    elif isinstance(current, float):
-        setattr(obj, leaf, float(value))
+    elif isinstance(current, (int, float)):
+        kind = type(current)
+        try:
+            setattr(obj, leaf, kind(value))
+        except ValueError:
+            raise ValueError(f"'{key}' takes {'an int' if kind is int else 'a float'}, "
+                             f"got '{value}'") from None
     else:
         setattr(obj, leaf, value)
     if hasattr(obj, "__post_init__"):

@@ -147,7 +147,6 @@ class VideoEncoder(Module):
         self.clip_len = clip_len
         self.d_v = cfg.d_v
         self.n_layers = cfg.n_layers
-        self.use_adapters = not cfg.ablation.no_st_adapter
         n_tokens = 1 + self.grid * self.grid
 
         r_embed = named_rng(seed, "init/encoder/embed")
@@ -159,7 +158,7 @@ class VideoEncoder(Module):
             TransformerBlock(cfg.d_v, cfg.n_heads, named_rng(seed, f"init/encoder/block{i}"))
             for i in range(cfg.n_layers)
         )
-        if self.use_adapters:
+        if not cfg.ablation.no_st_adapter:
             self.adapters = ModuleList(
                 STAdapter(cfg.d_v, cfg.adapter_dim, named_rng(seed, f"init/encoder/adapter{i}"))
                 for i in range(cfg.n_layers)
@@ -194,7 +193,7 @@ class VideoEncoder(Module):
         sites = {} if incorporation is None else incorporation_sites(self.n_layers)
         x = tokens
         for i in range(self.n_layers):
-            if self.use_adapters:
+            if hasattr(self, "adapters"):
                 x = self.adapters[i](x, batch, l, g, g)
             x = self.blocks[i](x)
             if i + 1 in sites:

@@ -9,10 +9,11 @@ once); the incorporation module injects the highlighted features into the
 video encoder's cls tokens through zero-gated cross-attention; and a box head
 regresses the risk-object box.
 
-Every box head has the same two methods, `loss(h_a, feats, span_mask, gt)`
-and `predict(h_a, feats, span_mask)`. The span-query head pools the answer
-span's attention over the features, or in its no-QDH form the span itself;
-the learned-query head ignores the span and picks among its own queries.
+Every box head has the same two methods, `loss(h_a, feats, gt)` and
+`predict(h_a, feats)`, where `h_a` [B, S, d_l] holds the hidden states of the
+answer's noun-phrase span. The span-query head mean-pools the span's
+attention over the features, or in its no-QDH form the span itself; the
+learned-query head ignores the span and picks among its own queries.
 
 Every attention here is `encoder.MultiHeadAttention` in its bare form
 (bias-free q/k/v projections, no output projection): an incorporation site
@@ -207,29 +208,25 @@ class SpanQueryDetector(Module):
         self.fc1 = Linear(d_l if d_i is None else d_a, d_a, rng)
         self.fc2 = Linear(d_a, 4, rng)
 
-    def forward(self, h_a: Tensor, feats, span_mask: np.ndarray | None = None) -> Tensor:
+    def forward(self, h_a: Tensor, feats) -> Tensor:
         if h_a.shape[1] == 0:
             raise ValueError("answer span is empty")
         rows = self.ca(h_a, kv=feats) if hasattr(self, "ca") else h_a
-        if span_mask is None:
-            pooled = rows.mean(axis=1)
-        else:
-            pooled = ops.masked_mean_rows(rows, span_mask)
-        return box_tail(self.fc1, self.fc2, pooled)
+        return box_tail(self.fc1, self.fc2, rows.mean(axis=1))
 
-    def loss(self, h_a: Tensor, feats, span_mask: np.ndarray | None, gt: np.ndarray) -> Tensor:
+    def loss(self, h_a: Tensor, feats, gt: np.ndarray) -> Tensor:
         """L1 distance of the span's box to the ground truth."""
-        return ops.l1_loss(self(h_a, feats, span_mask), gt)
+        return ops.l1_loss(self(h_a, feats), gt)
 
-    def predict(self, h_a: Tensor, feats, span_mask: np.ndarray | None) -> Tensor:
+    def predict(self, h_a: Tensor, feats) -> Tensor:
         """Box [B, 4] of the span."""
-        return self(h_a, feats, span_mask)
+        return self(h_a, feats)
 
 
 class LearnedQueryDetector(Module):
     """Detection from learned query embeddings with per-query objectness.
 
-    `loss` and `predict` take the span arguments of every box head but read
+    `loss` and `predict` take the span `h_a` as every box head does but read
     only `feats`: the queries, not the answer span, attend the HR features.
     """
 
@@ -249,7 +246,7 @@ class LearnedQueryDetector(Module):
         att = self.ca(q, kv=feats)
         return box_tail(self.fc1, self.fc2, att), self.obj(att)[..., 0]
 
-    def loss(self, h_a, feats: Tensor, span_mask, gt: np.ndarray) -> Tensor:
+    def loss(self, h_a, feats: Tensor, gt: np.ndarray) -> Tensor:
         """Min-cost matching against the single ground-truth box."""
         boxes, obj = self(feats)
         gt = np.asarray(gt, dtype=boxes.data.dtype)
@@ -263,7 +260,7 @@ class LearnedQueryDetector(Module):
         obj_loss = ops.binary_cross_entropy_logits(obj, onehot)
         return box_loss + obj_loss
 
-    def predict(self, h_a, feats: Tensor, span_mask) -> Tensor:
+    def predict(self, h_a, feats: Tensor) -> Tensor:
         """Box [B, 4] of the query with the highest objectness."""
         boxes, obj = self(feats)
         istar = obj.data.argmax(axis=1)

@@ -8,9 +8,12 @@ feature grid, a prompt-driven highlight suppresses background cells, and the
 result feeds both the gated incorporation sites inside the video encoder and
 the box detection head.
 
+The box head reads the decoder's hidden states of the risk noun phrase, the
+grammar's fixed answer window `ANSWER_SPAN`, in training and decoding alike.
+
 Every optional piece can be switched off through the ablation flags; with
 all of them off the model degrades to the video-only captioner plus the
-no-QDH box head, which regresses the box from the pooled answer span alone.
+no-QDH box head, which regresses the box from the pooled noun phrase alone.
 Only the constructor reads the flags; later code checks which modules it
 built.
 """
@@ -68,7 +71,6 @@ class DualBranchModel(Module):
         m = cfg.model
         flags = m.ablation
         self.variant = m.head_variant
-        self.span_mode = m.span_mode
         self.vocab = vocab
 
         self.encoder = VideoEncoder(cfg.scene.lr_size, cfg.scene.clip_len, m, seed)
@@ -185,24 +187,14 @@ class DualBranchModel(Module):
 
     # -- training --------------------------------------------------------------
 
-    def answer_rows(self, hidden: Tensor, answer_mask: np.ndarray):
-        """Hidden states the detector reads, plus an optional pooling mask."""
-        if self.span_mode == "full_answer":
-            ta = hidden.shape[1] - self.lm.prefix_len
-            return self.lm.answer_hidden(hidden, 0, ta), answer_mask
-        s, e = ANSWER_SPAN
-        return self.lm.answer_hidden(hidden, s, e), None
-
-    def predict_box(self, hidden: Tensor, feats, answer_mask: np.ndarray) -> Tensor:
-        """The box head's prediction [B, 4] from the answer rows of `hidden`."""
-        h_a, mask = self.answer_rows(hidden, answer_mask)
-        return self.detector.predict(h_a, feats, mask)
+    def predict_box(self, hidden: Tensor, feats) -> Tensor:
+        """The box head's prediction [B, 4] from the noun-phrase rows of `hidden`."""
+        return self.detector.predict(self.lm.answer_hidden(hidden, *ANSWER_SPAN), feats)
 
     def box_loss(self, hidden: Tensor, feats, batch: dict):
         if self.variant == "text_coords":
             return None
-        h_a, mask = self.answer_rows(hidden, batch["answer_mask"])
-        return self.detector.loss(h_a, feats, mask, batch["box"])
+        return self.detector.loss(self.lm.answer_hidden(hidden, *ANSWER_SPAN), feats, batch["box"])
 
     def forward_train(self, batch: dict, box_weight: float):
         """Joint loss on one batch. Returns (loss Tensor, float part dict)."""
@@ -242,8 +234,7 @@ class DualBranchModel(Module):
         # runs at least that far (finished rows emit pad, which the token
         # lists drop) and a failed parse falls back to that same window
         # rather than skipping the sample.
-        min_new = ANSWER_SPAN[1] if self.span_mode == "noun_phrase" else 0
-        gen, hidden = self.lm.greedy_decode(z, self.max_new, eos, pad, min_new=min_new)
+        gen, hidden = self.lm.greedy_decode(z, self.max_new, eos, pad, min_new=ANSWER_SPAN[1])
         texts = [self.vocab.decode(row) for row in gen]
 
         if self.variant == "text_coords":
@@ -254,11 +245,8 @@ class DualBranchModel(Module):
                 out.append({"tokens": toks, "box": parsed.box, "box_source": source})
             return out
 
-        # the head reads the decoder's own hidden states of the generated
-        # tokens; an all-pad row still pools its first position
-        mask = (gen != pad).astype(np.float64)
-        mask[mask.sum(axis=1) == 0, 0] = 1.0
-        pred = self.predict_box(hidden, feats, mask).data
+        # the head reads the greedy pass's own hidden states of the noun phrase
+        pred = self.predict_box(hidden, feats).data
         return [
             {"tokens": toks, "box": tuple(float(v) for v in pred[i]), "box_source": "head"}
             for i, toks in enumerate(texts)

@@ -15,9 +15,9 @@ inverse deviations and scale; `conv2d` its unpadded input and weight (never
 a padded copy or an im2col matrix); `depthwise_conv3d` its padded input and
 flipped kernel; `cross_entropy_logits` the logits, log-sum-exps and mask
 weights; `l1_loss` the residual; `binary_cross_entropy_logits` the logits
-and targets; `embedding_lookup` the indices; and `masked_mean_rows` the row
-weights. An array an operand's gradient does not need (say, `linear`'s
-input when its weight is frozen) is not kept.
+and targets; and `embedding_lookup` the indices. An array an operand's
+gradient does not need (say, `linear`'s input when its weight is frozen) is
+not kept.
 """
 
 from __future__ import annotations
@@ -428,20 +428,3 @@ def embedding_lookup(table: Tensor, idx: np.ndarray) -> Tensor:
 
     return Tensor._from_op(data, (table,), backward, "embedding_lookup")
 
-
-def masked_mean_rows(x: Tensor, mask: np.ndarray) -> Tensor:
-    """Weighted mean over axis 1: x [B, T, D], mask [B, T] -> [B, D]."""
-    m = np.asarray(mask, dtype=x.data.dtype)
-    if m.shape != x.shape[:2]:
-        raise ShapeError("masked_mean_rows mask must be [B, T]")
-    denom = m.sum(axis=1, keepdims=True)
-    if np.any(denom <= 0):
-        raise ValueError("masked_mean_rows: empty mask row")
-    wgt = (m / denom)[:, :, None]
-    data = (x.data * wgt).sum(axis=1)
-    nx = grad_node(x)
-
-    def backward(g):
-        nx._accum(g[:, None, :] * wgt)
-
-    return Tensor._from_op(data, (x,), backward, "masked_mean_rows")

@@ -357,8 +357,6 @@ def train_model(cfg: RunConfig, train_ds: SceneDataset, run_dir=None, log=print)
         f"(hr x{t.hr_lr_mult:g}), box weight {t.box_weight:g}, config {config_hash(cfg)[:12]}")
     for step in range(t.steps):
         lr = float(cosine_lr(step, t.steps, t.lr, t.lr_floor))
-        if t.warmup_steps > 0:
-            lr *= min(1.0, (step + 1) / t.warmup_steps)
         opt.lr = lr
         idx = order.integers(0, n, size=t.batch_size)
         batch = make_batch(data, idx)

@@ -147,6 +147,50 @@ def test_gate_failure_exit_code(tmp_path, cfg_file, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("fault, code", [
+    ("gate", 2),
+    pytest.param("abort", 3, marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+])
+def test_ablate_exit_codes_match_train(tmp_path, cfg_file, monkeypatch, fault, code):
+    import hirisk.train as train_mod
+
+    data_dir = str(tmp_path / "data")
+    assert main(["generate-data", "--config", cfg_file, "--out", data_dir]) == 0
+    if fault == "gate":
+        monkeypatch.setattr(train_mod, "gating_gap", lambda *a, **k: 1.0)
+        sets = []
+    else:
+        sets = ["--set", "train.lr=1e38", "--set", "train.steps=30"]
+    assert main(["ablate", "--config", cfg_file, "--data", data_dir,
+                 "--run-dir", str(tmp_path / "g"), "--rows", "full", *sets]) == code
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--set", "train.freeze_backbone=ture"],
+     "--set train.freeze_backbone=ture: 'train.freeze_backbone' takes a bool"),
+    (["train", "--set", "train.steps=abc"],
+     "--set train.steps=abc: 'train.steps' takes an int, got 'abc'"),
+    (["train", "--set", "train.nope=1"],
+     "--set train.nope=1: no config field 'nope' in 'train.nope'"),
+    (["train", "--config", "OLD_CONFIG"], "no config field 'train.warmup_steps'"),
+    (["ablate", "--seeds", "a"], "--seeds takes comma-separated integers, got 'a'"),
+], ids=["bad_bool", "bad_int", "unknown_field", "old_config", "bad_seeds"])
+def test_a_usage_error_exits_2_with_one_line(tmp_path, capsys, argv, message):
+    old = json.loads(canonical_json(tiny_cfg()))
+    old["train"]["warmup_steps"] = 0
+    old_config = tmp_path / "old.json"
+    old_config.write_text(json.dumps(old))
+    run_dir = tmp_path / "r"
+    argv = [str(old_config) if a == "OLD_CONFIG" else a for a in argv]
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "--run-dir", str(run_dir)])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hirisk: error: ") and message in err
+    assert err.count("\n") == 1
+    assert not run_dir.exists()
+
+
 def test_evaluate_rejects_a_split_with_other_input_shapes(tmp_path, cfg_file):
     from hirisk.grammar import build_vocab
     from hirisk.model import DualBranchModel

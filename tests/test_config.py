@@ -1,5 +1,7 @@
 """Configuration round-trips, overrides, and flag implications."""
 
+import json
+
 import pytest
 
 from hirisk.config import (
@@ -90,12 +92,10 @@ def test_apply_override_validates_the_section():
     cfg = RunConfig()
     with pytest.raises(ValueError, match="head_variant"):
         apply_override(cfg, "model.head_variant", "bogus")
-    with pytest.raises(ValueError, match="span_mode"):
-        apply_override(RunConfig(), "model.span_mode", "bogus")
 
 
 @pytest.mark.parametrize("key, value", [("model.head_variant", "bogus"),
-                                        ("model.span_mode", "bogus")])
+                                        ("train.steps", "abc")])
 def test_a_rejected_override_leaves_the_field_as_it_was(key, value):
     cfg = RunConfig()
     with pytest.raises(ValueError):
@@ -133,5 +133,30 @@ def test_apply_override_rejects_a_section(key):
 def test_invalid_variant_rejected():
     with pytest.raises(ValueError):
         ModelConfig(head_variant="banana")
-    with pytest.raises(ValueError):
-        ModelConfig(span_mode="banana")
+
+
+@pytest.mark.parametrize("key, value, kind", [("train.steps", "abc", "an int"),
+                                              ("train.steps", "1.5", "an int"),
+                                              ("train.lr", "fast", "a float")])
+def test_apply_override_names_the_key_of_a_bad_number(key, value, kind):
+    with pytest.raises(ValueError, match=f"'{key}' takes {kind}, got '{value}'"):
+        apply_override(RunConfig(), key, value)
+
+
+# keys earlier versions had, as a config or checkpoint of theirs carries them,
+# and keys no version had
+@pytest.mark.parametrize("key", ["model.span_mode", "train.warmup_steps",
+                                 "model.ablation.no_anything", "data"])
+def test_from_dict_names_a_field_its_section_does_not_have(tmp_path, key):
+    data = to_dict(RunConfig())
+    *sections, field = key.split(".")
+    part = data
+    for name in sections:
+        part = part[name]
+    part[field] = 0
+    with pytest.raises(ValueError, match=f"no config field '{key}'"):
+        from_dict(data)
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=f"no config field '{key}'"):
+        load_config(path)

@@ -12,6 +12,7 @@ from hirisk.hrbranch import (
     SpanQueryDetector,
     SpatialExtractor,
     apply_highlight,
+    box_tail,
     corners_from_cwh,
     prompt_cosine,
 )
@@ -170,21 +171,18 @@ def test_span_detector_outputs_valid_boxes():
         det(Tensor(np.zeros((3, 0, 8))), feats)
 
 
-def test_no_qdh_head_respects_span_mask():
+def test_no_qdh_head_pools_the_span():
     det = SpanQueryDetector(8, None, 16, named_rng(9, "test/mlp"))
     assert not hasattr(det, "ca") and det.fc1.weight.shape == (8, 16)
     rng = np.random.default_rng(10)
     h = rng.normal(size=(2, 4, 8))
-    mask = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
-    out = det.predict(Tensor(h), None, mask).data
-    # zeroed-out rows must not influence the pooled box
-    h2 = h.copy()
-    h2[0, 2:] += 100.0
-    out2 = det.predict(Tensor(h2), None, mask).data
-    assert np.allclose(out[0], out2[0], atol=1e-12)
+    out = det.predict(Tensor(h), None).data
     assert out.shape == (2, 4)
+    # the span is mean-pooled, then regressed
+    pooled = box_tail(det.fc1, det.fc2, Tensor(h.mean(axis=1))).data
+    assert np.array_equal(out, pooled)
     gt = np.array([[0.2, 0.2, 0.6, 0.6], [0.1, 0.4, 0.5, 0.9]])
-    assert det.loss(Tensor(h), None, mask, gt).data == np.abs(out - gt).mean()
+    assert det.loss(Tensor(h), None, gt).data == np.abs(out - gt).mean()
 
 
 def test_learned_query_head_and_matching():
@@ -194,14 +192,14 @@ def test_learned_query_head_and_matching():
     boxes, obj = det(feats)
     assert boxes.shape == (2, 4, 4) and obj.shape == (2, 4)
     gt = np.array([[0.2, 0.2, 0.6, 0.6], [0.1, 0.4, 0.5, 0.9]])
-    # the span arguments are not read: the queries attend the features
-    loss = det.loss(None, feats, None, gt)
+    # the span is not read: the queries attend the features
+    loss = det.loss(None, feats, gt)
     assert loss.data.shape == () and np.isfinite(loss.data)
     # prediction follows the objectness argmax of the queries' own outputs
     fake_boxes = Tensor(np.arange(2 * 4 * 4, dtype=np.float64).reshape(2, 4, 4))
     fake_obj = Tensor(np.array([[0.0, 9.0, 1.0, 2.0], [3.0, 0.0, 0.0, 8.0]]))
     det.forward = lambda f: (fake_boxes, fake_obj)
-    picked = det.predict(None, feats, None)
+    picked = det.predict(None, feats)
     assert picked.shape == (2, 4)
     assert np.array_equal(picked.data[0], fake_boxes.data[0, 1])
     assert np.array_equal(picked.data[1], fake_boxes.data[1, 3])

@@ -333,38 +333,28 @@ BOX_HEADS = {"False": {}, "True": {"ablation": Ablation(no_qdh=True)},
 
 
 @pytest.mark.parametrize("head", list(BOX_HEADS))
-@pytest.mark.parametrize("span_mode", ["noun_phrase", "full_answer"])
-def test_training_and_decoding_agree_on_boxes(span_mode, head):
+def test_training_and_decoding_agree_on_boxes(head):
     """Greedy ids fed back teacher-forced give decode's boxes, for every head.
 
     Decode reads the cached hidden states of its own greedy pass, which
     differ from a teacher-forced pass only in summation order."""
-    cfg = tiny_cfg(span_mode=span_mode, **BOX_HEADS[head])
+    cfg = tiny_cfg(**BOX_HEADS[head])
     model, vocab = make_model(cfg)
     batch = random_batch(cfg, vocab)
-    pad = vocab.pad_id
-    bias = model.lm.head.bias.data
-    init = bias.copy()
-    # an EOS nudge ends rows at different lengths, so the pooling mask sees
-    # pad; a pad nudge leaves every row all pad, so it pools position 0
-    for tok, nudge, some_pad, all_pad in ((vocab.eos_id, 3.5, True, False),
-                                          (pad, 100.0, True, True)):
-        bias[:] = init
-        bias[tok] += nudge
-        z, feats = model.encode_scene(batch)
-        ids, _ = model.lm.greedy_decode(z, model.max_new, vocab.eos_id, pad)
-        assert (ids == pad).any() == some_pad and (ids == pad).all() == all_pad
-        mask = (ids != pad).astype(np.float64)
-        mask[mask.sum(axis=1) == 0, 0] = 1.0
-        _, hidden = model.lm.caption_loss(z, ids, mask)
-        boxes = model.predict_box(hidden, feats, mask).data
-        decoded = np.array([rec["box"] for rec in model.decode(batch)])
-        assert np.allclose(boxes, decoded, atol=1e-5, rtol=0)
+    eos, pad = vocab.eos_id, vocab.pad_id
+    # an EOS nudge ends rows at different lengths, some inside the noun phrase
+    model.lm.head.bias.data[eos] += 3.5
+    z, feats = model.encode_scene(batch)
+    ids, _ = model.lm.greedy_decode(z, model.max_new, eos, pad, min_new=ANSWER_SPAN[1])
+    assert (ids == pad).any()
+    hidden, _ = model.lm.forward_hidden(z, ids)
+    boxes = model.predict_box(hidden, feats).data
+    decoded = np.array([rec["box"] for rec in model.decode(batch)])
+    assert np.allclose(boxes, decoded, atol=1e-5, rtol=0)
 
 
 GREEDY_CONFIGS = {
     "noun_phrase": {},
-    "full_answer": {"span_mode": "full_answer"},
     "learned_query": {"head_variant": "learned_query"},
     "text_coords": {"head_variant": "text_coords"},
     "no_qdh": {"ablation": Ablation(no_qdh=True)},
@@ -492,11 +482,19 @@ def test_float32_model_is_the_float64_model_cast_once(variant):
 
 
 def test_answer_rows_span_window():
+    """The box head reads the hidden rows of the noun-phrase window, no other."""
     cfg = tiny_cfg()
     model, vocab = make_model(cfg)
     batch = random_batch(cfg, vocab)
-    z, _ = model.encode_scene(batch)
+    z, feats = model.encode_scene(batch)
     hidden, _ = model.lm.forward_hidden(z, batch["answer_ids"])
-    rows, mask = model.answer_rows(hidden, batch["answer_mask"])
-    assert rows.shape == (3, ANSWER_SPAN[1] - ANSWER_SPAN[0], cfg.model.d_l)
-    assert mask is None
+    box = model.predict_box(hidden, feats).data
+    p = model.lm.prefix_len
+    s, e = ANSWER_SPAN
+    outside = hidden.data.copy()
+    outside[:, : p + s] += 100.0
+    outside[:, p + e :] += 100.0
+    assert np.array_equal(model.predict_box(Tensor(outside), feats).data, box)
+    inside = hidden.data.copy()
+    inside[:, p + s : p + e] += 1.0
+    assert not np.allclose(model.predict_box(Tensor(inside), feats).data, box)

@@ -373,13 +373,6 @@ def test_grad_embedding_lookup():
     fd(lambda w: (ops.embedding_lookup(w, idx) * Tensor(probe)).sum(), r.normal(size=(4, 5)))
 
 
-def test_grad_masked_mean_rows():
-    r = rng("g12")
-    m = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
-    probe = r.normal(size=(2, 4))
-    fd(lambda x: (ops.masked_mean_rows(x, m) * Tensor(probe)).sum(), r.normal(size=(2, 3, 4)))
-
-
 def test_grad_matmul_and_friends():
     r = rng("g13")
     fd(lambda a, b: (a @ b).sum(), r.normal(size=(3, 4)), r.normal(size=(4, 2)))

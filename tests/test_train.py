@@ -168,7 +168,7 @@ def _rewrite(path, **members):
 
 
 @pytest.mark.parametrize("fault", ["per_name_layout", "params_one_short", "opt_m_one_long",
-                                   "another_format"])
+                                   "another_format", "config_of_an_older_version"])
 def test_load_rejects_a_checkpoint_its_index_does_not_describe(tmp_path, tiny_data, fault):
     cfg, model, opt, ta = _stepped_model(tiny_data)
     path = str(tmp_path / "ckpt")
@@ -191,10 +191,15 @@ def test_load_rejects_a_checkpoint_its_index_does_not_describe(tmp_path, tiny_da
     elif fault == "opt_m_one_long":
         _rewrite(path, opt_m=np.append(opt_m, opt_m[:1]))
         match = f"'opt_m' holds {opt_m.size + 1} values, but its index describes {opt_m.size}"
-    else:
+    elif fault == "another_format":
         meta["format"] = 3
         _rewrite(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
         match = "checkpoint format 3, but this version reads format 2"
+    else:
+        # a field this version no longer has, such as the former box-head span switch
+        meta["config"]["model"]["span_mode"] = "noun_phrase"
+        _rewrite(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
+        match = "no config field 'model.span_mode'"
     with pytest.raises(ValueError, match=match):
         load_checkpoint(path)
 
@@ -202,7 +207,7 @@ def test_load_rejects_a_checkpoint_its_index_does_not_describe(tmp_path, tiny_da
 def test_checkpoint_resume_matches_uninterrupted_run(tmp_path, tiny_data):
     """Stopping, reloading, and replaying must land on identical weights."""
     train_ds, _ = tiny_data
-    cfg = tiny_cfg(steps=4, warmup_steps=0, highlight_pretrain_steps=0)
+    cfg = tiny_cfg(steps=4, highlight_pretrain_steps=0)
     vocab = build_vocab()
     data = prepare_data(train_ds, vocab, cfg.model.head_variant)
     n = len(train_ds)
@@ -416,7 +421,7 @@ def test_each_step_graph_is_freed_before_the_next_forward(tiny_data, monkeypatch
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_exploding_lr_aborts_with_diagnostics(tiny_data):
-    cfg = tiny_cfg(steps=30, lr=1e38, warmup_steps=0)
+    cfg = tiny_cfg(steps=30, lr=1e38)
     with pytest.raises(TrainAbort) as err:
         train_model(cfg, tiny_data[0], log=quiet)
     diag = err.value.diagnostics
