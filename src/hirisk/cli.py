@@ -11,7 +11,6 @@ an optional JSON config plus repeatable dotted overrides, e.g.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -20,8 +19,8 @@ import numpy as np
 from . import costmodel, ops
 from .autograd import Tensor, concat, swapaxes
 from .config import RunConfig, apply_override, load_config
+from .files import write_csv, write_json
 from .gradcheck import finite_difference_check
-from .metrics import export_csv, save_report
 from .model import MODEL_SCENE_FIELDS
 from .rng import named_rng
 from .scenes import load_dataset
@@ -108,10 +107,10 @@ def cmd_train(args) -> int:
         return 3
     finally:
         log.close()
-    save_report(report, os.path.join(run_dir, "metrics.json"))
-    export_csv(report, os.path.join(run_dir, "metrics.csv"))
-    with open(os.path.join(run_dir, "history.json"), "w", encoding="utf-8") as fh:
-        json.dump(result["history"], fh)
+    write_json(os.path.join(run_dir, "metrics.json"), report)
+    samples = report["per_sample"]
+    write_csv(os.path.join(run_dir, "metrics.csv"), samples, samples[0].keys())
+    write_json(os.path.join(run_dir, "history.json"), result["history"])
     print(f"miou {report['miou']:.4f}  bleu4 {report['bleu4']:.4f}  "
           f"avg {report['avg']:.4f}  class acc {report['risk_class_acc']:.4f}")
     print(f"artifacts in {run_dir}")
@@ -119,12 +118,18 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    model, vocab, cfg, _ = load_checkpoint(args.checkpoint)
-    # the fields that shape the model must match; the rest may differ
-    test_ds = load_dataset(args.data, args.split, cfg.scene, MODEL_SCENE_FIELDS)
+    try:
+        model, vocab, cfg, _ = load_checkpoint(args.checkpoint)
+    except (ValueError, FileNotFoundError) as err:
+        usage_error(f"--checkpoint: {err}")
+    try:
+        # the fields that shape the model must match; the rest may differ
+        test_ds = load_dataset(args.data, args.split, cfg.scene, MODEL_SCENE_FIELDS)
+    except (ValueError, FileNotFoundError) as err:
+        usage_error(f"--data: {err}")
     report = evaluate_model(model, vocab, test_ds, batch_size=cfg.train.eval_batch)
     if args.out:
-        save_report(report, args.out)
+        write_json(args.out, report)
         print(f"report written to {args.out}")
     print(f"miou {report['miou']:.4f}  bleu4 {report['bleu4']:.4f}  "
           f"avg {report['avg']:.4f}  class acc {report['risk_class_acc']:.4f}")
@@ -171,7 +176,7 @@ def cmd_profile_flops(args) -> int:
     rows = costmodel.profile(grid)
     summary = costmodel.scaling_summary(rows)
     if args.out:
-        costmodel.write_csv(rows, args.out)
+        write_csv(args.out, rows, costmodel.CSV_COLUMNS)
         print(f"profile written to {args.out}")
     hdr = f"{'res':>5} {'baseline GF':>14} {'hilmd GF':>12} {'baseline GB':>13} {'hilmd GB':>10}"
     print(hdr)

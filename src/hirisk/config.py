@@ -105,20 +105,28 @@ def from_dict(data: dict, cls=RunConfig, prefix: str = ""):
     """Build `cls`, by default a RunConfig, from its `to_dict` form.
 
     Raises ValueError naming each key its section has no field for, such as
-    a field that a config or checkpoint of an older version carries.
+    a field that a config or checkpoint of an older version carries. An int
+    given for a float field (`"lr": 1`) is stored as a float, so it hashes and
+    takes overrides as `1.0` would.
     """
     fields = {f.name: f for f in dataclasses.fields(cls)}
     unknown = sorted(set(data) - set(fields))
     if unknown:
         raise ValueError("no config field " + ", ".join(f"'{prefix}{k}'" for k in unknown))
-    # a section's field builds its default with the section's own class
-    return cls(**{k: from_dict(v, fields[k].default_factory, f"{prefix}{k}.")
-                  if dataclasses.is_dataclass(fields[k].default_factory) else v
-                  for k, v in data.items()})
+
+    def value(k, v):
+        # a section's field builds its default with the section's own class
+        if dataclasses.is_dataclass(fields[k].default_factory):
+            return from_dict(v, fields[k].default_factory, f"{prefix}{k}.")
+        return float(v) if fields[k].type == "float" and type(v) is int else v
+
+    return cls(**{k: value(k, v) for k, v in data.items()})
 
 
 def canonical_json(cfg) -> str:
-    return json.dumps(to_dict(cfg), sort_keys=True, separators=(",", ":"))
+    """`cfg`, a config or its `to_dict` form, as compact sorted JSON."""
+    data = cfg if isinstance(cfg, dict) else to_dict(cfg)
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
 def config_hash(cfg) -> str:

@@ -21,8 +21,6 @@ Everything is exact integer arithmetic; no floats enter until ratios.
 
 from __future__ import annotations
 
-import csv
-
 # Frozen reference architecture (large vision encoder + language model).
 ENC_D = 1024
 ENC_LAYERS = 24
@@ -169,10 +167,3 @@ def scaling_summary(rows=None) -> dict:
         "hilmd_any_oom": any(r["hilmd_oom"] for r in rows),
         "budget_bytes": MEMORY_BUDGET_BYTES,
     }
-
-
-def write_csv(rows, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(CSV_COLUMNS))
-        writer.writeheader()
-        writer.writerows(rows)

@@ -8,8 +8,6 @@ per-sample diagnostics only and never feeds the headline numbers.
 
 from __future__ import annotations
 
-import csv
-import json
 from collections import Counter
 
 import numpy as np
@@ -213,28 +211,3 @@ def evaluate_predictions(samples, predictions) -> dict:
     if distractor_hits:
         report["risk_class_acc_distractor"] = float(np.mean(distractor_hits))
     return report
-
-
-# -- serialization -------------------------------------------------------------
-
-
-def report_to_json(report: dict) -> str:
-    """Canonical rendering: identical reports give identical bytes."""
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
-
-
-def save_report(report: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report_to_json(report))
-
-
-def export_csv(report: dict, path) -> None:
-    """Per-sample rows for spreadsheet inspection."""
-    rows = report.get("per_sample", [])
-    if not rows:
-        raise ValueError("report has no per-sample records")
-    fields = list(rows[0].keys())
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)

@@ -16,7 +16,6 @@ frame. Such objects are genuinely invisible to a low-resolution-only model.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import os
@@ -25,6 +24,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .config import SceneConfig
+from .files import write_atomic, write_json
 from .grammar import CLASS_COLORS, CLASSES, make_caption, suggestion_index
 from .rng import named_rng
 
@@ -393,19 +393,6 @@ class SceneDataset:
 MANIFEST_VERSION = 3
 
 
-def write_atomic(path: str, write) -> None:
-    """`write(fh)` to `<path>.tmp`, then rename it: a failure leaves `path` whole."""
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            write(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
-
-
 def save_dataset(ds: SceneDataset, cfg: SceneConfig, out_dir: str, split: str) -> None:
     split_dir = os.path.join(out_dir, split)
     os.makedirs(split_dir, exist_ok=True)
@@ -413,9 +400,7 @@ def save_dataset(ds: SceneDataset, cfg: SceneConfig, out_dir: str, split: str) -
                  lambda fh: np.savez(fh, clips=ds.clips, hrs=ds.hrs))
     manifest = {"version": MANIFEST_VERSION, "split": split, "config": asdict(cfg),
                 "samples": ds.meta}
-    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    write_atomic(os.path.join(out_dir, f"{split}_manifest.json"),
-                 lambda fh: fh.write(text.encode()))
+    write_json(os.path.join(out_dir, f"{split}_manifest.json"), manifest)
 
 
 def load_dataset(out_dir: str, split: str, scene: SceneConfig | None = None,

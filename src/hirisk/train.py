@@ -18,13 +18,14 @@ import numpy as np
 
 from . import ops
 from .autograd import NonFiniteError, concat
-from .config import Ablation, RunConfig, canonical_json, config_hash, from_dict, to_dict
+from .config import Ablation, RunConfig, config_hash, from_dict, to_dict
+from .files import json_text, write_atomic, write_csv, write_json
 from .grammar import build_vocab, format_location, tokenize, Vocabulary
 from .metrics import evaluate_predictions
 from .model import DualBranchModel
 from .optim import AdamW, cosine_lr
 from .rng import named_rng
-from .scenes import SceneDataset, load_dataset, render_frame, save_dataset, write_atomic
+from .scenes import SceneDataset, load_dataset, render_frame, save_dataset
 
 
 class TrainAbort(RuntimeError):
@@ -218,19 +219,6 @@ def presence_loss(model: DualBranchModel, pos: dict, neg: dict, prompt: np.ndarr
 # -- checkpointing -------------------------------------------------------------
 
 
-def _json_safe(obj):
-    """Recursively turn numpy scalars and arrays into plain Python values."""
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.generic):
-        return obj.item()
-    return obj
-
-
 # Format 2: five flat members split by a name index in `meta` (format 1 wrote
 # one member per parameter and moment).
 CHECKPOINT_FORMAT = 2
@@ -262,7 +250,7 @@ def save_checkpoint(path: str, model: DualBranchModel, opt: AdamW, cfg: RunConfi
         "config_hash": config_hash(cfg),
         "step": step,
         "max_answer_len": max_answer_len,
-        "rng_state": _json_safe(rng_state),
+        "rng_state": rng_state,
         "param_shapes": [[name, list(p.shape)] for name, p in params],
         "opt_names": [name for name, _ in state],
     }
@@ -271,7 +259,7 @@ def save_checkpoint(path: str, model: DualBranchModel, opt: AdamW, cfg: RunConfi
         "opt_m": _flat([m for _, (m, _, _) in state], values.dtype),
         "opt_v": _flat([v for _, (_, v, _) in state], values.dtype),
         "opt_t": np.asarray([t for _, (_, _, t) in state], dtype=np.int64),
-        "meta": np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8),
+        "meta": np.frombuffer(json_text(meta).encode(), dtype=np.uint8),
     }
     write_atomic(path, lambda fh: np.savez(fh, **arrays))
 
@@ -296,8 +284,9 @@ def load_checkpoint(path: str):
         raise ValueError(f"{path}: checkpoint format {meta.get('format')}, but this version "
                          f"reads format {CHECKPOINT_FORMAT}")
     cfg = from_dict(meta["config"])
-    if config_hash(cfg) != meta["config_hash"]:
-        raise ValueError("checkpoint config hash mismatch")
+    # hashed as stored: `from_dict` reads `"lr": 1` as 1.0, which hashes apart
+    if config_hash(meta["config"]) != meta["config_hash"]:
+        raise ValueError(f"{path}: its config does not match the config_hash stored with it")
     shapes = {name: tuple(shape) for name, shape in meta["param_shapes"]}
     names = meta["opt_names"]
     opt_index = [(name, shapes[name]) for name in names]
@@ -335,8 +324,7 @@ def train_model(cfg: RunConfig, train_ds: SceneDataset, run_dir=None, log=print)
 
     if run_dir:
         os.makedirs(run_dir, exist_ok=True)
-        with open(os.path.join(run_dir, "config.snapshot"), "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(cfg) + "\n")
+        write_json(os.path.join(run_dir, "config.snapshot"), to_dict(cfg))
 
     if not cfg.model.ablation.baseline_only:
         gap = gating_gap(cfg, vocab, ta)
@@ -421,6 +409,8 @@ GRID_ROWS = (
 )
 
 GRID_METRICS = ("miou", "bleu4", "avg", "risk_class_acc", "risk_class_acc_distractor")
+GRID_CSV_COLUMNS = ("name", "config_hash",
+                    *(f"{key}_{stat}" for key in GRID_METRICS for stat in ("mean", "min", "max")))
 
 
 def _row_config(cfg: RunConfig, flags: Ablation, seed: int) -> RunConfig:
@@ -432,10 +422,16 @@ def _row_config(cfg: RunConfig, flags: Ablation, seed: int) -> RunConfig:
 
 def run_ablation_grid(cfg: RunConfig, seeds, train_ds: SceneDataset,
                       test_ds: SceneDataset, rows=None, run_dir=None, log=print) -> list[dict]:
-    """One training run per (flag setting, seed); aggregates mean and spread."""
+    """One training run per (flag setting, seed); aggregates mean and spread.
+
+    With `run_dir`, `ablation.json` and `ablation.csv` are written again after
+    each finished row, so a run that aborts keeps the rows before it.
+    """
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
+    if run_dir:
+        os.makedirs(run_dir, exist_ok=True)
     table = []
     for name, flags in rows or GRID_ROWS:
         reports = []
@@ -457,26 +453,11 @@ def run_ablation_grid(cfg: RunConfig, seeds, train_ds: SceneDataset,
                 row[f"{key}_max"] = float(max(vals))
         row["reports"] = reports
         table.append(row)
-    if run_dir:
-        os.makedirs(run_dir, exist_ok=True)
-        with open(os.path.join(run_dir, "ablation.json"), "w", encoding="utf-8") as fh:
-            json.dump(table, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        write_grid_csv(table, os.path.join(run_dir, "ablation.csv"))
+        if run_dir:
+            write_json(os.path.join(run_dir, "ablation.json"), table)
+            write_csv(os.path.join(run_dir, "ablation.csv"),
+                      [{k: r[k] for k in GRID_CSV_COLUMNS} for r in table], GRID_CSV_COLUMNS)
     return table
-
-
-def write_grid_csv(table: list[dict], path: str) -> None:
-    import csv
-
-    cols = ["name", "config_hash"]
-    for key in GRID_METRICS:
-        cols += [f"{key}_mean", f"{key}_min", f"{key}_max"]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=cols, extrasaction="ignore")
-        writer.writeheader()
-        for row in table:
-            writer.writerow(row)
 
 
 def format_grid(table: list[dict]) -> str:

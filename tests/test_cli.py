@@ -4,6 +4,7 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
 from hirisk.cli import main
@@ -191,7 +192,7 @@ def test_a_usage_error_exits_2_with_one_line(tmp_path, capsys, argv, message):
     assert not run_dir.exists()
 
 
-def test_evaluate_rejects_a_split_with_other_input_shapes(tmp_path, cfg_file):
+def _tiny_checkpoint(path):
     from hirisk.grammar import build_vocab
     from hirisk.model import DualBranchModel
     from hirisk.optim import AdamW
@@ -199,12 +200,47 @@ def test_evaluate_rejects_a_split_with_other_input_shapes(tmp_path, cfg_file):
 
     cfg = tiny_cfg()
     model = DualBranchModel(cfg, build_vocab(), 35, cfg.train.seed)
+    save_checkpoint(path, model, AdamW(model.param_groups(1.0), lr=1e-3), cfg, 0, 35, {})
+    return model
+
+
+def _evaluate_usage_error(capsys, argv) -> str:
+    """Run `hirisk evaluate`, check it ends with one line and exit 2, return the line."""
+    with pytest.raises(SystemExit) as exit_:
+        main(["evaluate", *argv])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hirisk: error: ") and err.count("\n") == 1
+    return err
+
+
+def test_evaluate_rejects_a_split_with_other_input_shapes(tmp_path, cfg_file, capsys):
     ckpt = str(tmp_path / "checkpoint")
-    save_checkpoint(ckpt, model, AdamW(model.param_groups(1.0), lr=1e-3), cfg, 0, 35, {})
+    _tiny_checkpoint(ckpt)
     data_dir = str(tmp_path / "data")
     # the seed differs too, but it does not shape the model
     assert main(["generate-data", "--config", cfg_file, "--out", data_dir,
                  "--set", "scene.clip_len=3", "--set", "scene.hr_size=128",
                  "--set", "scene.seed=9"]) == 0
-    with pytest.raises(ValueError, match=r"\['clip_len', 'hr_size'\]"):
-        main(["evaluate", "--checkpoint", ckpt, "--data", data_dir])
+    capsys.readouterr()
+    err = _evaluate_usage_error(capsys, ["--checkpoint", ckpt, "--data", data_dir])
+    assert "--data: test split in" in err and "['clip_len', 'hr_size']" in err
+    err = _evaluate_usage_error(capsys, ["--checkpoint", ckpt, "--data", str(tmp_path / "none")])
+    assert "--data: [Errno 2] No such file or directory" in err
+
+
+def test_evaluate_rejects_a_checkpoint_of_the_old_layout(tmp_path, cfg_file, capsys):
+    data_dir = str(tmp_path / "data")
+    assert main(["generate-data", "--config", cfg_file, "--out", data_dir]) == 0
+    capsys.readouterr()
+    ckpt = str(tmp_path / "checkpoint")
+    model = _tiny_checkpoint(ckpt)
+    with np.load(ckpt) as z:
+        meta = z["meta"]
+    # format 1 wrote one member per parameter
+    with open(ckpt, "wb") as fh:
+        np.savez(fh, meta=meta, **{"param/" + n: p.data for n, p in model.named_parameters()})
+    err = _evaluate_usage_error(capsys, ["--checkpoint", ckpt, "--data", data_dir])
+    assert "--checkpoint: " in err and "not a format 2 checkpoint" in err
+    err = _evaluate_usage_error(capsys, ["--checkpoint", ckpt + "x", "--data", data_dir])
+    assert "--checkpoint: [Errno 2] No such file or directory" in err

@@ -160,3 +160,30 @@ def test_from_dict_names_a_field_its_section_does_not_have(tmp_path, key):
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match=f"no config field '{key}'"):
         load_config(path)
+
+
+def _written_with_whole_floats(tmp_path):
+    """A config file that writes float fields as whole numbers (`"lr": 1`)."""
+    data = to_dict(RunConfig())
+    data["train"].update(lr=1, hr_lr_mult=4)
+    data["scene"]["hr_critical_frac"] = 0
+    path = tmp_path / "whole.json"
+    path.write_text(json.dumps(data))
+    return load_config(path)
+
+
+def test_a_float_field_written_as_an_int_takes_a_float_override(tmp_path):
+    cfg = _written_with_whole_floats(tmp_path)
+    assert type(cfg.train.lr) is float and type(cfg.scene.hr_critical_frac) is float
+    apply_override(cfg, "train.lr", "3e-4")
+    assert cfg.train.lr == 3e-4
+    # an int field and a bool field keep their types
+    assert type(cfg.train.steps) is int and type(cfg.train.freeze_backbone) is bool
+
+
+def test_a_float_field_written_as_an_int_hashes_as_the_float(tmp_path):
+    cfg = _written_with_whole_floats(tmp_path)
+    same = RunConfig()
+    same.train.lr, same.train.hr_lr_mult, same.scene.hr_critical_frac = 1.0, 4.0, 0.0
+    assert canonical_json(cfg) == canonical_json(same)
+    assert config_hash(cfg) == config_hash(same)

@@ -3,6 +3,7 @@
 import csv
 
 from hirisk import costmodel as cm
+from hirisk.files import write_csv
 
 
 # -- independent integer re-derivation (kept deliberately separate) ------------
@@ -109,7 +110,7 @@ def test_cnn_term_small_but_growing():
 
 def test_csv_export(tmp_path):
     path = tmp_path / "costs.csv"
-    cm.write_csv(cm.profile(), path)
+    write_csv(path, cm.profile(), cm.CSV_COLUMNS)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == list(cm.CSV_COLUMNS)

@@ -1,5 +1,6 @@
 """Training loop: determinism, checkpoints, gate, abort, ablation grid."""
 
+import hashlib
 import json
 import os
 import weakref
@@ -16,8 +17,8 @@ from hirisk.config import (
     TrainConfig,
     config_hash,
 )
+from hirisk.files import json_text
 from hirisk.grammar import build_vocab, tokenize
-from hirisk.metrics import report_to_json
 from hirisk.model import DualBranchModel
 from hirisk.optim import AdamW
 from hirisk.rng import named_rng
@@ -76,15 +77,15 @@ def test_identical_runs_give_identical_reports(tiny_data):
     for _ in range(2):
         out = train_model(tiny_cfg(), train_ds, log=quiet)
         rep = evaluate_model(out["model"], out["vocab"], test_ds, batch_size=6)
-        reports.append(report_to_json(rep))
+        reports.append(json_text(rep))
     assert reports[0] == reports[1]
 
 
 def test_evaluate_is_deterministic(tiny_data):
     train_ds, test_ds = tiny_data
     out = train_model(tiny_cfg(), train_ds, log=quiet)
-    a = report_to_json(evaluate_model(out["model"], out["vocab"], test_ds, batch_size=6))
-    b = report_to_json(evaluate_model(out["model"], out["vocab"], test_ds, batch_size=3))
+    a = json_text(evaluate_model(out["model"], out["vocab"], test_ds, batch_size=6))
+    b = json_text(evaluate_model(out["model"], out["vocab"], test_ds, batch_size=3))
     # batching must not leak into the scores either
     assert a == b
 
@@ -168,7 +169,8 @@ def _rewrite(path, **members):
 
 
 @pytest.mark.parametrize("fault", ["per_name_layout", "params_one_short", "opt_m_one_long",
-                                   "another_format", "config_of_an_older_version"])
+                                   "another_format", "config_of_an_older_version",
+                                   "config_edited"])
 def test_load_rejects_a_checkpoint_its_index_does_not_describe(tmp_path, tiny_data, fault):
     cfg, model, opt, ta = _stepped_model(tiny_data)
     path = str(tmp_path / "ckpt")
@@ -195,13 +197,42 @@ def test_load_rejects_a_checkpoint_its_index_does_not_describe(tmp_path, tiny_da
         meta["format"] = 3
         _rewrite(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
         match = "checkpoint format 3, but this version reads format 2"
-    else:
+    elif fault == "config_of_an_older_version":
         # a field this version no longer has, such as the former box-head span switch
         meta["config"]["model"]["span_mode"] = "noun_phrase"
         _rewrite(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
         match = "no config field 'model.span_mode'"
+    elif fault == "config_edited":
+        meta["config"]["train"]["lr"] *= 2
+        _rewrite(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
+        match = "its config does not match the config_hash stored with it"
     with pytest.raises(ValueError, match=match):
         load_checkpoint(path)
+
+
+def test_a_checkpoint_with_an_int_in_a_float_field_loads(tmp_path, tiny_data):
+    cfg, model, opt, ta = _stepped_model(tiny_data)
+    cfg.train.weight_decay = 0  # built in Python: an int where a float is declared
+    path = str(tmp_path / "ckpt")
+    save_checkpoint(path, model, opt, cfg, 1, ta, {})
+    _, _, cfg2, meta = load_checkpoint(path)
+    assert meta["config"]["train"]["weight_decay"] == 0
+    assert cfg2.train.weight_decay == 0.0 and type(cfg2.train.weight_decay) is float
+
+
+def test_a_stored_config_with_an_int_in_a_float_field_loads(tmp_path, tiny_data):
+    """As written by a version that kept the `"lr": 1` of a JSON config as an int."""
+    cfg, model, opt, ta = _stepped_model(tiny_data)
+    path = str(tmp_path / "ckpt")
+    save_checkpoint(path, model, opt, cfg, 1, ta, {})
+    with np.load(path) as z:
+        meta = json.loads(bytes(z["meta"]).decode())
+    meta["config"]["train"]["lr"] = 1
+    compact = json.dumps(meta["config"], sort_keys=True, separators=(",", ":"))
+    meta["config_hash"] = hashlib.sha256(compact.encode()).hexdigest()
+    _rewrite(path, meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8))
+    _, _, cfg2, _ = load_checkpoint(path)
+    assert cfg2.train.lr == 1.0 and type(cfg2.train.lr) is float
 
 
 def test_checkpoint_resume_matches_uninterrupted_run(tmp_path, tiny_data):
@@ -515,6 +546,29 @@ def test_ablation_grid_rows_and_artifacts(tmp_path, tiny_data):
     assert os.path.exists(os.path.join(run_dir, "ablation.csv"))
     with open(os.path.join(run_dir, "ablation.json"), encoding="utf-8") as fh:
         assert [r["name"] for r in json.load(fh)] == ["full", "baseline_only"]
+
+
+def test_an_aborted_grid_keeps_its_finished_rows(tmp_path, tiny_data, monkeypatch):
+    import hirisk.train as train_mod
+
+    real_train = train_mod.train_model
+
+    def second_row_aborts(cfg, *args, **kwargs):
+        if cfg.model.ablation.baseline_only:
+            raise TrainAbort({"phase": "train", "step": 0})
+        return real_train(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(train_mod, "train_model", second_row_aborts)
+    rows = [("full", Ablation()), ("baseline_only", Ablation(baseline_only=True))]
+    run_dir = tmp_path / "grid"
+    with pytest.raises(TrainAbort):
+        run_ablation_grid(tiny_cfg(steps=1), [0], tiny_data[0], tiny_data[1],
+                          rows=rows, run_dir=str(run_dir), log=quiet)
+    assert sorted(os.listdir(run_dir)) == ["ablation.csv", "ablation.json"]
+    table = json.loads((run_dir / "ablation.json").read_text())
+    assert [r["name"] for r in table] == ["full"]
+    lines = (run_dir / "ablation.csv").read_text().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("full,")
 
 
 def test_grid_needs_a_seed(tiny_data):
