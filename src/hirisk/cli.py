@@ -11,6 +11,7 @@ an optional JSON config plus repeatable dotted overrides, e.g.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -25,6 +26,7 @@ from .model import MODEL_SCENE_FIELDS
 from .rng import named_rng
 from .scenes import load_dataset
 from .train import (
+    GRID_ROWS,
     GateError,
     TrainAbort,
     evaluate_model,
@@ -37,18 +39,22 @@ from .train import (
 
 
 class Logger:
-    """Prints each line and appends it to `<run_dir>/log.txt`."""
+    """Prints each line and appends it to `<run_dir>/log.txt`; closes it on leaving `with`."""
 
     def __init__(self, run_dir: str):
-        os.makedirs(run_dir, exist_ok=True)
-        self.fh = open(os.path.join(run_dir, "log.txt"), "a", encoding="utf-8")
+        with bad_input("--run-dir"):
+            os.makedirs(run_dir, exist_ok=True)
+            self.fh = open(os.path.join(run_dir, "log.txt"), "a", encoding="utf-8")
 
     def __call__(self, msg: str):
         print(msg)
         self.fh.write(msg + "\n")
         self.fh.flush()
 
-    def close(self):
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
         self.fh.close()
 
 
@@ -58,19 +64,42 @@ def usage_error(msg: str):
     raise SystemExit(2)
 
 
-def build_cfg(args) -> RunConfig:
+@contextlib.contextmanager
+def bad_input(arg: str):
+    """Make a KeyError, ValueError or OSError raised while reading `arg` a usage error.
+    Wrap only the reading of inputs: a fault in training or decoding keeps its traceback."""
     try:
+        yield
+    except (KeyError, ValueError, OSError) as err:
+        usage_error(f"{arg}: {err.args[0] if isinstance(err, KeyError) else err}")
+
+
+def int_list(arg: str, text: str) -> list[int]:
+    """The integers of a comma-separated `arg`; a usage error when there are none."""
+    with contextlib.suppress(ValueError):
+        values = [int(s) for s in text.split(",") if s != ""]
+        if values:
+            return values
+    usage_error(f"{arg} takes comma-separated integers, got '{text}'")
+
+
+def make_out_dir(path) -> None:
+    """Create the directory `--out` writes into, or refuse a directory, before any work."""
+    if path:
+        with bad_input("--out"):
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+            if os.path.isdir(path):
+                raise IsADirectoryError(f"{path} is a directory")
+
+
+def build_cfg(args) -> RunConfig:
+    with bad_input(f"--config {args.config}"):
         cfg = load_config(args.config) if args.config else RunConfig()
-    except ValueError as err:
-        usage_error(f"--config {args.config}: {err}")
     for item in args.set or []:
         if "=" not in item:
-            usage_error(f"override '{item}' is not of the form key=value")
-        key, value = item.split("=", 1)
-        try:
-            apply_override(cfg, key, value)
-        except (KeyError, ValueError) as err:
-            usage_error(f"--set {item}: {err.args[0]}")
+            usage_error(f"--set {item}: not of the form key=value")
+        with bad_input(f"--set {item}"):
+            apply_override(cfg, *item.split("=", 1))
     return cfg
 
 
@@ -85,49 +114,37 @@ def add_config_args(p: argparse.ArgumentParser) -> None:
 
 def cmd_generate_data(args) -> int:
     cfg = build_cfg(args)
-    load_or_generate(cfg, data_dir=args.out)
+    with bad_input("--out"):
+        load_or_generate(cfg, data_dir=args.out)
     print(f"dataset ready at {args.out}")
     return 0
 
 
 def cmd_train(args) -> int:
     cfg = build_cfg(args)
-    run_dir = args.run_dir
-    log = Logger(run_dir)
-    try:
-        train_ds, test_ds = load_or_generate(cfg, data_dir=args.data, log=log)
-        result = train_model(cfg, train_ds, run_dir=run_dir, log=log)
-        report = evaluate_model(result["model"], result["vocab"], test_ds,
-                                batch_size=cfg.train.eval_batch)
-    except GateError as err:
-        log(f"gate failure: {err}")
-        return 2
-    except TrainAbort as err:
-        log(f"aborted: {err.diagnostics}")
-        return 3
-    finally:
-        log.close()
-    write_json(os.path.join(run_dir, "metrics.json"), report)
+    with Logger(args.run_dir) as log:
+        with bad_input("--data"):
+            train_ds, test_ds = load_or_generate(cfg, data_dir=args.data, log=log)
+        result = train_model(cfg, train_ds, run_dir=args.run_dir, log=log)
+    report = evaluate_model(result["model"], test_ds, batch_size=cfg.train.eval_batch)
+    write_json(os.path.join(args.run_dir, "metrics.json"), report)
     samples = report["per_sample"]
-    write_csv(os.path.join(run_dir, "metrics.csv"), samples, samples[0].keys())
-    write_json(os.path.join(run_dir, "history.json"), result["history"])
+    write_csv(os.path.join(args.run_dir, "metrics.csv"), samples, samples[0].keys())
+    write_json(os.path.join(args.run_dir, "history.json"), result["history"])
     print(f"miou {report['miou']:.4f}  bleu4 {report['bleu4']:.4f}  "
           f"avg {report['avg']:.4f}  class acc {report['risk_class_acc']:.4f}")
-    print(f"artifacts in {run_dir}")
+    print(f"artifacts in {args.run_dir}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    try:
-        model, vocab, cfg, _ = load_checkpoint(args.checkpoint)
-    except (ValueError, FileNotFoundError) as err:
-        usage_error(f"--checkpoint: {err}")
-    try:
+    with bad_input("--checkpoint"):
+        model, _, cfg, _ = load_checkpoint(args.checkpoint)
+    with bad_input("--data"):
         # the fields that shape the model must match; the rest may differ
         test_ds = load_dataset(args.data, args.split, cfg.scene, MODEL_SCENE_FIELDS)
-    except (ValueError, FileNotFoundError) as err:
-        usage_error(f"--data: {err}")
-    report = evaluate_model(model, vocab, test_ds, batch_size=cfg.train.eval_batch)
+    make_out_dir(args.out)
+    report = evaluate_model(model, test_ds, batch_size=cfg.train.eval_batch)
     if args.out:
         write_json(args.out, report)
         print(f"report written to {args.out}")
@@ -138,41 +155,25 @@ def cmd_evaluate(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = build_cfg(args)
-    try:
-        seeds = [int(s) for s in args.seeds.split(",") if s != ""]
-    except ValueError:
-        usage_error(f"--seeds takes comma-separated integers, got '{args.seeds}'")
-    rows = None
-    if args.rows:
-        from .train import GRID_ROWS
-
-        wanted = args.rows.split(",")
-        by_name = dict(GRID_ROWS)
-        missing = [w for w in wanted if w not in by_name]
-        if missing:
-            usage_error(f"unknown grid rows: {missing}; have {list(by_name)}")
-        rows = [(w, by_name[w]) for w in wanted]
-    log = Logger(args.run_dir)
-    try:
-        train_ds, test_ds = load_or_generate(cfg, data_dir=args.data, log=log)
+    seeds = int_list("--seeds", args.seeds)
+    by_name = dict(GRID_ROWS)
+    wanted = args.rows.split(",") if args.rows else list(by_name)
+    missing = [w for w in wanted if w not in by_name]
+    if missing:
+        usage_error(f"--rows: unknown grid rows {missing}; have {list(by_name)}")
+    rows = [(w, by_name[w]) for w in wanted]
+    with Logger(args.run_dir) as log:
+        with bad_input("--data"):
+            train_ds, test_ds = load_or_generate(cfg, data_dir=args.data, log=log)
         table = run_ablation_grid(cfg, seeds, train_ds, test_ds, rows=rows,
                                   run_dir=args.run_dir, log=log)
-    except GateError as err:
-        log(f"gate failure: {err}")
-        return 2
-    except TrainAbort as err:
-        log(f"aborted: {err.diagnostics}")
-        return 3
-    finally:
-        log.close()
     print(format_grid(table))
     return 0
 
 
 def cmd_profile_flops(args) -> int:
-    grid = None
-    if args.resolutions:
-        grid = [int(r) for r in args.resolutions.split(",")]
+    grid = int_list("--resolutions", args.resolutions) if args.resolutions else None
+    make_out_dir(args.out)
     rows = costmodel.profile(grid)
     summary = costmodel.scaling_summary(rows)
     if args.out:
@@ -281,8 +282,14 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command. Exit 2 on a usage error or a failed gate, 3 on an abort."""
     args = make_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except GateError:
+        return 2
+    except TrainAbort:
+        return 3
 
 
 if __name__ == "__main__":

@@ -8,21 +8,16 @@ import numpy as np
 
 from .autograd import Tensor
 
+EPS = 1e-6  # central-difference step
 
-def finite_difference_check(
-    fn: Callable[..., Tensor],
-    inputs: Sequence[Tensor],
-    eps: float = 1e-6,
-    rel_tol: float = 1e-4,
-    sample: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> float:
+
+def finite_difference_check(fn: Callable[..., Tensor], inputs: Sequence[Tensor],
+                            rel_tol: float = 1e-4) -> float:
     """Compare analytic grads of a scalar-valued fn against central differences.
 
-    Checks every coordinate of every input that requires grad, or a random
-    subset of `sample` coordinates per input when given (for large tensors).
-    Relative error per coordinate is |a - n| / max(|a| + |n|, 1e-8). Returns
-    the worst relative error observed; raises AssertionError above rel_tol.
+    Checks every coordinate of every input that requires grad. Relative
+    error per coordinate is |a - n| / max(|a| + |n|, 1e-8). Returns the
+    worst relative error observed; raises AssertionError above rel_tol.
 
     Inputs should be float64 for the step size to be meaningful.
     """
@@ -36,25 +31,17 @@ def finite_difference_check(
     for t in inputs:
         if not t.requires_grad:
             continue
-        if t.grad is None:
-            analytic = np.zeros_like(t.data)
-        else:
-            analytic = t.grad
+        analytic = np.zeros_like(t.data) if t.grad is None else t.grad
         flat = t.data.reshape(-1)
         aflat = analytic.reshape(-1)
-        if sample is not None and flat.size > sample:
-            gen = rng if rng is not None else np.random.default_rng(0)
-            coords = gen.choice(flat.size, size=sample, replace=False)
-        else:
-            coords = range(flat.size)
-        for i in coords:
+        for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + eps
+            flat[i] = orig + EPS
             hi = float(fn(*inputs).data)
-            flat[i] = orig - eps
+            flat[i] = orig - EPS
             lo = float(fn(*inputs).data)
             flat[i] = orig
-            numeric = (hi - lo) / (2.0 * eps)
+            numeric = (hi - lo) / (2.0 * EPS)
             a = float(aflat[i])
             err = abs(a - numeric) / max(abs(a) + abs(numeric), 1e-8)
             if err > worst:

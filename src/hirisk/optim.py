@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
+BETA1, BETA2 = 0.9, 0.999  # moment decay rates
+EPS = 1e-8  # added to the root of the second moment
+
 
 class AdamW:
     """Adam with decoupled weight decay.
@@ -19,16 +22,13 @@ class AdamW:
     does not depend on how the parameters are split into groups.
     """
 
-    def __init__(self, param_groups, lr: float = 1e-4, betas=(0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.01):
+    def __init__(self, param_groups, lr: float = 1e-4, weight_decay: float = 0.01):
         if isinstance(param_groups, dict):
             param_groups = [{"params": param_groups}]
         self.groups = [{"params": dict(g["params"]), "lr_scale": float(g.get("lr_scale", 1.0))}
                        for g in param_groups]
         self.lr = float(lr)
         self.weight_decay = float(weight_decay)
-        self.beta1, self.beta2 = betas
-        self.eps = float(eps)
         self.state: dict[str, tuple[np.ndarray, np.ndarray, int]] = {}
 
     def load_state(self, state: dict) -> None:
@@ -49,15 +49,15 @@ class AdamW:
                 t += 1
                 self.state[name] = (m, v, t)
                 grad = p.grad
-                m *= self.beta1
-                m += (1.0 - self.beta1) * grad
-                v *= self.beta2
-                v += (1.0 - self.beta2) * grad * grad
-                mhat = m / (1.0 - self.beta1**t)
-                vhat = v / (1.0 - self.beta2**t)
+                m *= BETA1
+                m += (1.0 - BETA1) * grad
+                v *= BETA2
+                v += (1.0 - BETA2) * grad * grad
+                mhat = m / (1.0 - BETA1**t)
+                vhat = v / (1.0 - BETA2**t)
                 if self.weight_decay:
                     p.data -= lr * self.weight_decay * p.data
-                p.data -= lr * mhat / (np.sqrt(vhat) + self.eps)
+                p.data -= lr * mhat / (np.sqrt(vhat) + EPS)
 
     def grad_norm(self) -> float:
         total = 0.0

@@ -16,6 +16,7 @@ frame. Such objects are genuinely invisible to a low-resolution-only model.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -24,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .config import SceneConfig
-from .files import write_atomic, write_json
+from .files import json_text, write_atomic
 from .grammar import CLASS_COLORS, CLASSES, make_caption, suggestion_index
 from .rng import named_rng
 
@@ -172,13 +173,12 @@ def _shape_mask(obj: SceneObject, t: int, size: int) -> tuple[slice, slice, np.n
     return rows, cols, mask
 
 
-def render_frame(objects: list[SceneObject], t: int, size: int,
-                 min_draw_px: float = MIN_DRAW_PX) -> np.ndarray:
-    """Rasterize one frame; objects thinner than min_draw_px are culled."""
+def render_frame(objects: list[SceneObject], t: int, size: int) -> np.ndarray:
+    """Rasterize one frame; objects thinner than MIN_DRAW_PX are culled."""
     canvas = _background(size).copy()
     for obj in objects:
         w, h = obj.wh
-        if min(w, h) * size < min_draw_px:
+        if min(w, h) * size < MIN_DRAW_PX:
             continue
         rows, cols, mask = _shape_mask(obj, t, size)
         canvas[rows, cols][mask] = OBJECT_RGB[obj.color]
@@ -389,18 +389,20 @@ class SceneDataset:
 
 # Version 2: the caption's suggestion sentence is a function of the scene
 # (version 1 drew it at random). Version 3: a split's arrays are one
-# `<split>/scenes.npz` (version 2 wrote one file per sample).
-MANIFEST_VERSION = 3
+# `<split>/scenes.npz` (version 2 wrote one file per sample). Version 4: the `.npz`
+# holds the sha256 of the manifest written after it, so a torn save is refused.
+MANIFEST_VERSION = 4
 
 
 def save_dataset(ds: SceneDataset, cfg: SceneConfig, out_dir: str, split: str) -> None:
     split_dir = os.path.join(out_dir, split)
     os.makedirs(split_dir, exist_ok=True)
+    manifest = json_text({"version": MANIFEST_VERSION, "split": split, "config": asdict(cfg),
+                          "samples": ds.meta}).encode()
+    digest = np.frombuffer(hashlib.sha256(manifest).digest(), dtype=np.uint8)
     write_atomic(os.path.join(split_dir, "scenes.npz"),
-                 lambda fh: np.savez(fh, clips=ds.clips, hrs=ds.hrs))
-    manifest = {"version": MANIFEST_VERSION, "split": split, "config": asdict(cfg),
-                "samples": ds.meta}
-    write_json(os.path.join(out_dir, f"{split}_manifest.json"), manifest)
+                 lambda fh: np.savez(fh, clips=ds.clips, hrs=ds.hrs, manifest_sha256=digest))
+    write_atomic(os.path.join(out_dir, f"{split}_manifest.json"), lambda fh: fh.write(manifest))
 
 
 def load_dataset(out_dir: str, split: str, scene: SceneConfig | None = None,
@@ -410,11 +412,13 @@ def load_dataset(out_dir: str, split: str, scene: SceneConfig | None = None,
 
     Raises FileNotFoundError when a file of the split is missing, and
     ValueError when the manifest version is not this generator's, when the
-    manifest's generator config differs from `scene` (naming the fields),
-    or when the arrays are not the ones the manifest describes.
+    manifest's generator config differs from `scene` (naming the fields), or
+    when the arrays are not the ones the manifest describes or saved with it.
     """
-    with open(os.path.join(out_dir, f"{split}_manifest.json"), encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest_path = os.path.join(out_dir, f"{split}_manifest.json")
+    with open(manifest_path, "rb") as fh:
+        text = fh.read()
+    manifest = json.loads(text)
     if manifest.get("version") != MANIFEST_VERSION:
         raise ValueError(f"{split} split in {out_dir} has manifest version "
                          f"{manifest.get('version')}, but this generator writes version "
@@ -430,10 +434,13 @@ def load_dataset(out_dir: str, split: str, scene: SceneConfig | None = None,
     path = os.path.join(out_dir, split, "scenes.npz")
     with np.load(path) as z:
         arrays = {"clips": z["clips"], "hrs": z["hrs"]}
+        digest = bytes(z.get("manifest_sha256", b""))
     lr, hr = cfg["lr_size"], cfg["hr_size"]
     want = {"clips": (n, cfg["clip_len"], lr, lr, 3), "hrs": (n, hr, hr, 3)}
     for name, arr in arrays.items():
         if arr.dtype != np.uint8 or arr.shape != want[name]:
             raise ValueError(f"{path}: {name} is {arr.dtype} {list(arr.shape)}, but the "
                              f"manifest describes uint8 {list(want[name])}")
+    if digest != hashlib.sha256(text).digest():
+        raise ValueError(f"{path} was saved with another manifest than {manifest_path}; regenerate it")
     return SceneDataset(arrays["clips"], arrays["hrs"], manifest["samples"])

@@ -45,7 +45,7 @@ def _abort(log, phase: str, step: int, opt: AdamW, err: Exception) -> TrainAbort
     diag = {"phase": phase, "step": step, "lr": opt.lr, "grad_norm": opt.grad_norm(),
             "error": str(err)}
     log(f"abort: non-finite value in {phase} step {step} (lr {opt.lr:.3e}, "
-        f"grad norm {diag['grad_norm']:.3e})")
+        f"grad norm {diag['grad_norm']:.3e}): {err}")
     return TrainAbort(diag)
 
 
@@ -130,10 +130,9 @@ def load_or_generate(cfg: RunConfig, data_dir=None, log=print):
 # -- pre-training gate ---------------------------------------------------------
 
 
-def gating_gap(cfg: RunConfig, vocab: Vocabulary, max_answer_len: int,
-               n_samples: int = 8, seed: int | None = None) -> float:
+def gating_gap(cfg: RunConfig, vocab: Vocabulary, max_answer_len: int, n_samples: int = 8) -> float:
     """Max caption-logit deviation between a fresh full model and baseline."""
-    seed = cfg.train.seed if seed is None else seed
+    seed = cfg.train.seed
     full = DualBranchModel(cfg, vocab, max_answer_len, seed)
     base_cfg = from_dict(to_dict(cfg))
     base_cfg.model.ablation = Ablation(baseline_only=True)
@@ -155,9 +154,9 @@ def gating_gap(cfg: RunConfig, vocab: Vocabulary, max_answer_len: int,
 # -- highlight warmup ----------------------------------------------------------
 
 
-def background_frames(size: int, n: int, rng, noise: float = 0.03) -> np.ndarray:
+def background_frames(size: int, n: int, rng) -> np.ndarray:
     base = render_frame([], 0, size).astype(np.float32) / 255.0
-    out = base[None] + rng.normal(0.0, noise, size=(n, size, size, 3))
+    out = base[None] + rng.normal(0.0, 0.03, size=(n, size, size, 3))
     return np.clip(out, 0.0, 1.0).astype(np.float32)
 
 
@@ -330,7 +329,9 @@ def train_model(cfg: RunConfig, train_ds: SceneDataset, run_dir=None, log=print)
         gap = gating_gap(cfg, vocab, ta)
         log(f"zero-disturbance gate: max logit gap {gap:.3e}")
         if gap > 1e-6:
-            raise GateError(f"gate failed: logit gap {gap:.3e} exceeds 1e-6")
+            msg = f"gate failed: logit gap {gap:.3e} exceeds 1e-6"
+            log(msg)
+            raise GateError(msg)
 
     model = DualBranchModel(cfg, vocab, ta, t.seed)
     pretrain_highlighter(model, data, cfg, log)
@@ -386,9 +387,8 @@ def evaluation_samples(ds: SceneDataset, variant: str) -> list[dict]:
             for i, m in enumerate(ds.meta)]
 
 
-def evaluate_model(model: DualBranchModel, vocab: Vocabulary, test_ds: SceneDataset,
-                   batch_size: int) -> dict:
-    data = prepare_data(test_ds, vocab, model.variant)
+def evaluate_model(model: DualBranchModel, test_ds: SceneDataset, batch_size: int) -> dict:
+    data = prepare_data(test_ds, model.vocab, model.variant)
     samples = evaluation_samples(test_ds, model.variant)
     preds = []
     for start in range(0, len(test_ds), batch_size):
@@ -439,8 +439,7 @@ def run_ablation_grid(cfg: RunConfig, seeds, train_ds: SceneDataset,
             row_cfg = _row_config(cfg, flags, seed)
             log(f"[{name} seed {seed}] training")
             result = train_model(row_cfg, train_ds, run_dir=None, log=log)
-            rep = evaluate_model(result["model"], result["vocab"], test_ds,
-                                 batch_size=row_cfg.train.eval_batch)
+            rep = evaluate_model(result["model"], test_ds, batch_size=row_cfg.train.eval_batch)
             log(f"[{name} seed {seed}] miou {rep['miou']:.4f} bleu4 {rep['bleu4']:.4f}")
             reports.append(rep)
         row = {"name": name, "seeds": seeds,

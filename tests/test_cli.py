@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -116,6 +117,17 @@ def test_malformed_override_is_rejected(tmp_path, cfg_file):
               "--set", "train.steps"])
 
 
+def _log_text(run_dir) -> str:
+    with open(os.path.join(run_dir, "log.txt"), encoding="utf-8") as fh:
+        return fh.read()
+
+
+# the abort line names the phase, the step and the error the step raised
+ABORT_LINE = (r"abort: non-finite value in {phase} step \d+ \(lr .*\): "
+              r"(non-finite values produced by op '\w+'|loss value \w+)\n")
+GATE_LINE = "gate failed: logit gap 1.000e+00 exceeds 1e-6\n"
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_abort_exit_code(tmp_path, cfg_file):
     data_dir = str(tmp_path / "data")
@@ -124,6 +136,7 @@ def test_train_abort_exit_code(tmp_path, cfg_file):
                  "--run-dir", str(tmp_path / "r"),
                  "--set", "train.lr=1e38", "--set", "train.steps=30"])
     assert code == 3
+    assert re.search(ABORT_LINE.format(phase="train"), _log_text(tmp_path / "r"))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -135,6 +148,7 @@ def test_diverging_highlight_warmup_exit_code(tmp_path, cfg_file):
                  "--set", "train.highlight_pretrain_lr=1e38",
                  "--set", "train.highlight_pretrain_steps=30"])
     assert code == 3
+    assert re.search(ABORT_LINE.format(phase="highlight_warmup"), _log_text(tmp_path / "r"))
 
 
 def test_gate_failure_exit_code(tmp_path, cfg_file, monkeypatch):
@@ -146,6 +160,7 @@ def test_gate_failure_exit_code(tmp_path, cfg_file, monkeypatch):
     code = main(["train", "--config", cfg_file, "--data", data_dir,
                  "--run-dir", str(tmp_path / "r")])
     assert code == 2
+    assert _log_text(tmp_path / "r").endswith(GATE_LINE)
 
 
 @pytest.mark.parametrize("fault, code", [
@@ -164,6 +179,9 @@ def test_ablate_exit_codes_match_train(tmp_path, cfg_file, monkeypatch, fault, c
         sets = ["--set", "train.lr=1e38", "--set", "train.steps=30"]
     assert main(["ablate", "--config", cfg_file, "--data", data_dir,
                  "--run-dir", str(tmp_path / "g"), "--rows", "full", *sets]) == code
+    log = _log_text(tmp_path / "g")
+    assert log.endswith(GATE_LINE) if fault == "gate" else re.search(
+        ABORT_LINE.format(phase="train"), log)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -244,3 +262,62 @@ def test_evaluate_rejects_a_checkpoint_of_the_old_layout(tmp_path, cfg_file, cap
     assert "--checkpoint: " in err and "not a format 2 checkpoint" in err
     err = _evaluate_usage_error(capsys, ["--checkpoint", ckpt + "x", "--data", data_dir])
     assert "--checkpoint: [Errno 2] No such file or directory" in err
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A tiny config file, its cached dataset, a checkpoint, and a plain file."""
+    root = tmp_path_factory.mktemp("inputs")
+    paths = {"CFG": str(root / "cfg.json"), "DATA": str(root / "data"),
+             "CKPT": str(root / "checkpoint"), "FILE": str(root / "file")}
+    with open(paths["CFG"], "w") as fh:
+        fh.write(canonical_json(tiny_cfg()))
+    with open(paths["FILE"], "w") as fh:
+        fh.write("not a directory\n")
+    assert main(["generate-data", "--config", paths["CFG"], "--out", paths["DATA"]]) == 0
+    _tiny_checkpoint(paths["CKPT"])
+    return paths
+
+
+def _refuse_to_run(*args, **kwargs):
+    raise AssertionError("a command ran past a bad input")
+
+
+@pytest.mark.parametrize("argv, arg", [
+    (["train", "--config", "FILE.missing", "--run-dir", "TMP/r"], "--config"),
+    (["train", "--config", "CFG", "--data", "DATA", "--set", "scene.seed=6",
+      "--run-dir", "TMP/r"], "--data"),
+    (["generate-data", "--config", "CFG", "--set", "scene.seed=6", "--out", "DATA"], "--out"),
+    (["train", "--config", "CFG", "--data", "DATA", "--run-dir", "FILE"], "--run-dir"),
+    (["evaluate", "--checkpoint", "CKPT", "--data", "DATA", "--out", "FILE/new/x.json"],
+     "--out"),
+    (["evaluate", "--checkpoint", "CKPT", "--data", "DATA", "--out", "DATA"], "--out"),
+    (["ablate", "--config", "CFG", "--data", "DATA", "--seeds", "", "--run-dir", "TMP/g"],
+     "--seeds"),
+    (["profile-flops", "--resolutions", "224,abc"], "--resolutions"),
+    (["profile-flops", "--out", "FILE/new/p.csv"], "--out"),
+], ids=["missing_config", "data_of_another_config", "out_of_another_config",
+        "run_dir_is_a_file", "evaluate_out_dir", "evaluate_out_is_a_dir", "empty_seeds",
+        "bad_resolutions", "profile_out_dir"])
+def test_a_bad_input_exits_2_before_any_work(tmp_path, capsys, monkeypatch, inputs, argv, arg):
+    import hirisk.cli as cli
+
+    for name in ("train_model", "evaluate_model", "run_ablation_grid"):
+        monkeypatch.setattr(cli, name, _refuse_to_run)
+    argv = [a.replace("TMP", str(tmp_path)) for a in argv]
+    for key, path in inputs.items():
+        argv = [a.replace(key, path) if a.startswith(key) else a for a in argv]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"hirisk: error: {arg}") and err.count("\n") == 1
+
+
+def test_evaluate_creates_the_out_directory(tmp_path, capsys, inputs):
+    out = tmp_path / "new" / "x.json"
+    assert main(["evaluate", "--checkpoint", inputs["CKPT"], "--data", inputs["DATA"],
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["n"] == 4
+    assert f"report written to {out}" in capsys.readouterr().out

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -283,7 +284,7 @@ def test_load_rejects_a_version_1_manifest(tmp_path):
     manifest = json.loads(path.read_text())
     manifest["version"] = 1
     path.write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match="version 1.*version 3"):
+    with pytest.raises(ValueError, match="version 1.*version 4"):
         load_dataset(str(tmp_path), "train")
 
 
@@ -300,4 +301,26 @@ def test_load_rejects_arrays_the_manifest_does_not_describe(tmp_path, fault):
         np.savez(path, clips=ds.clips, hrs=ds.hrs.astype(np.float32))
         match = "hrs is float32 \\[3, 128, 128, 3\\].*uint8 \\[3, 128, 128, 3\\]"
     with pytest.raises(ValueError, match=f"{path}: {match}"):
+        load_dataset(str(tmp_path), "train")
+
+
+def test_load_refuses_arrays_and_a_manifest_of_two_saves(tmp_path, monkeypatch):
+    # a save that stops between its two renames leaves new arrays beside the old manifest
+    a, b = _small_cfg(n_train=2), _small_cfg(n_train=2, seed=200)
+    save_dataset(SceneDataset.generate(a, "train"), a, str(tmp_path), "train")
+    replace = os.replace
+
+    def stop_before_the_manifest(src, dst):
+        if str(dst).endswith("_manifest.json"):
+            raise OSError("stopped")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", stop_before_the_manifest)
+    with pytest.raises(OSError, match="stopped"):
+        save_dataset(SceneDataset.generate(b, "train"), b, str(tmp_path), "train")
+    monkeypatch.undo()
+    manifest = tmp_path / "train_manifest.json"
+    assert json.loads(manifest.read_text())["config"]["seed"] == a.seed
+    with pytest.raises(ValueError, match=f"scenes.npz was saved with another manifest than "
+                                         f"{manifest}"):
         load_dataset(str(tmp_path), "train")

@@ -76,7 +76,7 @@ def test_identical_runs_give_identical_reports(tiny_data):
     reports = []
     for _ in range(2):
         out = train_model(tiny_cfg(), train_ds, log=quiet)
-        rep = evaluate_model(out["model"], out["vocab"], test_ds, batch_size=6)
+        rep = evaluate_model(out["model"], test_ds, batch_size=6)
         reports.append(json_text(rep))
     assert reports[0] == reports[1]
 
@@ -84,8 +84,8 @@ def test_identical_runs_give_identical_reports(tiny_data):
 def test_evaluate_is_deterministic(tiny_data):
     train_ds, test_ds = tiny_data
     out = train_model(tiny_cfg(), train_ds, log=quiet)
-    a = json_text(evaluate_model(out["model"], out["vocab"], test_ds, batch_size=6))
-    b = json_text(evaluate_model(out["model"], out["vocab"], test_ds, batch_size=3))
+    a = json_text(evaluate_model(out["model"], test_ds, batch_size=6))
+    b = json_text(evaluate_model(out["model"], test_ds, batch_size=3))
     # batching must not leak into the scores either
     assert a == b
 
