@@ -1,5 +1,8 @@
 """Configuration dataclasses and their JSON round-trip.
 
+Each section checks its own fields when it is built, so a value its code
+cannot run is refused before any work.
+
 Configs hash to a stable hex digest (sha256 of canonical JSON) so runs can be
 compared and checkpoints verified against the settings that produced them.
 """
@@ -15,6 +18,28 @@ HEAD_VARIANTS = ("span_query", "learned_query", "text_coords")
 
 # the spellings `apply_override` accepts for a bool field, in any case
 BOOL_WORDS = {"1": True, "0": False, "true": True, "false": False, "yes": True, "no": False}
+
+# The rasterizer culls an object thinner than MIN_DRAW_PX pixels; an HR-critical
+# object is culled at low resolution yet spans HR_CRITICAL_MIN_HR_PX HR pixels.
+MIN_DRAW_PX = 2.0
+HR_CRITICAL_MIN_HR_PX = 6.0
+
+# A crossing track starts and ends off the ego band, so it is inside the band
+# only at an intermediate frame: two frames have none.
+MIN_CLIP_LEN = 3
+
+
+def hr_critical_size_range(hr_size: int, lr_size: int) -> tuple[float, float]:
+    """Sizes drawn at high resolution but culled at low resolution; empty
+    (low > high) unless hr_size is above about 3 * lr_size."""
+    return HR_CRITICAL_MIN_HR_PX / hr_size, MIN_DRAW_PX / lr_size * 0.999
+
+
+def _require_at_least(section, low, *names) -> None:
+    for name in names:
+        value = getattr(section, name)
+        if value < low:
+            raise ValueError(f"{type(section).__name__}.{name} must be at least {low}, got {value}")
 
 
 @dataclass
@@ -48,6 +73,15 @@ class SceneConfig:
     distractor_frac: float = 0.5
     max_clutter: int = 2
 
+    def __post_init__(self):
+        _require_at_least(self, 1, "n_train", "n_test", "lr_size", "hr_size")
+        _require_at_least(self, MIN_CLIP_LEN, "clip_len")
+        lo, hi = hr_critical_size_range(self.hr_size, self.lr_size)
+        if self.hr_critical_frac > 0 and lo > hi:
+            raise ValueError(f"SceneConfig.hr_size={self.hr_size} leaves no HR-critical object "
+                             f"size at lr_size={self.lr_size}: hr_size must exceed about "
+                             f"3 * lr_size, or hr_critical_frac must be 0")
+
 
 @dataclass
 class ModelConfig:
@@ -71,6 +105,11 @@ class ModelConfig:
     def __post_init__(self):
         if self.head_variant not in HEAD_VARIANTS:
             raise ValueError(f"head_variant must be one of {HEAD_VARIANTS}")
+        _require_at_least(self, 1, *(f.name for f in dataclasses.fields(self) if f.type == "int"))
+        for dim, heads in (("d_v", "n_heads"), ("d_l", "lm_heads"), ("qdh_dim", "qdh_heads")):
+            if getattr(self, dim) % getattr(self, heads):
+                raise ValueError(f"ModelConfig.{dim}={getattr(self, dim)} must divide by "
+                                 f"{heads}={getattr(self, heads)}")
 
 
 @dataclass
@@ -88,6 +127,10 @@ class TrainConfig:
     seed: int = 0
     log_every: int = 50
     eval_batch: int = 50
+
+    def __post_init__(self):
+        _require_at_least(self, 1, "batch_size", "eval_batch", "log_every")
+        _require_at_least(self, 0, "steps", "highlight_pretrain_steps")
 
 
 @dataclass

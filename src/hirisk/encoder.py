@@ -140,8 +140,6 @@ class VideoEncoder(Module):
         super().__init__()
         if lr_size % cfg.patch:
             raise ValueError("lr resolution must divide by patch size")
-        if cfg.d_v % cfg.n_heads:
-            raise ValueError("d_v must divide by n_heads")
         self.patch = cfg.patch
         self.grid = lr_size // cfg.patch
         self.clip_len = clip_len

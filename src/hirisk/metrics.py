@@ -18,8 +18,11 @@ from .grammar import parse_caption
 # -- caption overlap -----------------------------------------------------------
 
 
-def _ngrams(tokens, n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def clipped_ngrams(cand, ref, n: int) -> tuple[int, int]:
+    """(clipped matches, total) of the order-`n` n-grams of `cand` against `ref`."""
+    cg = Counter(tuple(cand[i : i + n]) for i in range(len(cand) - n + 1))
+    rg = Counter(tuple(ref[i : i + n]) for i in range(len(ref) - n + 1))
+    return sum(min(c, rg[g]) for g, c in cg.items()), sum(cg.values())
 
 
 def corpus_bleu(candidates, references, max_n: int = 4) -> float:
@@ -33,20 +36,12 @@ def corpus_bleu(candidates, references, max_n: int = 4) -> float:
         raise ValueError("candidate and reference counts differ")
     if not candidates:
         raise ValueError("cannot score an empty corpus")
-    match = [0] * max_n
-    total = [0] * max_n
-    c_len = 0
-    r_len = 0
-    for cand, ref in zip(candidates, references):
-        cand = list(cand)
-        ref = list(ref)
-        c_len += len(cand)
-        r_len += len(ref)
-        for n in range(1, max_n + 1):
-            cg = _ngrams(cand, n)
-            rg = _ngrams(ref, n)
-            total[n - 1] += sum(cg.values())
-            match[n - 1] += sum(min(c, rg[g]) for g, c in cg.items())
+    pairs = [(list(c), list(r)) for c, r in zip(candidates, references)]
+    c_len = sum(len(c) for c, _ in pairs)
+    r_len = sum(len(r) for _, r in pairs)
+    counts = [[clipped_ngrams(c, r, n) for c, r in pairs] for n in range(1, max_n + 1)]
+    match = [sum(m for m, _ in row) for row in counts]
+    total = [sum(t for _, t in row) for row in counts]
     if c_len == 0 or any(t == 0 for t in total) or any(m == 0 for m in match):
         return 0.0
     log_p = sum(np.log(m / t) for m, t in zip(match, total)) / max_n
@@ -62,10 +57,7 @@ def sentence_bleu_smoothed(candidate, reference, max_n: int = 4) -> float:
         return 0.0
     log_p = 0.0
     for n in range(1, max_n + 1):
-        cg = _ngrams(candidate, n)
-        rg = _ngrams(reference, n)
-        t = sum(cg.values())
-        m = sum(min(c, rg[g]) for g, c in cg.items())
+        m, t = clipped_ngrams(candidate, reference, n)
         if n == 1:
             if m == 0 or t == 0:
                 return 0.0
@@ -124,90 +116,59 @@ def evaluate_predictions(samples, predictions) -> dict:
 
     A missing or malformed predicted box scores zero overlap instead of
     raising: that is a model failure, not a caller error. Returns a plain
-    JSON-ready dict. Besides the size buckets it holds the mIoU slices
-    `iou_hr_critical`/`iou_not_hr_critical`, `iou_distractor`/
-    `iou_not_distractor`, `iou_scenario_<scenario>` and
-    `iou_class_<risk_class>`; empty buckets and slices are simply absent.
+    JSON-ready dict. Every score but `bleu4` is a mean over the `per_sample`
+    records. Besides the corpus scores it holds the slices `iou_<bucket>`,
+    `iou_scenario_<scenario>`, `iou_class_<risk_class>` and, for each flag
+    f of hr_critical and distractor, `iou_f` or `iou_not_f` and
+    `risk_class_acc_f` or `risk_class_acc_not_f`; an empty slice is absent.
     """
     if len(samples) != len(predictions):
         raise ValueError("sample and prediction counts differ")
     if not samples:
         raise ValueError("cannot evaluate an empty set")
 
-    refs = []
-    hyps = []
+    refs = [list(s["caption_tokens"]) for s in samples]
+    hyps = [list(p["tokens"]) for p in predictions]
+    box_valid = [box_is_valid(p["box"]) for p in predictions]
     per_sample = []
-    bucket_ious: dict[str, list[float]] = {}
-    slice_ious: dict[str, list[float]] = {}
-    class_hits = []
-    distractor_hits = []
-    exact = 0
-    n_valid_box = 0
-    iou_sum = 0.0
-
-    for s, p in zip(samples, predictions):
-        ref = list(s["caption_tokens"])
-        hyp = list(p["tokens"])
-        refs.append(ref)
-        hyps.append(hyp)
-
-        box = p["box"]
-        if box_is_valid(box):
-            n_valid_box += 1
-            overlap = iou(box, s["box"])
-        else:
-            overlap = 0.0
-        iou_sum += overlap
-        bucket_ious.setdefault(s["bucket"], []).append(overlap)
-        for name in ("hr_critical", "distractor"):
-            key = f"iou_{name}" if s[name] else f"iou_not_{name}"
-            slice_ious.setdefault(key, []).append(overlap)
-        slice_ious.setdefault(f"iou_scenario_{s['scenario']}", []).append(overlap)
-        slice_ious.setdefault(f"iou_class_{s['risk_class']}", []).append(overlap)
-
-        parsed = parse_caption(hyp)
-        hit = parsed.obj_class == s["risk_class"]
-        class_hits.append(hit)
-        if s["distractor"]:
-            distractor_hits.append(hit)
-        is_exact = hyp == ref
-        exact += is_exact
-
+    for s, p, ref, hyp, valid in zip(samples, predictions, refs, hyps, box_valid):
+        pred_class = parse_caption(hyp).obj_class
         per_sample.append(
             {
                 "id": s["id"],
-                "iou": float(overlap),
+                "iou": iou(p["box"], s["box"]) if valid else 0.0,
                 "bucket": s["bucket"],
                 "hr_critical": s["hr_critical"],
                 "distractor": s["distractor"],
                 "scenario": s["scenario"],
-                "pred_class": parsed.obj_class,
+                "pred_class": pred_class,
                 "true_class": s["risk_class"],
-                "class_hit": bool(hit),
-                "exact": bool(is_exact),
+                "class_hit": pred_class == s["risk_class"],
+                "exact": hyp == ref,
                 "box_source": p["box_source"],
                 "bleu_smoothed": sentence_bleu_smoothed(hyp, ref),
             }
         )
 
-    n = len(samples)
+    slices: dict[str, list] = {}
+    for r in per_sample:
+        flags = [f if r[f] else f"not_{f}" for f in ("hr_critical", "distractor")]
+        for name in (r["bucket"], f"scenario_{r['scenario']}", f"class_{r['true_class']}", *flags):
+            slices.setdefault(f"iou_{name}", []).append(r["iou"])
+        for name in flags:
+            slices.setdefault(f"risk_class_acc_{name}", []).append(r["class_hit"])
+
+    n = len(per_sample)
     bleu = corpus_bleu(hyps, refs)
-    mean_iou = iou_sum / n
-    report = {
+    miou = sum(r["iou"] for r in per_sample) / n
+    return {
         "n": n,
-        "bleu4": float(bleu),
-        "miou": float(mean_iou),
-        "avg": float((bleu + mean_iou) / 2.0),
-        "exact_match": exact / n,
-        "risk_class_acc": float(np.mean(class_hits)),
-        "box_valid_rate": n_valid_box / n,
+        "bleu4": bleu,
+        "miou": miou,
+        "avg": (bleu + miou) / 2.0,
+        "exact_match": sum(r["exact"] for r in per_sample) / n,
+        "risk_class_acc": float(np.mean([r["class_hit"] for r in per_sample])),
+        "box_valid_rate": sum(box_valid) / n,
         "per_sample": per_sample,
+        **{key: float(np.mean(values)) for key, values in slices.items()},
     }
-    for name in ("S", "M", "L"):
-        if name in bucket_ious:
-            report[f"iou_{name}"] = float(np.mean(bucket_ious[name]))
-    for key, vals in slice_ious.items():
-        report[key] = float(np.mean(vals))
-    if distractor_hits:
-        report["risk_class_acc_distractor"] = float(np.mean(distractor_hits))
-    return report

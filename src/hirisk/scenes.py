@@ -24,16 +24,13 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .config import SceneConfig
+from .config import MIN_DRAW_PX, SceneConfig, hr_critical_size_range
 from .files import json_text, write_atomic
 from .grammar import CLASS_COLORS, CLASSES, make_caption, suggestion_index
 from .rng import named_rng
 
 ROAD_X = (0.15, 0.85)
 BAND_X = (0.40, 0.60)
-
-MIN_DRAW_PX = 2.0
-HR_CRITICAL_MIN_HR_PX = 6.0
 
 BG_LEFT = (92, 130, 92)
 BG_ROAD = (70, 70, 75)
@@ -208,15 +205,9 @@ def _linear_track(x0, y0, x1, y1, n):
     return (1 - f) * np.array([x0, y0]) + f * np.array([x1, y1])
 
 
-def _hr_critical_size_range(hr_size: int, lr_size: int) -> tuple[float, float]:
-    """Sizes drawn at high resolution but culled at low resolution; empty
-    (low > high) unless hr_size is above about 3 * lr_size."""
-    return HR_CRITICAL_MIN_HR_PX / hr_size, MIN_DRAW_PX / lr_size * 0.999
-
-
 def _risk_size(rng, obj_class: str, hr_critical: bool, hr_size: int, lr_size: int) -> float:
     if hr_critical:
-        return float(rng.uniform(*_hr_critical_size_range(hr_size, lr_size)))
+        return float(rng.uniform(*hr_critical_size_range(hr_size, lr_size)))
     _, mw, mh = CLASS_SHAPE[obj_class]
     # cap so the crossing start/end regions beside the band stay non-empty
     cap = min(0.34 / mw, 0.34 / mh, 0.30)
@@ -297,20 +288,7 @@ def _sample_clutter(rng, n_frames: int):
     return SceneObject(obj_class, color, size, centers)
 
 
-# A crossing track starts and ends off the ego band, so it is inside the band
-# only at an intermediate frame: two frames have none.
-MIN_CLIP_LEN = 3
-
-
 def generate_scene(seed: int, cfg: SceneConfig) -> SceneSample:
-    if cfg.clip_len < MIN_CLIP_LEN:
-        raise ValueError(f"SceneConfig.clip_len must be at least {MIN_CLIP_LEN} to generate "
-                         f"scenes, got {cfg.clip_len}")
-    lo, hi = _hr_critical_size_range(cfg.hr_size, cfg.lr_size)
-    if cfg.hr_critical_frac > 0 and lo > hi:
-        raise ValueError(f"SceneConfig.hr_size={cfg.hr_size} leaves no HR-critical object size "
-                         f"at lr_size={cfg.lr_size}: hr_size must exceed about 3 * lr_size, "
-                         f"or hr_critical_frac must be 0")
     rng = named_rng(seed, "scene")
     probs = [p for p, _, _ in SCENARIOS.values()]
     scenario = list(SCENARIOS)[int(rng.choice(len(SCENARIOS), p=probs))]

@@ -408,7 +408,8 @@ GRID_ROWS = (
     ("baseline_only", Ablation(baseline_only=True)),
 )
 
-GRID_METRICS = ("miou", "bleu4", "avg", "risk_class_acc", "risk_class_acc_distractor")
+GRID_METRICS = ("miou", "bleu4", "avg", "risk_class_acc", "risk_class_acc_distractor",
+                "iou_hr_critical", "risk_class_acc_hr_critical")
 GRID_CSV_COLUMNS = ("name", "config_hash",
                     *(f"{key}_{stat}" for key in GRID_METRICS for stat in ("mean", "min", "max")))
 
@@ -454,8 +455,10 @@ def run_ablation_grid(cfg: RunConfig, seeds, train_ds: SceneDataset,
         table.append(row)
         if run_dir:
             write_json(os.path.join(run_dir, "ablation.json"), table)
+            # a metric no seed reported is an empty cell
             write_csv(os.path.join(run_dir, "ablation.csv"),
-                      [{k: r[k] for k in GRID_CSV_COLUMNS} for r in table], GRID_CSV_COLUMNS)
+                      [{k: r[k] for k in GRID_CSV_COLUMNS if k in r} for r in table],
+                      GRID_CSV_COLUMNS)
     return table
 
 

@@ -184,6 +184,21 @@ def test_ablate_exit_codes_match_train(tmp_path, cfg_file, monkeypatch, fault, c
         ABORT_LINE.format(phase="train"), log)
 
 
+# overrides a config section refuses when it is built, with the reason it gives
+SECTION_REJECTS = [
+    ("scene.hr_size=40", "SceneConfig.hr_size=40 leaves no HR-critical object size"),
+    ("scene.clip_len=2", "SceneConfig.clip_len must be at least 3, got 2"),
+    ("train.batch_size=0", "TrainConfig.batch_size must be at least 1, got 0"),
+    ("train.steps=-1", "TrainConfig.steps must be at least 0, got -1"),
+    ("train.eval_batch=0", "TrainConfig.eval_batch must be at least 1, got 0"),
+    ("train.log_every=0", "TrainConfig.log_every must be at least 1, got 0"),
+    ("model.n_heads=3", "ModelConfig.d_v=64 must divide by n_heads=3"),
+    ("model.lm_heads=5", "ModelConfig.d_l=96 must divide by lm_heads=5"),
+    ("model.qdh_heads=3", "ModelConfig.qdh_dim=64 must divide by qdh_heads=3"),
+    ("model.cnn_width=0", "ModelConfig.cnn_width must be at least 1, got 0"),
+]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["train", "--set", "train.freeze_backbone=ture"],
      "--set train.freeze_backbone=ture: 'train.freeze_backbone' takes a bool"),
@@ -193,7 +208,9 @@ def test_ablate_exit_codes_match_train(tmp_path, cfg_file, monkeypatch, fault, c
      "--set train.nope=1: no config field 'nope' in 'train.nope'"),
     (["train", "--config", "OLD_CONFIG"], "no config field 'train.warmup_steps'"),
     (["ablate", "--seeds", "a"], "--seeds takes comma-separated integers, got 'a'"),
-], ids=["bad_bool", "bad_int", "unknown_field", "old_config", "bad_seeds"])
+    *((["train", "--set", item], f"--set {item}: {why}") for item, why in SECTION_REJECTS),
+], ids=["bad_bool", "bad_int", "unknown_field", "old_config", "bad_seeds",
+        *(item for item, _ in SECTION_REJECTS)])
 def test_a_usage_error_exits_2_with_one_line(tmp_path, capsys, argv, message):
     old = json.loads(canonical_json(tiny_cfg()))
     old["train"]["warmup_steps"] = 0

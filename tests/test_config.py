@@ -8,6 +8,7 @@ from hirisk.config import (
     Ablation,
     ModelConfig,
     RunConfig,
+    SceneConfig,
     apply_override,
     canonical_json,
     config_hash,
@@ -94,13 +95,28 @@ def test_apply_override_validates_the_section():
         apply_override(cfg, "model.head_variant", "bogus")
 
 
-@pytest.mark.parametrize("key, value", [("model.head_variant", "bogus"),
-                                        ("train.steps", "abc")])
+@pytest.mark.parametrize("key, value", [
+    ("model.head_variant", "bogus"), ("train.steps", "abc"),
+    # what each section refuses when it is built
+    ("scene.n_train", "0"), ("scene.n_test", "0"), ("scene.lr_size", "0"),
+    ("scene.clip_len", "2"), ("scene.hr_size", "64"),
+    ("train.batch_size", "0"), ("train.eval_batch", "0"), ("train.log_every", "0"),
+    ("train.steps", "-1"), ("train.highlight_pretrain_steps", "-1"),
+    ("model.patch", "0"), ("model.n_learned_queries", "0"), ("model.n_heads", "3"),
+    ("model.lm_heads", "5"), ("model.qdh_heads", "3"), ("model.d_l", "90"),
+])
 def test_a_rejected_override_leaves_the_field_as_it_was(key, value):
     cfg = RunConfig()
     with pytest.raises(ValueError):
         apply_override(cfg, key, value)
     assert cfg == RunConfig()
+
+
+def test_an_hr_size_with_no_hr_critical_room_needs_a_zero_fraction():
+    cfg = RunConfig(scene=SceneConfig(hr_size=64, hr_critical_frac=0.0))
+    with pytest.raises(ValueError, match="hr_size=64 leaves no HR-critical object size"):
+        apply_override(cfg, "scene.hr_critical_frac", "0.1")
+    assert cfg.scene.hr_critical_frac == 0.0
 
 
 @pytest.mark.parametrize("value, want", [("1", True), ("0", False), ("TRUE", True),

@@ -252,11 +252,16 @@ def test_evaluate_hr_critical_slices():
     assert rep["iou_hr_critical"] == 0.5
     assert abs(rep["iou_not_hr_critical"] - 1.0 / 7.0) < 1e-12
     assert [r["hr_critical"] for r in rep["per_sample"]] == [True, False, True]
+    # class hits 1, 0 and 1: the miss is the one scene that is not HR-critical
+    assert rep["risk_class_acc_hr_critical"] == 1.0
+    assert rep["risk_class_acc_not_hr_critical"] == 0.0
     # an empty slice is absent, as an empty size bucket is
     samples[1]["hr_critical"] = True
     rep = evaluate_predictions(samples, preds)
     assert "iou_not_hr_critical" not in rep
+    assert "risk_class_acc_not_hr_critical" not in rep
     assert abs(rep["iou_hr_critical"] - rep["miou"]) < 1e-12
+    assert rep["risk_class_acc_hr_critical"] == rep["risk_class_acc"]
 
 
 def test_evaluate_distractor_scenario_and_class_slices():
@@ -274,12 +279,43 @@ def test_evaluate_distractor_scenario_and_class_slices():
         "iou_class_car", "iou_class_truck", "iou_class_pedestrian"}
     assert [r["distractor"] for r in rep["per_sample"]] == [False, True, True]
     assert [r["scenario"] for r in rep["per_sample"]] == ["end_in_band", "cross_left", "end_in_band"]
+    assert rep["risk_class_acc_not_distractor"] == 1.0
     # an empty slice is absent
     for s in samples:
         s["distractor"] = True
     rep = evaluate_predictions(samples, preds)
     assert "iou_not_distractor" not in rep
+    assert "risk_class_acc_not_distractor" not in rep
     assert abs(rep["iou_distractor"] - rep["miou"]) < 1e-12
+    assert rep["risk_class_acc_distractor"] == rep["risk_class_acc"]
+
+
+def test_every_score_but_bleu_is_a_mean_over_the_records():
+    samples, preds = _toy_eval()
+    rep = evaluate_predictions(samples, preds)
+    records = rep["per_sample"]
+
+    def mean(key, keep=lambda r: True):
+        values = [r[key] for r in records if keep(r)]
+        return pytest.approx(sum(values) / len(values), abs=1e-15)
+
+    assert rep["miou"] == mean("iou")
+    assert rep["exact_match"] == mean("exact")
+    assert rep["risk_class_acc"] == mean("class_hit")
+    assert rep["box_valid_rate"] == np.mean([box_is_valid(p["box"]) for p in preds])
+    want = {"n", "bleu4", "miou", "avg", "exact_match", "risk_class_acc", "box_valid_rate",
+            "per_sample"}
+    for field, prefix in (("bucket", ""), ("scenario", "scenario_"), ("true_class", "class_")):
+        for value in {r[field] for r in records}:
+            key = f"iou_{prefix}{value}"
+            assert rep[key] == mean("iou", lambda r: r[field] == value), key
+            want.add(key)
+    for flag in ("hr_critical", "distractor"):
+        for name, on in ((flag, True), (f"not_{flag}", False)):
+            assert rep[f"iou_{name}"] == mean("iou", lambda r: r[flag] == on)
+            assert rep[f"risk_class_acc_{name}"] == mean("class_hit", lambda r: r[flag] == on)
+            want |= {f"iou_{name}", f"risk_class_acc_{name}"}
+    assert set(rep) == want
 
 
 def test_evaluate_reads_the_record_as_written():

@@ -20,7 +20,7 @@ TA = 10
 
 
 def tiny_cfg(**model_kw) -> RunConfig:
-    scene = SceneConfig(n_train=8, n_test=4, clip_len=2, lr_size=16, hr_size=64)
+    scene = SceneConfig(n_train=8, n_test=4, clip_len=3, lr_size=16, hr_size=64)
     return RunConfig(model=tiny_model(**model_kw), scene=scene, train=TrainConfig(seed=0))
 
 

@@ -274,7 +274,8 @@ def test_load_checks_the_split_against_a_scene_config(tmp_path):
     with pytest.raises(ValueError, match=r"\['seed'\]"):
         load_dataset(str(tmp_path), "train", other)
     with pytest.raises(ValueError, match=r"\['hr_size'\]"):
-        load_dataset(str(tmp_path), "train", _small_cfg(n_train=1, hr_size=64), MODEL_SCENE_FIELDS)
+        load_dataset(str(tmp_path), "train",
+                     _small_cfg(n_train=1, hr_size=64, hr_critical_frac=0.0), MODEL_SCENE_FIELDS)
 
 
 def test_load_rejects_a_version_1_manifest(tmp_path):

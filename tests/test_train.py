@@ -1,5 +1,6 @@
 """Training loop: determinism, checkpoints, gate, abort, ablation grid."""
 
+import csv
 import hashlib
 import json
 import os
@@ -569,6 +570,21 @@ def test_an_aborted_grid_keeps_its_finished_rows(tmp_path, tiny_data, monkeypatc
     assert [r["name"] for r in table] == ["full"]
     lines = (run_dir / "ablation.csv").read_text().splitlines()
     assert len(lines) == 2 and lines[1].startswith("full,")
+
+
+def test_a_grid_writes_a_metric_no_seed_reported_as_empty_cells(tmp_path):
+    cfg = tiny_cfg(steps=1)
+    cfg.scene.distractor_frac = cfg.scene.hr_critical_frac = 0.0
+    train_ds, test_ds = (SceneDataset.generate(cfg.scene, split) for split in ("train", "test"))
+    run_dir = tmp_path / "grid"
+    (row,) = run_ablation_grid(cfg, [0], train_ds, test_ds, rows=[("full", Ablation())],
+                               run_dir=str(run_dir), log=quiet)
+    with open(run_dir / "ablation.csv", newline="", encoding="utf-8") as fh:
+        (cells,) = csv.DictReader(fh)
+    for key in ("risk_class_acc_distractor", "iou_hr_critical", "risk_class_acc_hr_critical"):
+        assert f"{key}_mean" not in row
+        assert [cells[f"{key}_{stat}"] for stat in ("mean", "min", "max")] == ["", "", ""]
+    assert float(cells["miou_mean"]) == row["miou_mean"]
 
 
 def test_grid_needs_a_seed(tiny_data):
