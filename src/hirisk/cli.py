@@ -92,6 +92,11 @@ def make_out_dir(path) -> None:
                 raise IsADirectoryError(f"{path} is a directory")
 
 
+def headline(report: dict) -> str:
+    return (f"miou {report['miou']:.4f}  bleu4 {report['bleu4']:.4f}  "
+            f"avg {report['avg']:.4f}  class acc {report['risk_class_acc']:.4f}")
+
+
 def build_cfg(args) -> RunConfig:
     with bad_input(f"--config {args.config}"):
         cfg = load_config(args.config) if args.config else RunConfig()
@@ -100,6 +105,8 @@ def build_cfg(args) -> RunConfig:
             usage_error(f"--set {item}: not of the form key=value")
         with bad_input(f"--set {item}"):
             apply_override(cfg, *item.split("=", 1))
+    with bad_input("--set"):
+        cfg.__post_init__()  # the rules between sections, once every override is in
     return cfg
 
 
@@ -131,8 +138,7 @@ def cmd_train(args) -> int:
     samples = report["per_sample"]
     write_csv(os.path.join(args.run_dir, "metrics.csv"), samples, samples[0].keys())
     write_json(os.path.join(args.run_dir, "history.json"), result["history"])
-    print(f"miou {report['miou']:.4f}  bleu4 {report['bleu4']:.4f}  "
-          f"avg {report['avg']:.4f}  class acc {report['risk_class_acc']:.4f}")
+    print(headline(report))
     print(f"artifacts in {args.run_dir}")
     return 0
 
@@ -148,8 +154,7 @@ def cmd_evaluate(args) -> int:
     if args.out:
         write_json(args.out, report)
         print(f"report written to {args.out}")
-    print(f"miou {report['miou']:.4f}  bleu4 {report['bleu4']:.4f}  "
-          f"avg {report['avg']:.4f}  class acc {report['risk_class_acc']:.4f}")
+    print(headline(report))
     return 0
 
 

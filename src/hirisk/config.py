@@ -1,7 +1,7 @@
 """Configuration dataclasses and their JSON round-trip.
 
-Each section checks its own fields when it is built, so a value its code
-cannot run is refused before any work.
+Each section checks its own fields when it is built, and a RunConfig the rules
+between sections, so a value its code cannot run is refused before any work.
 
 Configs hash to a stable hex digest (sha256 of canonical JSON) so runs can be
 compared and checkpoints verified against the settings that produced them.
@@ -15,6 +15,8 @@ import json
 from dataclasses import dataclass, field
 
 HEAD_VARIANTS = ("span_query", "learned_query", "text_coords")
+DTYPES = ("float32", "float64")  # float16 overflows the -1e9 attention mask
+HR_STRIDE = 16  # the spatial extractor halves the HR frame four times
 
 # the spellings `apply_override` accepts for a bool field, in any case
 BOOL_WORDS = {"1": True, "0": False, "true": True, "false": False, "yes": True, "no": False}
@@ -105,6 +107,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.head_variant not in HEAD_VARIANTS:
             raise ValueError(f"head_variant must be one of {HEAD_VARIANTS}")
+        if self.dtype not in DTYPES:
+            raise ValueError(f"ModelConfig.dtype must be one of {DTYPES}, got '{self.dtype}'")
         _require_at_least(self, 1, *(f.name for f in dataclasses.fields(self) if f.type == "int"))
         for dim, heads in (("d_v", "n_heads"), ("d_l", "lm_heads"), ("qdh_dim", "qdh_heads")):
             if getattr(self, dim) % getattr(self, heads):
@@ -138,6 +142,13 @@ class RunConfig:
     scene: SceneConfig = field(default_factory=SceneConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
+
+    def __post_init__(self):
+        s, m = self.scene, self.model
+        if s.lr_size % m.patch:
+            raise ValueError(f"scene.lr_size={s.lr_size} must divide by model.patch={m.patch}")
+        if s.hr_size % HR_STRIDE:
+            raise ValueError(f"scene.hr_size={s.hr_size} must divide by HR stride {HR_STRIDE}")
 
 
 def to_dict(cfg) -> dict:
@@ -187,7 +198,8 @@ def apply_override(cfg: RunConfig, key: str, value: str) -> None:
     The section set on re-runs its `__post_init__`, so an override is checked
     and implies what the constructor would (`baseline_only` sets the branch
     flags); a rejected value leaves the field as it was. A bool takes one of
-    `BOOL_WORDS`, and a section itself cannot be replaced.
+    `BOOL_WORDS`, and a section itself cannot be replaced. The rules between
+    sections are left to `RunConfig.__post_init__`, run once the last is set.
     """
     parts = key.split(".")
     obj = cfg

@@ -34,6 +34,7 @@ import numpy as np
 
 from . import ops
 from .autograd import Tensor, broadcast_to, clip, concat, maximum, power, tsum
+from .config import HR_STRIDE
 from .encoder import MultiHeadAttention
 from .modules import Linear, Module, ModuleList, Parameter
 
@@ -103,8 +104,8 @@ class SpatialExtractor(Module):
         self.out_channels = 8 * width
 
     def forward(self, img: Tensor) -> Tensor:
-        if img.shape[1] % 16 or img.shape[2] % 16:
-            raise ValueError("spatial extractor needs resolution divisible by 16")
+        if img.shape[1] % HR_STRIDE or img.shape[2] % HR_STRIDE:
+            raise ValueError(f"spatial extractor needs resolution divisible by {HR_STRIDE}")
         x = ops.relu(ops.conv2d(img, self.stem_w, self.stem_b, stride=2, padding=1))
         for stage in self.stages:
             x = stage(x)

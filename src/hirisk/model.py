@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autograd import Tensor, concat, no_grad
-from .config import RunConfig
+from .config import HR_STRIDE, RunConfig
 from .encoder import VideoEncoder, incorporation_sites
 from .grammar import ANSWER_SPAN, INSTRUCTION_PROMPT, LOCALIZATION_PROMPT, Vocabulary, parse_caption
 from .hrbranch import (
@@ -94,7 +94,7 @@ class DualBranchModel(Module):
                 # where-am-I signal for the flattened grid; without it the
                 # cross-attention pools are position blind and boxes cannot
                 # be regressed past the dataset mean
-                cells = (cfg.scene.hr_size // 16) ** 2
+                cells = (cfg.scene.hr_size // HR_STRIDE) ** 2
                 self.hr_pos = Parameter(named_rng(seed, "init/hr/pos").normal(0.0, 0.02, (cells, d_i)))
             if not flags.no_em:
                 self.highlighter = ObjectHighlighter(d_i, m.d_l, named_rng(seed, "init/hr/highlight"))

@@ -3,8 +3,8 @@
 A run is a pure function of (config, dataset): sample order, initialization,
 and the highlight warmup all draw from named streams of the run seed, so
 identical inputs give byte-identical metrics. Before the main loop starts,
-a gate verifies the zero-disturbance property (a fresh full model must match
-a fresh caption-only baseline); training refuses to start if the gate fails.
+a gate verifies the zero-disturbance property (the fresh model to be trained
+must match a fresh caption-only baseline); training refuses to start if not.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import json
 import math
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -40,13 +41,23 @@ class GateError(RuntimeError):
     """The zero-disturbance gate failed before training started."""
 
 
-def _abort(log, phase: str, step: int, opt: AdamW, err: Exception) -> TrainAbort:
-    """Log a non-finite value at `step` of `phase` and build its TrainAbort."""
-    diag = {"phase": phase, "step": step, "lr": opt.lr, "grad_norm": opt.grad_norm(),
-            "error": str(err)}
-    log(f"abort: non-finite value in {phase} step {step} (lr {opt.lr:.3e}, "
-        f"grad norm {diag['grad_norm']:.3e}): {err}")
-    return TrainAbort(diag)
+def _step(model: DualBranchModel, opt: AdamW, phase: str, step: int, log, loss_fn) -> dict:
+    """Step `opt` on the loss `loss_fn()` returns with its float parts; return the parts.
+    A non-finite value is logged and raised as TrainAbort. The graph goes on return."""
+    try:
+        loss, parts = loss_fn()
+        if not np.isfinite(parts["total"]):
+            raise NonFiniteError(f"loss value {parts['total']}")
+        model.zero_grad()
+        loss.backward()
+        opt.step()
+    except NonFiniteError as err:
+        diag = {"phase": phase, "step": step, "lr": opt.lr, "grad_norm": opt.grad_norm(),
+                "error": str(err)}
+        log(f"abort: non-finite value in {phase} step {step} (lr {opt.lr:.3e}, "
+            f"grad norm {diag['grad_norm']:.3e}): {err}")
+        raise TrainAbort(diag) from err
+    return parts
 
 
 # -- data plumbing -------------------------------------------------------------
@@ -130,25 +141,23 @@ def load_or_generate(cfg: RunConfig, data_dir=None, log=print):
 # -- pre-training gate ---------------------------------------------------------
 
 
-def gating_gap(cfg: RunConfig, vocab: Vocabulary, max_answer_len: int, n_samples: int = 8) -> float:
-    """Max caption-logit deviation between a fresh full model and baseline."""
-    seed = cfg.train.seed
-    full = DualBranchModel(cfg, vocab, max_answer_len, seed)
-    base_cfg = from_dict(to_dict(cfg))
-    base_cfg.model.ablation = Ablation(baseline_only=True)
-    base = DualBranchModel(base_cfg, vocab, max_answer_len, seed)
+def gating_gap(model: DualBranchModel, cfg: RunConfig, max_answer_len: int,
+               n_samples: int = 8) -> float:
+    """Max caption-logit gap between `model`, fresh from `cfg`, and a fresh baseline."""
+    base_cfg = replace(cfg, model=replace(cfg.model, ablation=Ablation(baseline_only=True)))
+    base = DualBranchModel(base_cfg, model.vocab, max_answer_len, cfg.train.seed)
 
-    r = named_rng(seed, "gate/probe")
+    r = named_rng(cfg.train.seed, "gate/probe")
     s = cfg.scene
     ta = min(max_answer_len, 6)
     batch = {
         "clip": r.random((n_samples, s.clip_len, s.lr_size, s.lr_size, 3)).astype(np.float32),
         "hr": r.random((n_samples, s.hr_size, s.hr_size, 3)).astype(np.float32),
-        "answer_ids": r.integers(3, len(vocab), size=(n_samples, ta)).astype(np.int64),
+        "answer_ids": r.integers(3, len(model.vocab), size=(n_samples, ta)).astype(np.int64),
         "answer_mask": np.ones((n_samples, ta), dtype=np.float32),
         "box": np.tile(np.asarray([0.3, 0.3, 0.6, 0.6], dtype=np.float32), (n_samples, 1)),
     }
-    return float(np.abs(full.caption_logits(batch) - base.caption_logits(batch)).max())
+    return float(np.abs(model.caption_logits(batch) - base.caption_logits(batch)).max())
 
 
 # -- highlight warmup ----------------------------------------------------------
@@ -176,35 +185,28 @@ def pretrain_highlighter(model: DualBranchModel, data: dict, cfg: RunConfig, log
     prompt = model.localization_prompt_vec()
     half = max(t.batch_size // 2, 2)
 
-    has_cnn = hasattr(model, "cnn")
-    params = dict(model.cnn.named_parameters("cnn.")) if has_cnn else {}
-    params.update(model.highlighter.named_parameters("highlighter."))
+    params = {name: p for name, p in model.named_parameters()
+              if name.startswith(("cnn.", "highlighter."))}
     opt = AdamW(params, lr=t.highlight_pretrain_lr, weight_decay=0.0)
 
     n = data["clips"].shape[0]
     s = cfg.scene
     for step in range(steps):
         idx = r.integers(0, n, size=half)
-        if has_cnn:
+        if hasattr(model, "cnn"):
             neg = {"hr": background_frames(s.hr_size, half, r)}
         else:
             bg = background_frames(s.lr_size, half, r)
             neg = {"clip": np.repeat(bg[:, None], s.clip_len, axis=1)}
-        try:
-            loss = presence_loss(model, make_batch(data, idx), neg, prompt)
-            model.zero_grad()
-            loss.backward()
-            opt.step()
-        except NonFiniteError as err:
-            raise _abort(log, "highlight_warmup", step, opt, err) from err
+        parts = _step(model, opt, "highlight_warmup", step, log,
+                      lambda: presence_loss(model, make_batch(data, idx), neg, prompt))
         if step % 50 == 0 or step == steps - 1:
-            log(f"highlight warmup step {step} loss {float(loss.data):.4f}")
-        del loss  # the step's graph goes before the next step's forward
+            log(f"highlight warmup step {step} loss {parts['total']:.4f}")
     model.zero_grad()
 
 
 def presence_loss(model: DualBranchModel, pos: dict, neg: dict, prompt: np.ndarray):
-    """The highlighter's presence BCE: frames of `pos` are labelled 1, of `neg` 0."""
+    """The presence BCE, frames of `pos` labelled 1 and of `neg` 0, and its parts."""
     pos = model.presence_features(pos)
     neg = model.presence_features(neg)
     pos_logit = model.highlighter.presence_logits(pos, prompt)
@@ -212,7 +214,8 @@ def presence_loss(model: DualBranchModel, pos: dict, neg: dict, prompt: np.ndarr
     labels = np.concatenate(
         [np.ones(pos_logit.shape[0]), np.zeros(neg_logit.shape[0])]
     ).astype(np.float64)
-    return ops.binary_cross_entropy_logits(concat([pos_logit, neg_logit], axis=0), labels)
+    loss = ops.binary_cross_entropy_logits(concat([pos_logit, neg_logit], axis=0), labels)
+    return loss, {"total": float(loss.data)}
 
 
 # -- checkpointing -------------------------------------------------------------
@@ -325,15 +328,14 @@ def train_model(cfg: RunConfig, train_ds: SceneDataset, run_dir=None, log=print)
         os.makedirs(run_dir, exist_ok=True)
         write_json(os.path.join(run_dir, "config.snapshot"), to_dict(cfg))
 
+    model = DualBranchModel(cfg, vocab, ta, t.seed)
     if not cfg.model.ablation.baseline_only:
-        gap = gating_gap(cfg, vocab, ta)
+        gap = gating_gap(model, cfg, ta)
         log(f"zero-disturbance gate: max logit gap {gap:.3e}")
         if gap > 1e-6:
             msg = f"gate failed: logit gap {gap:.3e} exceeds 1e-6"
             log(msg)
             raise GateError(msg)
-
-    model = DualBranchModel(cfg, vocab, ta, t.seed)
     pretrain_highlighter(model, data, cfg, log)
 
     groups = model.param_groups(t.hr_lr_mult, t.freeze_backbone)
@@ -349,16 +351,8 @@ def train_model(cfg: RunConfig, train_ds: SceneDataset, run_dir=None, log=print)
         opt.lr = lr
         idx = order.integers(0, n, size=t.batch_size)
         batch = make_batch(data, idx)
-        try:
-            loss, parts = model.forward_train(batch, t.box_weight)
-            if not np.isfinite(parts["total"]):
-                raise NonFiniteError(f"loss value {parts['total']}")
-            model.zero_grad()
-            loss.backward()
-            opt.step()
-            del loss  # the step's graph goes before the next batch is built
-        except NonFiniteError as err:
-            raise _abort(log, "train", step, opt, err) from err
+        parts = _step(model, opt, "train", step, log,
+                      lambda: model.forward_train(batch, t.box_weight))
         history.append({"step": step, "lr": lr, **parts})
         if step % t.log_every == 0 or step == t.steps - 1:
             log(f"step {step} lr {lr:.3e} loss {parts['total']:.4f} "
@@ -415,10 +409,8 @@ GRID_CSV_COLUMNS = ("name", "config_hash",
 
 
 def _row_config(cfg: RunConfig, flags: Ablation, seed: int) -> RunConfig:
-    row = from_dict(to_dict(cfg))
-    row.model.ablation = Ablation(**vars(flags))
-    row.train.seed = seed
-    return row
+    return replace(cfg, model=replace(cfg.model, ablation=Ablation(**vars(flags))),
+                   train=replace(cfg.train, seed=seed))
 
 
 def run_ablation_grid(cfg: RunConfig, seeds, train_ds: SceneDataset,

@@ -196,6 +196,16 @@ SECTION_REJECTS = [
     ("model.lm_heads=5", "ModelConfig.d_l=96 must divide by lm_heads=5"),
     ("model.qdh_heads=3", "ModelConfig.qdh_dim=64 must divide by qdh_heads=3"),
     ("model.cnn_width=0", "ModelConfig.cnn_width must be at least 1, got 0"),
+    ("model.dtype=float16", "ModelConfig.dtype must be one of ('float32', 'float64'), got 'float16'"),
+    ("model.dtype=foo", "ModelConfig.dtype must be one of ('float32', 'float64'), got 'foo'"),
+]
+
+# overrides each section takes but the run refuses, checked once after the last one
+RUN_REJECTS = [
+    (["scene.hr_critical_frac=0", "scene.hr_size=72"],
+     "--set: scene.hr_size=72 must divide by HR stride 16"),
+    (["scene.lr_size=18"], "--set: scene.lr_size=18 must divide by model.patch=4"),
+    (["model.patch=5"], "--set: scene.lr_size=32 must divide by model.patch=5"),
 ]
 
 
@@ -209,8 +219,10 @@ SECTION_REJECTS = [
     (["train", "--config", "OLD_CONFIG"], "no config field 'train.warmup_steps'"),
     (["ablate", "--seeds", "a"], "--seeds takes comma-separated integers, got 'a'"),
     *((["train", "--set", item], f"--set {item}: {why}") for item, why in SECTION_REJECTS),
+    *((["train", *(a for item in items for a in ("--set", item))], why)
+      for items, why in RUN_REJECTS),
 ], ids=["bad_bool", "bad_int", "unknown_field", "old_config", "bad_seeds",
-        *(item for item, _ in SECTION_REJECTS)])
+        *(item for item, _ in SECTION_REJECTS), *(items[-1] for items, _ in RUN_REJECTS)])
 def test_a_usage_error_exits_2_with_one_line(tmp_path, capsys, argv, message):
     old = json.loads(canonical_json(tiny_cfg()))
     old["train"]["warmup_steps"] = 0

@@ -104,6 +104,7 @@ def test_apply_override_validates_the_section():
     ("train.steps", "-1"), ("train.highlight_pretrain_steps", "-1"),
     ("model.patch", "0"), ("model.n_learned_queries", "0"), ("model.n_heads", "3"),
     ("model.lm_heads", "5"), ("model.qdh_heads", "3"), ("model.d_l", "90"),
+    ("model.dtype", "float16"),
 ])
 def test_a_rejected_override_leaves_the_field_as_it_was(key, value):
     cfg = RunConfig()
@@ -176,6 +177,20 @@ def test_from_dict_names_a_field_its_section_does_not_have(tmp_path, key):
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match=f"no config field '{key}'"):
         load_config(path)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"scene": {"lr_size": 18}}, "scene.lr_size=18 must divide by model.patch=4"),
+    ({"model": {"patch": 5}}, "scene.lr_size=32 must divide by model.patch=5"),
+    ({"scene": {"hr_size": 72, "hr_critical_frac": 0.0}},
+     "scene.hr_size=72 must divide by HR stride 16"),
+], ids=["lr_size", "patch", "hr_size"])
+def test_from_dict_refuses_a_run_its_sections_do_not_fit(changes, message):
+    data = to_dict(RunConfig())
+    for section, fields in changes.items():
+        data[section].update(fields)
+    with pytest.raises(ValueError, match=message):
+        from_dict(data)
 
 
 def _written_with_whole_floats(tmp_path):

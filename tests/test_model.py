@@ -168,7 +168,7 @@ def test_fresh_full_model_matches_baseline_captions():
     # exact by construction: shared named init streams for the shared
     # modules, and every fusion gate starts closed
     cfg = tiny_cfg()
-    gap = gating_gap(cfg, build_vocab(), TA, n_samples=4)
+    gap = gating_gap(make_model(cfg)[0], cfg, TA, n_samples=4)
     assert gap == 0.0
 
 

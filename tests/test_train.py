@@ -451,25 +451,54 @@ def test_each_step_graph_is_freed_before_the_next_forward(tiny_data, monkeypatch
     assert all(ref() is None for ref in losses)
 
 
+@pytest.mark.parametrize("ablation, n_models", [(Ablation(), 2), (Ablation(baseline_only=True), 1)])
+def test_a_run_gates_the_model_it_trains(tiny_data, monkeypatch, ablation, n_models):
+    """The gate compares the model the run trains with the one baseline it
+    builds; a baseline run has no gate and builds only the model it trains."""
+    built = []
+    init = DualBranchModel.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DualBranchModel, "__init__", counted)
+    cfg = tiny_cfg(steps=1, highlight_pretrain_steps=1)
+    cfg.model.ablation = ablation
+    out = train_model(cfg, tiny_data[0], log=quiet)
+    assert len(built) == n_models
+    assert out["model"] is built[0]
+
+
+def _logs_one_abort(lines, diag) -> bool:
+    aborts = [line for line in lines if line.startswith("abort: ")]
+    return len(aborts) == 1 and aborts[0].startswith(
+        f"abort: non-finite value in {diag['phase']} step {diag['step']} (lr ")
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_exploding_lr_aborts_with_diagnostics(tiny_data):
     cfg = tiny_cfg(steps=30, lr=1e38)
+    lines = []
     with pytest.raises(TrainAbort) as err:
-        train_model(cfg, tiny_data[0], log=quiet)
+        train_model(cfg, tiny_data[0], log=lines.append)
     diag = err.value.diagnostics
     assert set(diag) >= {"step", "lr", "grad_norm", "error"}
     assert diag["step"] < 30
+    assert diag["phase"] == "train" and _logs_one_abort(lines, diag)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverging_highlight_warmup_aborts_with_diagnostics(tiny_data):
     cfg = tiny_cfg(highlight_pretrain_lr=1e38, highlight_pretrain_steps=30)
+    lines = []
     with pytest.raises(TrainAbort) as err:
-        train_model(cfg, tiny_data[0], log=quiet)
+        train_model(cfg, tiny_data[0], log=lines.append)
     diag = err.value.diagnostics
     assert diag["phase"] == "highlight_warmup"
     assert set(diag) >= {"step", "lr", "grad_norm", "error"}
     assert diag["step"] < 30 and diag["lr"] == 1e38
+    assert _logs_one_abort(lines, diag)
 
 
 def test_gate_failure_refuses_to_train(tiny_data, monkeypatch):
