@@ -65,7 +65,7 @@ def _as_array(x, dtype=None) -> np.ndarray:
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:
-    if data.dtype.kind == "f" and not np.all(np.isfinite(data)):
+    if data.dtype.kind == "f" and not np.isfinite(data).all():
         raise NonFiniteError(f"non-finite values produced by op '{op}'")
 
 

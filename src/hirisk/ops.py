@@ -18,6 +18,11 @@ weights; `l1_loss` the residual; `binary_cross_entropy_logits` the logits
 and targets; and `embedding_lookup` the indices. An array an operand's
 gradient does not need (say, `linear`'s input when its weight is frozen) is
 not kept.
+
+`gelu` computes float64 with scipy's double-precision erf, the precision
+`gradcheck` and every finite-difference test run at. float32 takes a
+float32 rational erf, within 4.7e-7 of the double one on every float32
+input, so its normal CDF is within 2.6e-7: float32 noise.
 """
 
 from __future__ import annotations
@@ -49,14 +54,70 @@ def relu(x: Tensor) -> Tensor:
     return Tensor._from_op(data, (x,), backward, "relu")
 
 
+# Elements per pass of the float32 erf. Its three temporaries (z, P and Q:
+# 768 KB at this size) stay in L2 through the rational's 24 ufunc passes over
+# a chunk. On a [2600, 256] input, on 2 CPUs, 4,096-element chunks take 5.0 ms,
+# 65,536 take 2.4 ms and the whole array in one pass 4.8 ms, against 14.2 ms
+# for scipy's erf (interleaved medians of 30).
+ERF_CHUNK = 65536
+
+# erf(x) = x * P(x^2) / Q(x^2) on x clipped to [-4, 4], past which float32
+# erf rounds to +-1 (Eigen's float32 erf); coefficients highest power first.
+_ERF_P = (
+    -2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06, -5.69250639462346e-05,
+    -7.34990630326855e-04, -2.95459980854025e-03, -1.60960333262415e-02,
+)
+_ERF_Q = (
+    -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03, -7.37332916720468e-03,
+    -1.42647390514189e-02,
+)
+
+
+def _horner(coefs: tuple, z: np.ndarray, out: np.ndarray) -> None:
+    np.multiply(z, coefs[0], out=out)
+    out += coefs[1]
+    for c in coefs[2:]:
+        out *= z
+        out += c
+
+
+def _erf32(v: np.ndarray) -> np.ndarray:
+    """erf of a float32 array in float32, `ERF_CHUNK` elements at a time.
+
+    Works in place when `v` is C-contiguous (otherwise on a C-order copy) and
+    returns the result. It is odd bit for bit, exactly +-1 past the clip, and
+    keeps NaN.
+    """
+    flat = v.reshape(-1)
+    z, p, q = (np.empty(min(flat.size, ERF_CHUNK), np.float32) for _ in range(3))
+    for lo in range(0, flat.size, ERF_CHUNK):
+        c = flat[lo : lo + ERF_CHUNK]
+        zc, pc, qc = z[: c.size], p[: c.size], q[: c.size]
+        np.clip(c, -4.0, 4.0, out=c)
+        np.multiply(c, c, out=zc)
+        _horner(_ERF_P, zc, pc)
+        _horner(_ERF_Q, zc, qc)
+        pc *= c
+        np.divide(pc, qc, out=c)
+    return flat.reshape(v.shape)
+
+
 def gelu(x: Tensor) -> Tensor:
-    """Exact (erf-based) Gaussian error linear unit."""
-    cdf = x.data * _INV_SQRT2
-    erf(cdf, out=cdf)
+    """Exact (erf-based) Gaussian error linear unit.
+
+    float64 takes scipy's erf, the precision gradient checks run at. float32
+    takes `_erf32`, whose normal CDF is within 2.6e-7 of the double one
+    (half its erf bound plus the rounding of 1 + erf).
+    """
+    nx, xd = grad_node(x), x.data
+    cdf = xd * _INV_SQRT2
+    if cdf.dtype == np.float32:
+        cdf = _erf32(cdf)
+    else:
+        erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-    data = x.data * cdf
-    nx, xd = grad_node(x), x.data
+    data = xd * cdf
 
     def backward(g):
         # g * (cdf + x * pdf), built in one buffer

@@ -85,6 +85,71 @@ def test_gelu_reference_points():
     assert y[2] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_gelu_float32_reference_points_are_exact():
+    y = ops.gelu(Tensor(np.array([0.0, 10.0, -10.0], dtype=np.float32))).data
+    assert y.dtype == np.float32
+    assert y.tolist() == [0.0, 10.0, 0.0]
+
+
+def _f32_stride(lo: float, hi: float, stride: int = 1087) -> np.ndarray:
+    # every `stride`-th float32 bit pattern in [lo, hi); an odd stride
+    # reaches every mantissa residue
+    a, b = (int(np.float32(v).view(np.uint32)) for v in (lo, hi))
+    return np.arange(a, b, stride, dtype=np.uint32).view(np.float32)
+
+
+def test_erf32_is_within_5e_7_of_double_erf():
+    # a sample of [0, 6); tests/erf32_sweep.py checks all 1.09e9 of them
+    from scipy.special import erf
+
+    x = _f32_stride(0.0, 6.0)
+    assert x.size > 900_000
+    err = np.abs(ops._erf32(x.copy()).astype(np.float64) - erf(x.astype(np.float64)))
+    assert err.max() <= 5e-7
+
+
+def test_erf32_is_odd_bit_for_bit_and_exactly_one_past_the_clip():
+    x = _f32_stride(0.0, 6.0)
+    pos, neg = ops._erf32(x.copy()), ops._erf32(-x)
+    np.testing.assert_array_equal((-pos).view(np.uint32), neg.view(np.uint32))
+    far = np.array([4.0, 4.5, 10.0, 3e38, np.inf], dtype=np.float32)
+    assert ops._erf32(far.copy()).tolist() == [1.0] * 5
+    assert ops._erf32(-far).tolist() == [-1.0] * 5
+    assert np.isnan(ops._erf32(np.array([np.nan], dtype=np.float32))).all()
+
+
+def test_gelu_float32_chunks_match_each_piece_alone():
+    n = ops.ERF_CHUNK
+    x = (rng("gchunk").normal(size=2 * n + 37) * 3.0).astype(np.float32)
+    whole = ops.gelu(Tensor(x)).data
+    pieces = [ops.gelu(Tensor(x[lo : lo + n])).data for lo in range(0, x.size, n)]
+    np.testing.assert_array_equal(whole, np.concatenate(pieces))
+
+
+def test_gelu_float32_view_matches_its_copy_and_leaves_input_unwritten():
+    x = (rng("gview").normal(size=(6, 5, 4)) * 3.0).astype(np.float32)
+    before = x.copy()
+    outs = []
+    for a in (x.swapaxes(0, 2), np.ascontiguousarray(x.swapaxes(0, 2))):
+        t = Tensor(a, requires_grad=True)
+        y = ops.gelu(t)
+        (y * Tensor(np.ones(y.shape, dtype=np.float32))).sum().backward()
+        outs.append((y.data, t.grad))
+    for got, want in zip(*outs):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(x, before)
+
+
+def test_gelu_float64_is_scipy_erf_bit_for_bit():
+    # the path `gradcheck` and the finite-difference tests run on; x / sqrt(2)
+    # rounds differently from x * (1 / sqrt(2)) on about 13% of inputs
+    from scipy.special import erf
+
+    x = rng("g64").normal(size=(40, 50)) * 3.0
+    want = x * 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+    np.testing.assert_array_equal(ops.gelu(Tensor(x)).data, want)
+
+
 def test_layer_norm_output_stats():
     x = Tensor(rng("ln").normal(size=(6, 32)) * 3.0 + 1.0)
     g = Tensor(np.ones(32))
