@@ -136,7 +136,7 @@ class QueryPooler(Module):
 class VideoEncoder(Module):
     """Patch transformer over L frames with per-frame attention."""
 
-    def __init__(self, lr_size: int, clip_len: int, cfg, seed: int):
+    def __init__(self, lr_size: int, clip_len: int, cfg, seed: int | None):
         super().__init__()
         if lr_size % cfg.patch:
             raise ValueError("lr resolution must divide by patch size")

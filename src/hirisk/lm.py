@@ -30,7 +30,7 @@ def prefix_causal_mask(prefix_len: int, total_len: int) -> np.ndarray:
 
 class CaptionDecoder(Module):
     def __init__(self, vocab_size: int, max_seq: int, n_visual: int, prompt_ids: np.ndarray,
-                 cfg, seed: int):
+                 cfg, seed: int | None):
         super().__init__()
         self.d_l = cfg.d_l
         self.n_visual = n_visual

@@ -37,19 +37,25 @@ from .hrbranch import (
 from .lm import CaptionDecoder
 from .modules import Module, ModuleList, Parameter
 from .rng import named_rng
+from .workers import map_blocks
 
 # Extra decode steps past the longest training answer, so a slightly
 # rambling generation still reaches its end-of-sequence token.
 DECODE_MARGIN = 4
 
-# Samples per trunk pass at inference. The encoder and the HR CNN have no
-# cross-sample op, so any block size gives the same bits; a small block
-# bounds the transients (a [B*clip_len*(G*G+1), 4*d_v] MLP hidden, a
-# [B, hr/2, hr/2, cnn_width] stem) that set decode's peak memory. Decoding
-# 50-scene default-config batches on 2 CPUs peaks at 134 MB RSS at 8, against
-# 218 MB in one block (medians of 10 runs); single runs read 128 MB but
-# 1,205 ms a batch at 1, against about 920 ms at 8, and 143 MB at 16.
-TRUNK_BLOCK = 8
+# Samples per trunk block at inference; `hirisk.workers` runs one block per
+# CPU at a time. The encoder and the HR CNN have no cross-sample op, so the
+# worker count changes no bit. The block size changes only the GEMM shapes,
+# from which OpenBLAS picks its kernels: decode tokens, boxes and caption
+# logits of perfbench seeds 0-3 are the same bits at 6 as at 8, but the tiny
+# test model's CNN grid moves by 1.5e-6 between 8 and 4. A block bounds the
+# transients each worker holds (a [B*clip_len*(G*G+1), 4*d_v] MLP hidden, a
+# [B, hr/2, hr/2, cnn_width] stem). perfbench decode of 50-scene
+# default-config batches on 2 CPUs (seed 0, 30 s runs, two each): 6 gives
+# 96-104 items/s at 125 MB peak RSS, against 82-88 at 4 and 84-85 at 3 (also
+# 125 MB) and 95-101 at 8 (142 MB); serial blocks of 8 gave 65-73 items/s at
+# 130.5 MB.
+TRUNK_BLOCK = 6
 
 # The scene fields that set the model's input shapes.
 MODEL_SCENE_FIELDS = ("clip_len", "lr_size", "hr_size")
@@ -64,9 +70,13 @@ BACKBONE_PARAMS = ("encoder.patch_proj.", "encoder.cls", "encoder.pos", "encoder
 
 
 class DualBranchModel(Module):
-    """Video captioner with a high-resolution perception branch."""
+    """Video captioner with a high-resolution perception branch.
 
-    def __init__(self, cfg: RunConfig, vocab: Vocabulary, max_answer_len: int, seed: int):
+    Parameters are drawn from named streams of `seed`; seed None builds them
+    as zeros, for a model whose parameters are loaded next.
+    """
+
+    def __init__(self, cfg: RunConfig, vocab: Vocabulary, max_answer_len: int, seed: int | None):
         super().__init__()
         m = cfg.model
         flags = m.ablation
@@ -172,17 +182,18 @@ class DualBranchModel(Module):
 
     @no_grad()
     def encode_scene_blocks(self, batch: dict):
-        """`encode_scene` over `TRUNK_BLOCK` samples at a time, with no graph.
+        """`encode_scene` over `TRUNK_BLOCK` samples at a time, with no graph,
+        the blocks spread over the trunk workers (`hirisk.workers`).
 
         Every batch array is sliced along its leading (sample) axis. Returns
         (z_v, feats) for the whole batch; feats is None without the HR route.
+        The workers see this call's `no_grad`, which holds until the last
+        block has finished.
         """
-        zs, fs = [], []
-        for start in range(0, batch["clip"].shape[0], TRUNK_BLOCK):
-            block = {k: v[start : start + TRUNK_BLOCK] for k, v in batch.items()}
-            z, feats = self.encode_scene(block)
-            zs.append(z)
-            fs.append(feats)
+        n = batch["clip"].shape[0]
+        blocks = [{k: v[start : start + TRUNK_BLOCK] for k, v in batch.items()}
+                  for start in range(0, n, TRUNK_BLOCK)]
+        zs, fs = zip(*map_blocks(self.encode_scene, blocks))
         return concat(zs), None if fs[0] is None else concat(fs)
 
     # -- training --------------------------------------------------------------

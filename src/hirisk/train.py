@@ -296,7 +296,8 @@ def load_checkpoint(path: str):
     moments["t"] = _split(arrays["opt_t"], [(name, ()) for name in names], path, "opt_t")
     opt_state = {f"opt/{k}/{name}": moments[k][name] for name in names for k in "mvt"}
     vocab = build_vocab()
-    model = DualBranchModel(cfg, vocab, meta["max_answer_len"], cfg.train.seed)
+    # every parameter is overwritten below, so it is built without init draws
+    model = DualBranchModel(cfg, vocab, meta["max_answer_len"], seed=None)
     model.load_state_dict(_split(arrays["params"], list(shapes.items()), path, "params"))
     return model, vocab, cfg, {**meta, "opt_arrays": opt_state}
 

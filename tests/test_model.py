@@ -1,12 +1,14 @@
 """Joint model: branch wiring, gating, loss arithmetic, decoding."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from hirisk import model as model_module
-from hirisk.autograd import ComputationTape, Node, Tensor
+from hirisk import model as model_module, workers
+from hirisk.autograd import ComputationTape, NonFiniteError, Node, Tensor
 from hirisk.config import Ablation, ModelConfig, RunConfig, SceneConfig, TrainConfig
 from hirisk.grammar import ANSWER_SPAN, build_vocab
 from hirisk.hrbranch import LearnedQueryDetector, SpanQueryDetector
@@ -393,23 +395,100 @@ def _decode_bits(records) -> list:
 
 @pytest.mark.parametrize("config", list(GREEDY_CONFIGS))
 def test_trunk_blocks_change_no_output_bit(config, monkeypatch):
-    """A trunk run two samples at a time, with a ragged last block of one,
-    gives the one-block run's tokens, boxes and logits bit for bit."""
+    """A trunk run two samples at a time, with a ragged last block of one, on
+    one worker and on two, gives the one-block run's tokens, boxes and logits
+    bit for bit."""
     cfg = tiny_cfg(**GREEDY_CONFIGS[config])
     model, vocab = make_model(cfg)
     # a nudge makes rows end at different steps
     model.lm.head.bias.data[vocab.eos_id] += 3.5
     batch = random_batch(cfg, vocab, n=5)
 
-    def run(block):
+    def run(block, n_workers):
         monkeypatch.setattr(model_module, "TRUNK_BLOCK", block)
+        monkeypatch.setattr(workers, "worker_count", lambda: n_workers)
         return _decode_bits(model.decode(batch)), model.caption_logits(batch)
 
-    (dec_one, logits_one), (dec_two, logits_two) = run(5), run(2)
-    assert len(dec_two) == 5
-    assert dec_two == dec_one
-    assert logits_two.shape == logits_one.shape
-    assert logits_two.tobytes() == logits_one.tobytes()
+    dec_one, logits_one = run(5, 1)
+    for n_workers in (1, 2):
+        dec_two, logits_two = run(2, n_workers)
+        assert len(dec_two) == 5
+        assert dec_two == dec_one, n_workers
+        assert logits_two.shape == logits_one.shape
+        assert logits_two.tobytes() == logits_one.tobytes(), n_workers
+
+
+def _trunk_threads(model, monkeypatch) -> set:
+    """Records the thread of every `encode_scene` call on `model`."""
+    seen = set()
+    encode_scene = model.encode_scene
+
+    def recorded(block):
+        seen.add(threading.get_ident())
+        return encode_scene(block)
+
+    monkeypatch.setattr(model, "encode_scene", recorded, raising=False)
+    return seen
+
+
+def test_a_non_finite_block_reaches_the_caller_with_its_op(monkeypatch):
+    cfg = tiny_cfg()
+    model, vocab = make_model(cfg)
+    monkeypatch.setattr(model_module, "TRUNK_BLOCK", 2)
+    monkeypatch.setattr(workers, "worker_count", lambda: 2)
+    threads = _trunk_threads(model, monkeypatch)
+    model.encoder.blocks[0].mlp.fc1.weight.data[0, 0] = np.nan
+    with pytest.raises(NonFiniteError, match="op 'linear'"):
+        model.decode(random_batch(cfg, vocab, n=5))
+    assert threads and threading.get_ident() not in threads
+
+
+def test_more_workers_than_cores_switching_often_give_the_same_bits(monkeypatch):
+    cfg = tiny_cfg()
+    model, vocab = make_model(cfg)
+    batch = random_batch(cfg, vocab, n=8)
+    monkeypatch.setattr(model_module, "TRUNK_BLOCK", 1)
+    monkeypatch.setattr(workers, "worker_count", lambda: 1)
+    want = _decode_bits(model.decode(batch))
+    monkeypatch.setattr(workers, "worker_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _decode_bits(model.decode(batch))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+
+
+def test_decode_keeps_the_callers_blas_thread_count(monkeypatch):
+    setter = workers._SET_BLAS_THREADS
+    if setter is None:
+        pytest.skip("numpy's BLAS exposes no thread-count setter")
+    cfg = tiny_cfg()
+    model, vocab = make_model(cfg)
+    monkeypatch.setattr(model_module, "TRUNK_BLOCK", 2)
+    monkeypatch.setattr(workers, "worker_count", lambda: 2)
+    prev = setter(2)
+    try:
+        model.decode(random_batch(cfg, vocab, n=5))
+        # the setter returns the count it replaces
+        assert setter(2) == 2
+    finally:
+        setter(prev)
+
+
+def test_without_the_blas_setter_one_worker_gives_the_same_bits(monkeypatch):
+    cfg = tiny_cfg()
+    model, vocab = make_model(cfg)
+    monkeypatch.setattr(model_module, "TRUNK_BLOCK", 2)
+    batch = random_batch(cfg, vocab, n=5)
+    pooled = _decode_bits(model.decode(batch)), model.caption_logits(batch).tobytes()
+    monkeypatch.setattr(workers, "_SET_BLAS_THREADS", None)
+    assert workers.worker_count() == 1
+    threads = _trunk_threads(model, monkeypatch)
+    alone = _decode_bits(model.decode(batch)), model.caption_logits(batch).tobytes()
+    assert len(threads) == 1
+    assert alone == pooled
 
 
 def test_decode_builds_no_graph_and_leaves_no_gradient():

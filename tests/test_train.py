@@ -107,9 +107,26 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path, tiny_data):
     model2, vocab2, cfg2, meta = load_checkpoint(path)
     assert config_hash(cfg2) == config_hash(cfg)
     assert meta["step"] == cfg.train.steps
-    live = dict(out["model"].named_parameters())
+    live = list(out["model"].named_parameters())
+    loaded = list(model2.named_parameters())
+    assert [n for n, _ in loaded] == [n for n, _ in live]
+    for (name, p), (_, q) in zip(loaded, live):
+        assert p.data.dtype == q.data.dtype and p.data.tobytes() == q.data.tobytes(), name
+
+
+def test_checkpoint_load_makes_no_init_draws(tmp_path, tiny_data, monkeypatch):
+    cfg, model, opt, ta = _stepped_model(tiny_data)
+    path = str(tmp_path / "ckpt")
+    save_checkpoint(path, model, opt, cfg, 1, ta, named_rng(0, "train/order").bit_generator.state)
+
+    def no_stream(*args, **kwargs):
+        raise AssertionError("load_checkpoint opened a random stream")
+
+    monkeypatch.setattr(np.random, "Philox", no_stream)
+    model2, _, _, _ = load_checkpoint(path)
+    live = dict(model.named_parameters())
     for name, p in model2.named_parameters():
-        assert np.array_equal(p.data, live[name].data), name
+        assert p.data.tobytes() == live[name].data.tobytes(), name
 
 
 def _stepped_model(tiny_data, steps=1):
