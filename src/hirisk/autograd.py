@@ -6,7 +6,7 @@ the output's shape and dtype but not its data. A leaf (a parameter or a
 user-made input) is its own node. Calling `backward()` on a scalar root
 materializes a `ComputationTape` (the nodes in topological order) and sweeps
 it once in reverse, accumulating gradients additively across fan-out. The
-graph and the sweep keep four rules:
+graph and the sweep keep five rules:
 
 - The graph holds nodes, not op outputs. A closure captures its parents'
   nodes plus exactly the arrays it reads, saved at forward time, and never a
@@ -18,6 +18,13 @@ graph and the sweep keep four rules:
   the node's dtype. So no closure may hand one buffer, or overlapping views
   of it, to two nodes.
 - A second backward over the same graph adds to the leaves exactly once more.
+- Block graphs are swept apart. `join_blocks` sums the losses of blocks
+  whose graphs share leaves but no interior node; its backward sweeps each
+  block's graph on a `hirisk.workers` thread, from an order of its own
+  rather than through `ComputationTape.trace`. There a leaf's gradient goes
+  to the block's sink, not to the leaf; after the last block the sinks are
+  added to the leaves in block order, block 0's buffers adopted. So no two
+  threads write one buffer, and the sum does not depend on the workers.
 
 Every forward op validates that its result is finite; NaN or Inf anywhere
 raises `NonFiniteError` immediately, which the training harness turns into an
@@ -29,10 +36,13 @@ builds no graph and frees activations as soon as they go out of scope.
 
 from __future__ import annotations
 
+import functools
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+
+from .workers import grad_sink, map_sinks
 
 _grad_enabled = True
 
@@ -166,7 +176,16 @@ class Tensor:
     def _node(self) -> "Node | Tensor":
         return self if self._grad_fn is None else self._grad_fn
 
-    _accum = Node._accum
+    def _accum(self, grad: np.ndarray) -> None:
+        sink = grad_sink()
+        if sink is None:
+            Node._accum(self, grad)
+            return
+        # a block sweep: the block's own slot for this leaf, merged by `join_blocks`
+        slot = sink.get(self)
+        if slot is None:
+            slot = sink[self] = Node(self.shape, self.dtype, (), None, "leaf")
+        slot._accum(grad)
 
     # -- basic properties ----------------------------------------------------
 
@@ -216,10 +235,7 @@ class Tensor:
                 raise ShapeError("explicit backward grad must match root shape")
         tape = ComputationTape.trace(self)
         self._node._accum(grad)
-        for node in reversed(tape.nodes):
-            if node._backward is not None and node.grad is not None:
-                g, node.grad = node.grad, None
-                node._backward(g)
+        _sweep(tape.nodes)
         return tape
 
     # -- operator overloads ----------------------------------------------------
@@ -284,26 +300,40 @@ class ComputationTape:
 
     @classmethod
     def trace(cls, root: Tensor) -> "ComputationTape":
-        # Iterative DFS; recursion would overflow on long decode chains.
-        order: list[Node | Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Node | Tensor, bool]] = [(root._node, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in visited:
-                    stack.append((p, False))
-        return cls(order)
+        return cls(_topological(root._node))
 
     def __len__(self):
         return len(self.nodes)
+
+
+def _topological(root: "Node | Tensor") -> list:
+    """The nodes reachable from `root`, parents first."""
+    # Iterative DFS; recursion would overflow on long decode chains.
+    order: list[Node | Tensor] = []
+    visited: set[int] = set()
+    stack: list[tuple[Node | Tensor, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in visited:
+                stack.append((p, False))
+    return order
+
+
+def _sweep(nodes: list) -> None:
+    """Pass each gradient on, in reverse of `nodes`' parents-first order,
+    dropping every interior node's gradient once its closure has run."""
+    for node in reversed(nodes):
+        if node._backward is not None and node.grad is not None:
+            g, node.grad = node.grad, None
+            node._backward(g)
 
 
 # -- primitive ops ------------------------------------------------------------
@@ -491,3 +521,27 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
             nb._accum(unbroadcast(g * (~amask), sb))
 
     return Tensor._from_op(data, (a, b), backward, "maximum")
+
+
+def join_blocks(losses: Sequence[Tensor]) -> Tensor:
+    """The sum of scalar block losses, in block order.
+
+    The blocks' graphs may share leaves but no interior node. The backward
+    sweeps each block's graph on the `hirisk.workers` pool, its leaf
+    gradients held in the block's sink, then adds the sinks to the leaves in
+    block order (see the module docstring).
+    """
+    data = functools.reduce(np.add, [t.data for t in losses])
+    nodes = [grad_node(t) for t in losses]
+
+    def backward(g):
+        def sweep_block(node):
+            node._accum(g.copy())  # each block owns its seed
+            _sweep(_topological(node))
+
+        sinks = map_sinks(sweep_block, [n for n in nodes if n is not None])
+        for sink in sinks:
+            for leaf, slot in sink.items():
+                leaf._accum(slot.grad)
+
+    return Tensor._from_op(data, losses, backward, "join_blocks")

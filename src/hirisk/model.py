@@ -20,9 +20,11 @@ built.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .autograd import Tensor, concat, no_grad
+from .autograd import Tensor, concat, join_blocks, no_grad
 from .config import HR_STRIDE, RunConfig
 from .encoder import VideoEncoder, incorporation_sites
 from .grammar import ANSWER_SPAN, INSTRUCTION_PROMPT, LOCALIZATION_PROMPT, Vocabulary, parse_caption
@@ -56,6 +58,17 @@ DECODE_MARGIN = 4
 # 125 MB) and 95-101 at 8 (142 MB); serial blocks of 8 gave 65-73 items/s at
 # 130.5 MB.
 TRUNK_BLOCK = 6
+
+# Samples per block of a training step: each block's forward pass and its
+# backward sweep run on one `hirisk.workers` thread at a time. The worker
+# count changes no bit; the block size sets the order in which the block
+# losses and gradients are summed, and the GEMM shapes. perfbench train of
+# the default B=16 step on 2 CPUs (seed 0, 30 s runs, two each): 8 gives
+# 45.5-46.7 items/s at 298-299 MB peak RSS, against 39.6-40.8 at 6 (blocks of
+# 6, 6 and 4, so one worker idles) at 288 MB and 37.3-39.9 at 4 at 283-286
+# MB; the serial step (one graph, BLAS on both CPUs) gave 28.1-32.1 items/s
+# at 300-301 MB.
+TRAIN_BLOCK = 8
 
 # The scene fields that set the model's input shapes.
 MODEL_SCENE_FIELDS = ("clip_len", "lr_size", "hr_size")
@@ -190,10 +203,7 @@ class DualBranchModel(Module):
         The workers see this call's `no_grad`, which holds until the last
         block has finished.
         """
-        n = batch["clip"].shape[0]
-        blocks = [{k: v[start : start + TRUNK_BLOCK] for k, v in batch.items()}
-                  for start in range(0, n, TRUNK_BLOCK)]
-        zs, fs = zip(*map_blocks(self.encode_scene, blocks))
+        zs, fs = zip(*map_blocks(self.encode_scene, _blocks(batch, TRUNK_BLOCK)))
         return concat(zs), None if fs[0] is None else concat(fs)
 
     # -- training --------------------------------------------------------------
@@ -208,17 +218,33 @@ class DualBranchModel(Module):
         return self.detector.loss(self.lm.answer_hidden(hidden, *ANSWER_SPAN), feats, batch["box"])
 
     def forward_train(self, batch: dict, box_weight: float):
-        """Joint loss on one batch. Returns (loss Tensor, float part dict)."""
-        z, feats = self.encode_scene(batch)
-        cap_loss, hidden = self.lm.caption_loss(z, batch["answer_ids"], batch["answer_mask"])
-        box = self.box_loss(hidden, feats, batch)
-        if box is None:
-            total = cap_loss
-            parts = {"caption": float(cap_loss.data), "box": 0.0}
-        else:
-            total = cap_loss + box_weight * box
-            parts = {"caption": float(cap_loss.data), "box": float(box.data)}
-        parts["total"] = float(total.data)
+        """Joint loss on one batch. Returns (loss Tensor, float part dict).
+
+        The batch runs in blocks of `TRAIN_BLOCK` samples, each block's whole
+        forward pass on one worker thread (`hirisk.workers`), and `join_blocks`
+        sums the block losses in block order, its backward sweeping each
+        block's graph on the workers too. The block losses sum to the batch
+        loss: each block's caption cross-entropy divides by the whole batch's
+        answer-mask sum, and its box loss, a mean over its own samples, counts
+        n_block / n_batch.
+        """
+        n = batch["clip"].shape[0]
+        denom = float(batch["answer_mask"].sum())
+
+        def block_loss(block):
+            z, feats = self.encode_scene(block)
+            cap, hidden = self.lm.caption_loss(z, block["answer_ids"], block["answer_mask"], denom)
+            box = self.box_loss(hidden, feats, block)
+            if box is None:
+                return cap, cap.data, None
+            share = block["clip"].shape[0] / n
+            return cap + (box_weight * share) * box, cap.data, float(box.data) * share
+
+        totals, caps, boxes = zip(*map_blocks(block_loss, _blocks(batch, TRAIN_BLOCK)))
+        total = join_blocks(totals)
+        parts = {"caption": float(functools.reduce(np.add, caps)),
+                 "box": 0.0 if boxes[0] is None else sum(boxes),
+                 "total": float(total.data)}
         return total, parts
 
     @no_grad()
@@ -284,6 +310,13 @@ class DualBranchModel(Module):
         if hr:
             groups.append({"params": hr, "lr_scale": hr_lr_mult})
         return groups
+
+
+def _blocks(batch: dict, size: int) -> list[dict]:
+    """`batch` in blocks of `size` samples, every array sliced along its
+    leading (sample) axis; the last block may be smaller."""
+    n = batch["clip"].shape[0]
+    return [{k: v[start : start + size] for k, v in batch.items()} for start in range(0, n, size)]
 
 
 def _matches(name: str, patterns) -> bool:

@@ -404,12 +404,14 @@ def depthwise_conv3d(x: Tensor, w: Tensor) -> Tensor:
 # -- losses --------------------------------------------------------------------
 
 
-def cross_entropy_logits(logits: Tensor, targets: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
+def cross_entropy_logits(logits: Tensor, targets: np.ndarray, mask: np.ndarray | None = None,
+                         denom: float | None = None) -> Tensor:
     """Mean negative log-likelihood of integer targets under row softmax.
 
     logits: [..., V]; targets: int array matching the leading shape; mask, if
     given, weights each position (zeros drop padding) and the mean runs over
-    the mask sum.
+    the mask sum, or over `denom` when given (a block of a batch divides by
+    the whole batch's mask sum).
     """
     targets = np.asarray(targets)
     if targets.shape != logits.shape[:-1]:
@@ -421,7 +423,7 @@ def cross_entropy_logits(logits: Tensor, targets: np.ndarray, mask: np.ndarray |
         mflat = np.ones(tflat.shape[0], dtype=flat.dtype)
     else:
         mflat = np.asarray(mask, dtype=flat.dtype).reshape(-1)
-    denom = mflat.sum()
+    denom = mflat.sum() if denom is None else flat.dtype.type(denom)
     if denom <= 0:
         raise ValueError("cross_entropy mask selects no positions")
     m = flat.max(axis=-1, keepdims=True)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hirisk import workers
 from hirisk.autograd import (
     ComputationTape,
     Node,
@@ -10,6 +11,7 @@ from hirisk.autograd import (
     ShapeError,
     Tensor,
     concat,
+    join_blocks,
     matmul,
     no_grad,
     power,
@@ -328,3 +330,17 @@ def test_no_grad_restores_the_flag_after_nesting_and_errors():
 
     assert not scaled().requires_grad
     assert (w * 2.0).requires_grad
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_join_blocks_sums_losses_and_gradients_in_block_order(monkeypatch, n_workers):
+    """1e8 + -1e8 + 1 is 1 in block order and 0 in reverse, at float32."""
+    monkeypatch.setattr(workers, "worker_count", lambda: n_workers)
+    x = Parameter(np.ones(3, dtype=np.float32))
+    scales = [np.float32(1e8), np.float32(-1e8), np.float32(1.0)]
+    loss = join_blocks([(x * Tensor(c)).sum() for c in scales])
+    assert loss.data.dtype == np.float32 and loss.item() == 3.0
+    loss.backward()
+    assert x.grad.tolist() == [1.0, 1.0, 1.0]
+    assert workers.grad_sink() is None
+

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hirisk import model as model_module, workers
+from hirisk import autograd, model as model_module, workers
 from hirisk.autograd import ComputationTape, NonFiniteError, Node, Tensor
 from hirisk.config import Ablation, ModelConfig, RunConfig, SceneConfig, TrainConfig
 from hirisk.grammar import ANSWER_SPAN, build_vocab
@@ -489,6 +489,101 @@ def test_without_the_blas_setter_one_worker_gives_the_same_bits(monkeypatch):
     alone = _decode_bits(model.decode(batch)), model.caption_logits(batch).tobytes()
     assert len(threads) == 1
     assert alone == pooled
+
+
+# -- data-parallel training ------------------------------------------------------
+
+
+def _train_grads(model, batch, box_weight=1.0):
+    """(float parts, {name: gradient}) of one forward_train and backward."""
+    loss, parts = model.forward_train(batch, box_weight)
+    model.zero_grad()
+    loss.backward()
+    return parts, {name: p.grad for name, p in model.named_parameters() if p.grad is not None}
+
+
+def _ragged_mask_batch(cfg, vocab, n):
+    batch = random_batch(cfg, vocab, n=n)
+    lengths = np.array([TA, 3, 7, TA, 5, 2, 9][:n])
+    batch["answer_mask"] = (np.arange(TA)[None, :] < lengths[:, None]).astype(np.float32)
+    return batch
+
+
+@pytest.mark.parametrize("config", list(GREEDY_CONFIGS))
+def test_blocked_training_sums_to_the_one_block_loss_and_gradients(config, monkeypatch):
+    """At float64, blocks of two with a ragged last block of one and answers of
+    different lengths give the parts and every gradient of one block to rel
+    1e-10; no two parameters share a gradient buffer after the merge."""
+    cfg = tiny_cfg(dtype="float64", **GREEDY_CONFIGS[config])
+    model, vocab = make_model(cfg)
+    batch = _ragged_mask_batch(cfg, vocab, n=5)
+    monkeypatch.setattr(model_module, "TRAIN_BLOCK", 5)
+    parts_one, grads_one = _train_grads(model, batch, box_weight=2.0)
+    monkeypatch.setattr(model_module, "TRAIN_BLOCK", 2)
+    parts_two, grads_two = _train_grads(model, batch, box_weight=2.0)
+    assert parts_two.keys() == parts_one.keys()
+    for key, value in parts_one.items():
+        assert parts_two[key] == pytest.approx(value, rel=1e-10, abs=1e-300), key
+    assert grads_two.keys() == grads_one.keys()
+    # a key bias's gradient is zero but for rounding (softmax ignores a shift
+    # along the key axis), hence an absolute floor far below any real gradient
+    floor = 1e-14 * max(np.abs(g).max() for g in grads_one.values())
+    for name, g in grads_one.items():
+        assert grads_two[name].dtype == np.float64
+        np.testing.assert_allclose(grads_two[name], g, rtol=1e-10, atol=floor, err_msg=name)
+    grads = list(grads_two.values())
+    assert not any(np.shares_memory(grads[i], grads[j])
+                   for i in range(len(grads)) for j in range(i + 1, len(grads)))
+
+
+def test_training_gradients_do_not_depend_on_the_workers(monkeypatch):
+    """Loss and gradients are the same bits on one worker, on two, on eight
+    switching every microsecond, and on a second run."""
+    cfg = tiny_cfg()
+    model, vocab = make_model(cfg)
+    batch = _ragged_mask_batch(cfg, vocab, n=7)
+    monkeypatch.setattr(model_module, "TRAIN_BLOCK", 2)
+
+    def bits(n_workers):
+        monkeypatch.setattr(workers, "worker_count", lambda: n_workers)
+        parts, grads = _train_grads(model, batch)
+        return parts, {name: g.tobytes() for name, g in grads.items()}
+
+    want = bits(1)
+    assert bits(2) == want
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert bits(8) == want
+    finally:
+        sys.setswitchinterval(interval)
+    assert bits(2) == want
+
+
+def test_block_graphs_share_no_interior_node_and_are_traced_once(monkeypatch):
+    cfg = tiny_cfg()
+    model, vocab = make_model(cfg)
+    monkeypatch.setattr(model_module, "TRAIN_BLOCK", 2)
+    monkeypatch.setattr(workers, "worker_count", lambda: 2)
+    loss, _ = model.forward_train(random_batch(cfg, vocab, n=5), box_weight=1.0)
+    block_losses = loss._grad_fn._parents
+    assert len(block_losses) == 3
+    interior = [{id(n) for n in autograd._topological(b) if type(n) is Node} for b in block_losses]
+    assert all(interior)
+    assert all(not (interior[i] & interior[j]) for i in range(3) for j in range(i + 1, 3))
+
+    traced = []
+    trace = ComputationTape.trace.__func__
+
+    def counted(cls, root):
+        traced.append(root)
+        return trace(cls, root)
+
+    monkeypatch.setattr(ComputationTape, "trace", classmethod(counted))
+    model.zero_grad()
+    tape = loss.backward()
+    assert traced == [loss]
+    assert len(tape) == len({id(n) for n in tape.nodes})
 
 
 def test_decode_builds_no_graph_and_leaves_no_gradient():

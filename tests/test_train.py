@@ -9,8 +9,8 @@ import weakref
 import numpy as np
 import pytest
 
-from hirisk import ops
-from hirisk.autograd import Tensor
+from hirisk import model as model_module, ops, workers
+from hirisk.autograd import NonFiniteError, Tensor
 from hirisk.config import (
     Ablation,
     RunConfig,
@@ -28,6 +28,7 @@ from hirisk.train import (
     CHECKPOINT_MEMBERS,
     GateError,
     TrainAbort,
+    _step,
     evaluate_model,
     evaluation_samples,
     load_checkpoint,
@@ -516,6 +517,54 @@ def test_diverging_highlight_warmup_aborts_with_diagnostics(tiny_data):
     assert set(diag) >= {"step", "lr", "grad_norm", "error"}
     assert diag["step"] < 30 and diag["lr"] == 1e38
     assert _logs_one_abort(lines, diag)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("where", ["forward", "backward"])
+def test_a_non_finite_training_block_aborts_the_step_naming_its_op(tiny_data, monkeypatch, where):
+    """A non-finite value in the second of three blocks, in its forward pass or
+    in its backward sweep on a worker, reaches `_step` as one TrainAbort that
+    names the op; no parameter keeps a gradient and the caller's BLAS thread
+    count is put back."""
+    cfg = tiny_cfg()
+    vocab = build_vocab()
+    data = prepare_data(tiny_data[0], vocab, cfg.model.head_variant)
+    model = DualBranchModel(cfg, vocab, data["max_answer_len"], cfg.train.seed)
+    opt = AdamW(model.param_groups(cfg.train.hr_lr_mult), lr=cfg.train.lr)
+    batch = make_batch(data, np.arange(5))
+    monkeypatch.setattr(model_module, "TRAIN_BLOCK", 2)
+    monkeypatch.setattr(workers, "worker_count", lambda: 2)
+    if where == "forward":
+        batch["hr"][2] = 3e38  # the stem conv overflows on this sample only
+        op = "conv2d"
+    else:
+        l1_loss, op = ops.l1_loss, "l1_loss"
+
+        def l1_loss_failing_in_block_1(pred, target):
+            out = l1_loss(pred, target)
+            if np.array_equal(target[0], batch["box"][2]):
+                def backward(g):
+                    raise NonFiniteError(f"non-finite gradient in op '{op}'")
+                out._grad_fn._backward = backward
+            return out
+
+        monkeypatch.setattr(ops, "l1_loss", l1_loss_failing_in_block_1)
+    setter = workers._SET_BLAS_THREADS
+    prev = setter(2) if setter is not None else None
+    lines = []
+    try:
+        with pytest.raises(TrainAbort) as err:
+            _step(model, opt, "train", 7, lines.append,
+                  lambda: model.forward_train(batch, cfg.train.box_weight))
+        if setter is not None:
+            assert setter(2) == 2  # the setter returns the count it replaces
+    finally:
+        if setter is not None:
+            setter(prev)
+    diag = err.value.diagnostics
+    assert f"op '{op}'" in diag["error"]
+    assert _logs_one_abort(lines, diag)
+    assert [name for name, p in model.named_parameters() if p.grad is not None] == []
 
 
 def test_gate_failure_refuses_to_train(tiny_data, monkeypatch):
