@@ -29,9 +29,9 @@ class MultiHeadAttention(Module):
 
     Queries are projected from inputs of width `q_dim` and keys and values
     from `kv_dim` (both default to `dim`) into `n_heads` heads that together
-    are `dim` wide. With `project` the q/k/v projections carry a bias and
-    `wo` maps the merged heads back to `dim`; without it the projections
-    are bias-free and the merged heads are returned as they are.
+    are `dim` wide. With `project` the q and v projections carry a bias and
+    `wo` maps the merged heads back to `dim`; without it the merged heads are
+    returned as they are. Keys never carry a bias, which the softmax would cancel.
     """
 
     def __init__(self, dim: int, n_heads: int, rng, kv_dim: int | None = None,
@@ -43,7 +43,7 @@ class MultiHeadAttention(Module):
         q_dim = dim if q_dim is None else q_dim
         self.n_heads = n_heads
         self.wq = Linear(q_dim, dim, rng, bias=project)
-        self.wk = Linear(kv_dim, dim, rng, bias=project)
+        self.wk = Linear(kv_dim, dim, rng, bias=False)
         self.wv = Linear(kv_dim, dim, rng, bias=project)
         self.wo = Linear(dim, dim, rng) if project else None
 

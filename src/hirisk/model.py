@@ -11,11 +11,12 @@ the box detection head.
 The box head reads the decoder's hidden states of the risk noun phrase, the
 grammar's fixed answer window `ANSWER_SPAN`, in training and decoding alike.
 
-Every optional piece can be switched off through the ablation flags; with
-all of them off the model degrades to the video-only captioner plus the
+Every optional piece can be switched off through the ablation flags. The
+high-resolution route is built only when something reads it: the
+incorporation sites, or a box head that attends over its features. Without
+it the model is the video-only captioner plus, for the query heads, the
 no-QDH box head, which regresses the box from the pooled noun phrase alone.
-Only the constructor reads the flags; later code checks which modules it
-built.
+Only constructors read the flags; later code checks which modules they built.
 """
 
 from __future__ import annotations
@@ -103,12 +104,12 @@ class DualBranchModel(Module):
         max_seq = m.n_queries + len(prompt_ids) + self.max_new
         self.lm = CaptionDecoder(len(vocab), max_seq, m.n_queries, prompt_ids, m, seed)
 
-        # High-resolution route. d_i is the feature width the incorporation
-        # sites and detection heads attend over; without the dedicated
-        # extractor it falls back to the encoder's own patch embeddings. The
-        # caption-only baseline has no such route, and d_i 0 marks it.
+        # High-resolution route, built only when the incorporation sites or an
+        # attending box head read it. d_i is the width they attend over; without
+        # the extractor the features are the encoder's patch embeddings.
+        head_reads_hr = self.variant != "text_coords" and not flags.no_qdh
         d_i = 0
-        if not flags.baseline_only:
+        if head_reads_hr or not flags.no_im:
             if flags.no_hrse:
                 d_i = m.d_v
             else:
@@ -126,17 +127,15 @@ class DualBranchModel(Module):
                     IncorporationSite(m.d_v, d_i, named_rng(seed, f"init/hr/incorporate{j}"))
                     for j in range(len(incorporation_sites(m.n_layers)))
                 )
-        self.d_i = d_i
+        self.d_i = d_i  # 0: no route
 
         r_head = named_rng(seed, "init/hr/head")
-        if self.variant == "text_coords":
-            pass  # the caption itself carries the coordinates
-        elif self.variant == "learned_query" and not flags.no_qdh:
+        if self.variant == "learned_query" and head_reads_hr:
             self.detector = LearnedQueryDetector(
                 m.n_learned_queries, m.d_l, d_i, m.qdh_dim, r_head, heads=m.qdh_heads
             )
-        else:
-            d_q = None if flags.no_qdh else d_i
+        elif self.variant != "text_coords":  # text_coords: the caption carries the coordinates
+            d_q = d_i if head_reads_hr else None
             self.detector = SpanQueryDetector(m.d_l, d_q, m.qdh_dim, r_head, heads=m.qdh_heads)
         self.astype(m.dtype)
 

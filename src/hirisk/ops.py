@@ -231,7 +231,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray | No
     scale = np.asarray(1.0 / math.sqrt(dh), dtype=p.dtype)
     p *= scale
     if mask is not None:
-        p += mask.astype(p.dtype)
+        p += mask
     _check_finite(p, "attention")
     _softmax(p, out=p)
     data = np.swapaxes(p @ v4, 1, 2).reshape(b, tq, d)

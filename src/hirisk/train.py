@@ -3,8 +3,9 @@
 A run is a pure function of (config, dataset): sample order, initialization,
 and the highlight warmup all draw from named streams of the run seed, so
 identical inputs give byte-identical metrics. Before the main loop starts,
-a gate verifies the zero-disturbance property (the fresh model to be trained
-must match a fresh caption-only baseline); training refuses to start if not.
+a gate verifies the zero-disturbance property of a model with an HR route
+(fresh, it must match a fresh caption-only baseline); training refuses to
+start if not.
 """
 
 from __future__ import annotations
@@ -221,9 +222,9 @@ def presence_loss(model: DualBranchModel, pos: dict, neg: dict, prompt: np.ndarr
 # -- checkpointing -------------------------------------------------------------
 
 
-# Format 2: five flat members split by a name index in `meta` (format 1 wrote
-# one member per parameter and moment).
-CHECKPOINT_FORMAT = 2
+# Format 3: five flat members split by a name index in `meta` (format 2 also
+# held each attention's `wk.bias`; format 1, a member per parameter and moment).
+CHECKPOINT_FORMAT = 3
 CHECKPOINT_MEMBERS = ("params", "opt_m", "opt_v", "opt_t", "meta")
 
 
@@ -330,7 +331,7 @@ def train_model(cfg: RunConfig, train_ds: SceneDataset, run_dir=None, log=print)
         write_json(os.path.join(run_dir, "config.snapshot"), to_dict(cfg))
 
     model = DualBranchModel(cfg, vocab, ta, t.seed)
-    if not cfg.model.ablation.baseline_only:
+    if model.d_i:
         gap = gating_gap(model, cfg, ta)
         log(f"zero-disturbance gate: max logit gap {gap:.3e}")
         if gap > 1e-6:

@@ -10,6 +10,7 @@ import pytest
 
 from hirisk.cli import main
 from hirisk.config import RunConfig, SceneConfig, TrainConfig, canonical_json
+from hirisk.train import CHECKPOINT_FORMAT
 from tiny_model import tiny_model
 
 
@@ -288,9 +289,28 @@ def test_evaluate_rejects_a_checkpoint_of_the_old_layout(tmp_path, cfg_file, cap
     with open(ckpt, "wb") as fh:
         np.savez(fh, meta=meta, **{"param/" + n: p.data for n, p in model.named_parameters()})
     err = _evaluate_usage_error(capsys, ["--checkpoint", ckpt, "--data", data_dir])
-    assert "--checkpoint: " in err and "not a format 2 checkpoint" in err
+    assert "--checkpoint: " in err and f"not a format {CHECKPOINT_FORMAT} checkpoint" in err
     err = _evaluate_usage_error(capsys, ["--checkpoint", ckpt + "x", "--data", data_dir])
     assert "--checkpoint: [Errno 2] No such file or directory" in err
+
+
+def test_evaluate_rejects_a_format_2_checkpoint(tmp_path, cfg_file, capsys):
+    """Format 2 held an attention key bias per projected attention."""
+    data_dir = str(tmp_path / "data")
+    assert main(["generate-data", "--config", cfg_file, "--out", data_dir]) == 0
+    capsys.readouterr()
+    ckpt = str(tmp_path / "checkpoint")
+    _tiny_checkpoint(ckpt)
+    with np.load(ckpt) as z:
+        arrays = {k: z[k] for k in z.files}
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    meta["format"] = 2
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    with open(ckpt, "wb") as fh:
+        np.savez(fh, **arrays)
+    err = _evaluate_usage_error(capsys, ["--checkpoint", ckpt, "--data", data_dir])
+    assert err.startswith("hirisk: error: --checkpoint: ")
+    assert f"checkpoint format 2, but this version reads format {CHECKPOINT_FORMAT}" in err
 
 
 @pytest.fixture(scope="module")

@@ -9,13 +9,13 @@ import pytest
 
 from hirisk import autograd, model as model_module, workers
 from hirisk.autograd import ComputationTape, NonFiniteError, Node, Tensor
-from hirisk.config import Ablation, ModelConfig, RunConfig, SceneConfig, TrainConfig
+from hirisk.config import HEAD_VARIANTS, Ablation, ModelConfig, RunConfig, SceneConfig, TrainConfig
 from hirisk.grammar import ANSWER_SPAN, build_vocab
 from hirisk.hrbranch import LearnedQueryDetector, SpanQueryDetector
 from hirisk.model import DualBranchModel
 from hirisk.optim import AdamW
 from hirisk.rng import named_rng
-from hirisk.train import gating_gap
+from hirisk.train import GRID_ROWS, gating_gap
 from tiny_model import tiny_model
 
 TA = 10
@@ -53,6 +53,25 @@ def test_baseline_strips_every_hr_module():
     # the box head degrades to a caption-only regressor: the no-QDH span head
     assert isinstance(model.detector, SpanQueryDetector)
     assert not hasattr(model.detector, "ca")
+
+
+# Configs in which no module reads HR features: no incorporation site, and no
+# box head that attends over them.
+NO_HR_READER = {
+    "text_coords_no_im": {"head_variant": "text_coords", "ablation": Ablation(no_im=True)},
+    "no_qdh_no_im": {"ablation": Ablation(no_qdh=True, no_im=True)},
+    "learned_query_no_qdh_no_im": {"head_variant": "learned_query",
+                                   "ablation": Ablation(no_qdh=True, no_im=True)},
+}
+
+
+@pytest.mark.parametrize("config", list(NO_HR_READER))
+def test_an_hr_route_nothing_reads_is_not_built(config):
+    model, _ = make_model(tiny_cfg(**NO_HR_READER[config]))
+    assert model.d_i == 0
+    for name in ("cnn", "hr_pos", "highlighter", "incorporation"):
+        assert not hasattr(model, name)
+    assert not hasattr(getattr(model, "detector", None), "ca")
 
 
 def test_full_model_has_all_hr_modules():
@@ -131,8 +150,9 @@ def test_attention_parameter_names_are_the_checkpoint_format(variant):
     expected += [(f"detector.{n}", shape) for n, shape in HEAD_PARAMS[variant]]
     assert [(n, s) for n, s in named if n.startswith(("incorporation.", "detector."))] == expected
     block_attn = [n for n, _ in named if n.startswith("encoder.blocks.0.attn.")]
-    assert block_attn == [f"encoder.blocks.0.attn.{w}.{t}" for w in ("wq", "wk", "wv", "wo")
-                          for t in ("weight", "bias")]
+    # the key projection has no bias: the softmax over keys would cancel it
+    assert block_attn == ["encoder.blocks.0.attn." + n for n in (
+        "wq.weight", "wq.bias", "wk.weight", "wv.weight", "wv.bias", "wo.weight", "wo.bias")]
 
 
 def test_hr_feature_shapes_per_ablation():
@@ -525,15 +545,36 @@ def test_blocked_training_sums_to_the_one_block_loss_and_gradients(config, monke
     for key, value in parts_one.items():
         assert parts_two[key] == pytest.approx(value, rel=1e-10, abs=1e-300), key
     assert grads_two.keys() == grads_one.keys()
-    # a key bias's gradient is zero but for rounding (softmax ignores a shift
-    # along the key axis), hence an absolute floor far below any real gradient
+    # A key weight's gradient is a sum over keys whose part common to all keys
+    # cancels (the softmax ignores a shift along the key axis), so a small
+    # element of it can be mostly rounding; it alone gets an absolute floor,
+    # far below any real gradient.
     floor = 1e-14 * max(np.abs(g).max() for g in grads_one.values())
     for name, g in grads_one.items():
         assert grads_two[name].dtype == np.float64
-        np.testing.assert_allclose(grads_two[name], g, rtol=1e-10, atol=floor, err_msg=name)
+        atol = floor if name.endswith("wk.weight") else 0.0
+        np.testing.assert_allclose(grads_two[name], g, rtol=1e-10, atol=atol, err_msg=name)
     grads = list(grads_two.values())
     assert not any(np.shares_memory(grads[i], grads[j])
                    for i in range(len(grads)) for j in range(i + 1, len(grads)))
+
+
+@pytest.mark.parametrize("variant", HEAD_VARIANTS)
+@pytest.mark.parametrize("row", [name for name, _ in GRID_ROWS])
+def test_every_trained_parameter_gets_a_gradient(row, variant):
+    """Every grid row with every head builds only parameters that the loss
+    reaches: one step leaves a gradient on each trained parameter. The HR
+    route is built exactly when a module reads it, and no attention carries
+    a key bias, which the softmax over keys would cancel."""
+    flags = dict(GRID_ROWS)[row]
+    cfg = tiny_cfg(dtype="float64", head_variant=variant, ablation=Ablation(**vars(flags)))
+    model, vocab = make_model(cfg)
+    _, grads = _train_grads(model, random_batch(cfg, vocab))
+    trained = [name for g in model.param_groups(1.0) for name in g["params"]]
+    assert [name for name in trained if name not in grads] == []
+    assert not any(name.endswith("wk.bias") for name, _ in model.named_parameters())
+    reads_hr = hasattr(model, "incorporation") or hasattr(getattr(model, "detector", None), "ca")
+    assert bool(model.d_i) == reads_hr
 
 
 def test_training_gradients_do_not_depend_on_the_workers(monkeypatch):

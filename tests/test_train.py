@@ -25,6 +25,7 @@ from hirisk.optim import AdamW
 from hirisk.rng import named_rng
 from hirisk.scenes import SceneDataset, load_dataset, save_dataset
 from hirisk.train import (
+    CHECKPOINT_FORMAT,
     CHECKPOINT_MEMBERS,
     GateError,
     TrainAbort,
@@ -159,7 +160,7 @@ def test_checkpoint_is_five_flat_members(tmp_path, tiny_data):
         assert z["opt_m"].shape == z["opt_v"].shape == (n_moments,)
         assert z["opt_t"].dtype == np.int64 and list(z["opt_t"]) == [1] * len(opt.state)
         meta = json.loads(bytes(z["meta"]).decode())
-    assert meta["format"] == 2
+    assert meta["format"] == CHECKPOINT_FORMAT
     assert meta["param_shapes"] == [[name, list(p.shape)] for name, p in params.items()]
     assert meta["opt_names"] == list(opt.state)
 
@@ -205,7 +206,7 @@ def test_load_rejects_a_checkpoint_its_index_does_not_describe(tmp_path, tiny_da
         arrays["meta"] = np.frombuffer(json.dumps(older).encode(), dtype=np.uint8)
         with open(path, "wb") as fh:
             np.savez(fh, **arrays)
-        match = r"not a format 2 checkpoint: it holds \d+ members \(param/.*older"
+        match = rf"not a format {CHECKPOINT_FORMAT} checkpoint: it holds \d+ members \(param/.*older"
     elif fault == "params_one_short":
         _rewrite(path, params=params[:-1])
         match = f"'params' holds {params.size - 1} values, but its index describes {params.size}"
@@ -213,9 +214,10 @@ def test_load_rejects_a_checkpoint_its_index_does_not_describe(tmp_path, tiny_da
         _rewrite(path, opt_m=np.append(opt_m, opt_m[:1]))
         match = f"'opt_m' holds {opt_m.size + 1} values, but its index describes {opt_m.size}"
     elif fault == "another_format":
-        meta["format"] = 3
+        meta["format"] = CHECKPOINT_FORMAT + 1
         _rewrite(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
-        match = "checkpoint format 3, but this version reads format 2"
+        match = (f"checkpoint format {CHECKPOINT_FORMAT + 1}, "
+                 f"but this version reads format {CHECKPOINT_FORMAT}")
     elif fault == "config_of_an_older_version":
         # a field this version no longer has, such as the former box-head span switch
         meta["config"]["model"]["span_mode"] = "noun_phrase"
@@ -486,6 +488,22 @@ def test_a_run_gates_the_model_it_trains(tiny_data, monkeypatch, ablation, n_mod
     out = train_model(cfg, tiny_data[0], log=quiet)
     assert len(built) == n_models
     assert out["model"] is built[0]
+
+
+@pytest.mark.parametrize("variant, ablation, hr_route", [
+    ("span_query", Ablation(), True),
+    ("span_query", Ablation(no_im=True), True),  # the box head reads the route
+    ("text_coords", Ablation(no_im=True), False),
+    ("learned_query", Ablation(no_qdh=True, no_im=True), False),
+])
+def test_a_run_gates_and_warms_up_only_a_read_hr_route(tiny_data, variant, ablation, hr_route):
+    cfg = tiny_cfg(steps=1, highlight_pretrain_steps=1)
+    cfg.model.head_variant, cfg.model.ablation = variant, ablation
+    lines = []
+    model = train_model(cfg, tiny_data[0], log=lines.append)["model"]
+    assert bool(model.d_i) == hasattr(model, "highlighter") == hr_route
+    assert any(line.startswith("zero-disturbance gate") for line in lines) == hr_route
+    assert any(line.startswith("highlight warmup") for line in lines) == hr_route
 
 
 def _logs_one_abort(lines, diag) -> bool:
