@@ -48,17 +48,11 @@ def _require_at_least(section, low, *names) -> None:
 class Ablation:
     """Component switches; everything on by default (the full model)."""
 
-    baseline_only: bool = False
     no_st_adapter: bool = False
     no_em: bool = False
     no_im: bool = False
     no_qdh: bool = False
     no_hrse: bool = False
-
-    def __post_init__(self):
-        # no high-resolution branch at all implies every branch-module flag
-        if self.baseline_only:
-            self.no_em = self.no_im = self.no_qdh = self.no_hrse = True
 
 
 @dataclass
@@ -196,10 +190,10 @@ def apply_override(cfg: RunConfig, key: str, value: str) -> None:
     """Set a dotted field like 'train.lr=3e-4' from its string form.
 
     The section set on re-runs its `__post_init__`, so an override is checked
-    and implies what the constructor would (`baseline_only` sets the branch
-    flags); a rejected value leaves the field as it was. A bool takes one of
-    `BOOL_WORDS`, and a section itself cannot be replaced. The rules between
-    sections are left to `RunConfig.__post_init__`, run once the last is set.
+    as the constructor would check it; a rejected value leaves the field as
+    it was. A bool takes one of `BOOL_WORDS`, and a section itself cannot be
+    replaced. The rules between sections are left to `RunConfig.__post_init__`,
+    run once the last is set.
     """
     parts = key.split(".")
     obj = cfg

@@ -74,15 +74,14 @@ class CaptionDecoder(Module):
         total = self.prefix_len + answer_ids.shape[1]
         return self._run(concat(parts, axis=1), 0, prefix_causal_mask(self.prefix_len, total))
 
-    def caption_loss(self, z_v: Tensor, answer_ids: np.ndarray, answer_mask: np.ndarray,
-                     denom: float | None = None):
-        """Mean cross-entropy on answer positions, over the mask sum or over
-        `denom` when given; returns (loss, hidden)."""
+    def caption_loss(self, z_v: Tensor, answer_ids: np.ndarray, answer_mask: np.ndarray):
+        """Mean cross-entropy on answer positions, over the mask sum; returns
+        (loss, hidden)."""
         hidden, logits = self.forward_hidden(z_v, answer_ids)
         p = self.prefix_len
         ta = answer_ids.shape[1]
         pred = logits[:, p - 1 : p + ta - 1, :]
-        loss = ops.cross_entropy_logits(pred, answer_ids, answer_mask, denom)
+        loss = ops.cross_entropy_logits(pred, answer_ids, answer_mask)
         return loss, hidden
 
     def answer_hidden(self, hidden: Tensor, start: int, end: int) -> Tensor:

@@ -53,11 +53,12 @@ DECODE_MARGIN = 4
 # logits of perfbench seeds 0-3 are the same bits at 6 as at 8, but the tiny
 # test model's CNN grid moves by 1.5e-6 between 8 and 4. A block bounds the
 # transients each worker holds (a [B*clip_len*(G*G+1), 4*d_v] MLP hidden, a
-# [B, hr/2, hr/2, cnn_width] stem). perfbench decode of 50-scene
-# default-config batches on 2 CPUs (seed 0, 30 s runs, two each): 6 gives
-# 96-104 items/s at 125 MB peak RSS, against 82-88 at 4 and 84-85 at 3 (also
-# 125 MB) and 95-101 at 8 (142 MB); serial blocks of 8 gave 65-73 items/s at
-# 130.5 MB.
+# [B, hr/2, hr/2, cnn_width] stem), and it is the only bound on the stem's
+# [B*(hr/2)^2, 27] im2col matrix: `ops.conv2d` forms it for all B at once.
+# perfbench decode of 50-scene default-config batches on 2 CPUs (seed 0, 30 s
+# runs, two each): 6 gives 96-104 items/s at 125 MB peak RSS, against 82-88
+# at 4 and 84-85 at 3 (also 125 MB) and 95-101 at 8 (142 MB); serial blocks
+# of 8 gave 65-73 items/s at 130.5 MB.
 TRUNK_BLOCK = 6
 
 # Samples per block of a training step: each block's forward pass and its
@@ -223,16 +224,17 @@ class DualBranchModel(Module):
         forward pass on one worker thread (`hirisk.workers`), and `join_blocks`
         sums the block losses in block order, its backward sweeping each
         block's graph on the workers too. The block losses sum to the batch
-        loss: each block's caption cross-entropy divides by the whole batch's
-        answer-mask sum, and its box loss, a mean over its own samples, counts
-        n_block / n_batch.
+        loss: each block's caption cross-entropy, a mean over its own answer
+        mask, counts that mask's share of the batch's mask sum, and its box
+        loss, a mean over its own samples, counts n_block / n_batch.
         """
         n = batch["clip"].shape[0]
-        denom = float(batch["answer_mask"].sum())
+        mask_sum = float(batch["answer_mask"].sum())
 
         def block_loss(block):
             z, feats = self.encode_scene(block)
-            cap, hidden = self.lm.caption_loss(z, block["answer_ids"], block["answer_mask"], denom)
+            cap, hidden = self.lm.caption_loss(z, block["answer_ids"], block["answer_mask"])
+            cap = cap * (float(block["answer_mask"].sum()) / mask_sum)
             box = self.box_loss(hidden, feats, block)
             if box is None:
                 return cap, cap.data, None

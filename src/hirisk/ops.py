@@ -288,20 +288,15 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 # -- convolutions --------------------------------------------------------------
 
 
-# Output rows per im2col block: conv2d forms its columns for as many whole
-# images as fit in this many rows (at least one), so a large batch never
-# holds a whole-batch im2col matrix.
-CONV_BLOCK_ROWS = 8192
-
-
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
     """2D convolution (cross-correlation), channels last.
 
     x: [B, H, W, Cin]; w: [kh, kw, Cin, Cout]; returns [B, Ho, Wo, Cout].
-    Forward and the x-gradient run block by block over the images. The
-    closure keeps the unpadded input, which a ReLU-fed conv's producer keeps
-    anyway, and neither a padded copy nor the im2col matrix: the weight
-    gradient re-pads the input and rebuilds that matrix for its one GEMM.
+    Forward is one im2col GEMM over the whole batch, and the x-gradient one
+    GEMM and a col2im sum over the taps. The closure keeps the unpadded
+    input, which a ReLU-fed conv's producer keeps anyway, and neither a
+    padded copy nor the im2col matrix: the weight gradient re-pads the input
+    and rebuilds that matrix for its one GEMM.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError("conv2d expects x[B,H,W,Cin] and w[kh,kw,Cin,Cout]")
@@ -314,19 +309,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
     ho = (hp - kh) // s + 1
     wo = (wp - kw) // s + 1
     n = ho * wo
-    step = max(1, CONV_BLOCK_ROWS // n)
-    blocks = [(i, min(i + step, bsz)) for i in range(0, bsz, step)]
 
-    def cols(xp, lo, hi):
-        win = np.lib.stride_tricks.sliding_window_view(xp[lo:hi], (kh, kw), axis=(1, 2))
+    def cols(xp):
+        win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
         win = win[:, ::s, ::s]  # [B, Ho, Wo, Cin, kh, kw]
-        return win.transpose(0, 1, 2, 4, 5, 3).reshape((hi - lo) * n, kh * kw * cin)
+        return win.transpose(0, 1, 2, 4, 5, 3).reshape(bsz * n, kh * kw * cin)
 
-    xp = np.pad(x.data, pads) if p else x.data
     w2 = w.data.reshape(kh * kw * cin, cout)
-    out = np.empty((bsz * n, cout), dtype=np.result_type(xp, w2))
-    for lo, hi in blocks:
-        np.matmul(cols(xp, lo, hi), w2, out=out[lo * n : hi * n])
+    out = cols(np.pad(x.data, pads) if p else x.data) @ w2
     if b is not None:
         out += b.data
     data = out.reshape(bsz, ho, wo, cout)
@@ -341,15 +331,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
         if nb is not None:
             nb._accum(gflat.sum(axis=0))
         if nw is not None:
-            nw._accum((cols(np.pad(xd, pads) if p else xd, 0, bsz).T @ gflat).reshape(kh, kw, cin, cout))
+            nw._accum((cols(np.pad(xd, pads) if p else xd).T @ gflat).reshape(kh, kw, cin, cout))
         if nx is not None:
+            dcol = (gflat @ wt.T).reshape(bsz, ho, wo, kh, kw, cin)
             dxp = np.zeros((bsz, hp, wp, cin), dtype)
-            for lo, hi in blocks:
-                dcol = (gflat[lo * n : hi * n] @ wt.T).reshape(hi - lo, ho, wo, kh, kw, cin)
-                dblk = dxp[lo:hi]
-                for i in range(kh):
-                    for j in range(kw):
-                        dblk[:, i : i + ho * s : s, j : j + wo * s : s, :] += dcol[:, :, :, i, j, :]
+            for i in range(kh):
+                for j in range(kw):
+                    dxp[:, i : i + ho * s : s, j : j + wo * s : s, :] += dcol[:, :, :, i, j, :]
             nx._accum(dxp[:, p : hp - p, p : wp - p, :] if p else dxp)
 
     return Tensor._from_op(data, parents, backward, "conv2d")
@@ -404,14 +392,12 @@ def depthwise_conv3d(x: Tensor, w: Tensor) -> Tensor:
 # -- losses --------------------------------------------------------------------
 
 
-def cross_entropy_logits(logits: Tensor, targets: np.ndarray, mask: np.ndarray | None = None,
-                         denom: float | None = None) -> Tensor:
+def cross_entropy_logits(logits: Tensor, targets: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
     """Mean negative log-likelihood of integer targets under row softmax.
 
     logits: [..., V]; targets: int array matching the leading shape; mask, if
     given, weights each position (zeros drop padding) and the mean runs over
-    the mask sum, or over `denom` when given (a block of a batch divides by
-    the whole batch's mask sum).
+    the mask sum.
     """
     targets = np.asarray(targets)
     if targets.shape != logits.shape[:-1]:
@@ -423,19 +409,19 @@ def cross_entropy_logits(logits: Tensor, targets: np.ndarray, mask: np.ndarray |
         mflat = np.ones(tflat.shape[0], dtype=flat.dtype)
     else:
         mflat = np.asarray(mask, dtype=flat.dtype).reshape(-1)
-    denom = mflat.sum() if denom is None else flat.dtype.type(denom)
-    if denom <= 0:
+    msum = mflat.sum()
+    if msum <= 0:
         raise ValueError("cross_entropy mask selects no positions")
     m = flat.max(axis=-1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(flat - m).sum(axis=-1))
     nll = lse - flat[np.arange(flat.shape[0]), tflat]
-    data = (nll * mflat).sum() / denom
+    data = (nll * mflat).sum() / msum
     nl, sl = grad_node(logits), logits.shape
 
     def backward(g):
         p = np.exp(flat - lse[:, None])
         p[np.arange(flat.shape[0]), tflat] -= 1.0
-        p *= (mflat / denom)[:, None]
+        p *= (mflat / msum)[:, None]
         nl._accum((g * p).reshape(sl))
 
     return Tensor._from_op(data, (logits,), backward, "cross_entropy")

@@ -46,10 +46,10 @@ def _step(model: DualBranchModel, opt: AdamW, phase: str, step: int, log, loss_f
     """Step `opt` on the loss `loss_fn()` returns with its float parts; return the parts.
     A non-finite value is logged and raised as TrainAbort. The graph goes on return."""
     try:
+        model.zero_grad()
         loss, parts = loss_fn()
         if not np.isfinite(parts["total"]):
             raise NonFiniteError(f"loss value {parts['total']}")
-        model.zero_grad()
         loss.backward()
         opt.step()
     except NonFiniteError as err:
@@ -145,7 +145,8 @@ def load_or_generate(cfg: RunConfig, data_dir=None, log=print):
 def gating_gap(model: DualBranchModel, cfg: RunConfig, max_answer_len: int,
                n_samples: int = 8) -> float:
     """Max caption-logit gap between `model`, fresh from `cfg`, and a fresh baseline."""
-    base_cfg = replace(cfg, model=replace(cfg.model, ablation=Ablation(baseline_only=True)))
+    base_flags = Ablation(**vars(dict(GRID_ROWS)["baseline_only"]))
+    base_cfg = replace(cfg, model=replace(cfg.model, ablation=base_flags))
     base = DualBranchModel(base_cfg, model.vocab, max_answer_len, cfg.train.seed)
 
     r = named_rng(cfg.train.seed, "gate/probe")
@@ -401,7 +402,8 @@ GRID_ROWS = (
     ("no_qdh", Ablation(no_qdh=True)),
     ("no_im", Ablation(no_im=True)),
     ("no_em", Ablation(no_em=True)),
-    ("baseline_only", Ablation(baseline_only=True)),
+    # the caption-only baseline: no HR branch module at all
+    ("baseline_only", Ablation(no_em=True, no_im=True, no_qdh=True, no_hrse=True)),
 )
 
 GRID_METRICS = ("miou", "bleu4", "avg", "risk_class_acc", "risk_class_acc_distractor",

@@ -217,12 +217,15 @@ RUN_REJECTS = [
      "--set train.steps=abc: 'train.steps' takes an int, got 'abc'"),
     (["train", "--set", "train.nope=1"],
      "--set train.nope=1: no config field 'nope' in 'train.nope'"),
+    (["train", "--set", "model.ablation.baseline_only=true"],
+     "--set model.ablation.baseline_only=true: no config field 'baseline_only' in "
+     "'model.ablation.baseline_only'"),
     (["train", "--config", "OLD_CONFIG"], "no config field 'train.warmup_steps'"),
     (["ablate", "--seeds", "a"], "--seeds takes comma-separated integers, got 'a'"),
     *((["train", "--set", item], f"--set {item}: {why}") for item, why in SECTION_REJECTS),
     *((["train", *(a for item in items for a in ("--set", item))], why)
       for items, why in RUN_REJECTS),
-], ids=["bad_bool", "bad_int", "unknown_field", "old_config", "bad_seeds",
+], ids=["bad_bool", "bad_int", "unknown_field", "baseline_only", "old_config", "bad_seeds",
         *(item for item, _ in SECTION_REJECTS), *(items[-1] for items, _ in RUN_REJECTS)])
 def test_a_usage_error_exits_2_with_one_line(tmp_path, capsys, argv, message):
     old = json.loads(canonical_json(tiny_cfg()))

@@ -16,20 +16,19 @@ from hirisk.config import (
     load_config,
     to_dict,
 )
+from tiny_model import baseline_only
 
 
 def test_defaults_are_full_model():
     cfg = RunConfig()
     ab = cfg.model.ablation
-    assert not any(
-        [ab.baseline_only, ab.no_st_adapter, ab.no_em, ab.no_im, ab.no_qdh, ab.no_hrse]
-    )
+    assert not any([ab.no_st_adapter, ab.no_em, ab.no_im, ab.no_qdh, ab.no_hrse])
     assert cfg.train.box_weight == 2.0
     assert cfg.train.hr_lr_mult == 4.0
 
 
 def test_baseline_only_implies_branch_flags():
-    ab = Ablation(baseline_only=True)
+    ab = baseline_only()
     assert ab.no_em and ab.no_im and ab.no_qdh and ab.no_hrse
     # the adapter switch is independent of the branch flags
     assert not ab.no_st_adapter
@@ -83,8 +82,11 @@ def test_apply_override_rejects_unknown():
 
 def test_apply_override_implies_what_the_constructor_does():
     cfg = RunConfig()
-    apply_override(cfg, "model.ablation.baseline_only", "true")
-    assert cfg.model.ablation == Ablation(baseline_only=True)
+    for flag in ("no_em", "no_im", "no_qdh", "no_hrse"):
+        apply_override(cfg, f"model.ablation.{flag}", "true")
+    built = RunConfig()
+    built.model.ablation = baseline_only()
+    assert cfg == built and config_hash(cfg) == config_hash(built)
     # so the run's checkpoint, checked by config hash, loads again
     assert config_hash(from_dict(to_dict(cfg))) == config_hash(cfg)
 
@@ -163,6 +165,7 @@ def test_apply_override_names_the_key_of_a_bad_number(key, value, kind):
 # keys earlier versions had, as a config or checkpoint of theirs carries them,
 # and keys no version had
 @pytest.mark.parametrize("key", ["model.span_mode", "train.warmup_steps",
+                                 "model.ablation.baseline_only",
                                  "model.ablation.no_anything", "data"])
 def test_from_dict_names_a_field_its_section_does_not_have(tmp_path, key):
     data = to_dict(RunConfig())

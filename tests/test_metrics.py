@@ -46,7 +46,7 @@ def bleu_reference(pairs, max_n=4):
     prod = Fraction(1)
     for m, t in zip(match, total):
         prod *= Fraction(m, t)
-    geo = (prod.numerator / prod.denominator) ** (1.0 / max_n)
+    geo = float(prod) ** (1.0 / max_n)
     bp = 1.0 if c_len >= r_len else math.exp(1.0 - r_len / c_len)
     return bp * geo
 

@@ -16,7 +16,7 @@ from hirisk.model import DualBranchModel
 from hirisk.optim import AdamW
 from hirisk.rng import named_rng
 from hirisk.train import GRID_ROWS, gating_gap
-from tiny_model import tiny_model
+from tiny_model import baseline_only, tiny_model
 
 TA = 10
 
@@ -47,7 +47,7 @@ def random_batch(cfg: RunConfig, vocab, n: int = 3, seed: int = 7) -> dict:
 
 
 def test_baseline_strips_every_hr_module():
-    model, _ = make_model(tiny_cfg(ablation=Ablation(baseline_only=True)))
+    model, _ = make_model(tiny_cfg(ablation=baseline_only()))
     for name in ("cnn", "hr_pos", "highlighter", "incorporation"):
         assert not hasattr(model, name)
     # the box head degrades to a caption-only regressor: the no-QDH span head
@@ -98,7 +98,7 @@ ABLATIONS = {
     "no_im": Ablation(no_im=True),
     "no_qdh": Ablation(no_qdh=True),
     "no_hrse": Ablation(no_hrse=True),
-    "baseline_only": Ablation(baseline_only=True),
+    "baseline_only": baseline_only(),
 }
 
 
@@ -179,7 +179,7 @@ def test_hr_feature_shapes_per_ablation():
     lr_cells = (cfg.scene.lr_size // cfg.model.patch) ** 2
     assert feats.shape == (3, lr_cells, cfg.model.d_v)
 
-    base, _ = make_model(tiny_cfg(ablation=Ablation(baseline_only=True)))
+    base, _ = make_model(tiny_cfg(ablation=baseline_only()))
     assert base.hr_features(batch, base.encoder.embed(batch["clip"])) == (None, None)
 
 
@@ -380,7 +380,7 @@ GREEDY_CONFIGS = {
     "learned_query": {"head_variant": "learned_query"},
     "text_coords": {"head_variant": "text_coords"},
     "no_qdh": {"ablation": Ablation(no_qdh=True)},
-    "baseline_only": {"ablation": Ablation(baseline_only=True)},
+    "baseline_only": {"ablation": baseline_only()},
 }
 
 
@@ -684,7 +684,7 @@ def test_float32_model_stays_float32():
 
 @pytest.mark.parametrize("variant", ["span_query", "learned_query", "baseline_only"])
 def test_float32_model_is_the_float64_model_cast_once(variant):
-    kw = ({"ablation": Ablation(baseline_only=True)} if variant == "baseline_only"
+    kw = ({"ablation": baseline_only()} if variant == "baseline_only"
           else {"head_variant": variant})
     wide, _ = make_model(tiny_cfg(dtype="float64", **kw))
     narrow, _ = make_model(tiny_cfg(dtype="float32", **kw))

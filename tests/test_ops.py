@@ -233,31 +233,6 @@ def test_conv2d_matches_loop_reference(stride, padding):
     np.testing.assert_allclose(got.data, want, atol=1e-12)
 
 
-def _conv2d_run(x, w, b, probe, stride, padding):
-    ts = [Tensor(a, requires_grad=True) for a in (x, w, b)]
-    out = ops.conv2d(*ts, stride=stride, padding=padding)
-    (out * Tensor(probe)).sum().backward()
-    return [out.data] + [t.grad for t in ts]
-
-
-@pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
-def test_conv2d_blocks_match_one_block_bit_for_bit(monkeypatch, stride, padding):
-    r = rng(f"c2dblk{stride}{padding}")
-    x = r.normal(size=(7, 9, 8, 3)).astype(np.float32)
-    w = r.normal(size=(3, 3, 3, 5)).astype(np.float32)
-    b = r.normal(size=5).astype(np.float32)
-    ho, wo = (9 + 2 * padding - 3) // stride + 1, (8 + 2 * padding - 3) // stride + 1
-    probe = r.normal(size=(7, ho, wo, 5)).astype(np.float32)
-    assert 7 * ho * wo <= ops.CONV_BLOCK_ROWS
-    whole = _conv2d_run(x, w, b, probe, stride, padding)
-    # three images a block: blocks of 3, 3 and 1
-    monkeypatch.setattr(ops, "CONV_BLOCK_ROWS", 3 * ho * wo + 1)
-    blocked = _conv2d_run(x, w, b, probe, stride, padding)
-    for got, want in zip(blocked, whole):
-        assert got.dtype == np.float32
-        np.testing.assert_array_equal(got, want)
-
-
 def test_conv2d_graph_keeps_no_im2col_matrix():
     r = rng("c2dmem")
     x = Tensor(r.normal(size=(4, 16, 16, 8)).astype(np.float32), requires_grad=True)

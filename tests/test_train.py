@@ -42,7 +42,7 @@ from hirisk.train import (
     save_checkpoint,
     train_model,
 )
-from tiny_model import tiny_model
+from tiny_model import baseline_only, tiny_model
 
 quiet = lambda s: None
 
@@ -471,7 +471,7 @@ def test_each_step_graph_is_freed_before_the_next_forward(tiny_data, monkeypatch
     assert all(ref() is None for ref in losses)
 
 
-@pytest.mark.parametrize("ablation, n_models", [(Ablation(), 2), (Ablation(baseline_only=True), 1)])
+@pytest.mark.parametrize("ablation, n_models", [(Ablation(), 2), (baseline_only(), 1)])
 def test_a_run_gates_the_model_it_trains(tiny_data, monkeypatch, ablation, n_models):
     """The gate compares the model the run trains with the one baseline it
     builds; a baseline run has no gate and builds only the model it trains."""
@@ -585,6 +585,28 @@ def test_a_non_finite_training_block_aborts_the_step_naming_its_op(tiny_data, mo
     assert [name for name, p in model.named_parameters() if p.grad is not None] == []
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_forward_failure_after_a_good_step_reports_no_gradient(tiny_data):
+    """The abort of a step whose forward pass fails reports that step's
+    gradient norm, 0, not the norm the step before left on the parameters."""
+    cfg = tiny_cfg()
+    vocab = build_vocab()
+    data = prepare_data(tiny_data[0], vocab, cfg.model.head_variant)
+    model = DualBranchModel(cfg, vocab, data["max_answer_len"], cfg.train.seed)
+    opt = AdamW(model.param_groups(cfg.train.hr_lr_mult), lr=cfg.train.lr)
+    batch = make_batch(data, np.arange(4))
+    _step(model, opt, "train", 0, quiet, lambda: model.forward_train(batch, cfg.train.box_weight))
+    assert opt.grad_norm() > 0.0
+    batch["hr"][1] = 3e38  # the stem conv overflows
+    lines = []
+    with pytest.raises(TrainAbort) as err:
+        _step(model, opt, "train", 1, lines.append,
+              lambda: model.forward_train(batch, cfg.train.box_weight))
+    diag = err.value.diagnostics
+    assert diag["grad_norm"] == 0.0
+    assert _logs_one_abort(lines, diag)
+
+
 def test_gate_failure_refuses_to_train(tiny_data, monkeypatch):
     import hirisk.train as train_mod
 
@@ -645,7 +667,7 @@ def test_load_or_generate_rejects_a_cache_of_another_seed(tmp_path):
 
 def test_ablation_grid_rows_and_artifacts(tmp_path, tiny_data):
     cfg = tiny_cfg(steps=2)
-    rows = [("full", Ablation()), ("baseline_only", Ablation(baseline_only=True))]
+    rows = [("full", Ablation()), ("baseline_only", baseline_only())]
     run_dir = str(tmp_path / "grid")
     table = run_ablation_grid(cfg, [0], tiny_data[0], tiny_data[1],
                               rows=rows, run_dir=run_dir, log=quiet)
@@ -668,12 +690,13 @@ def test_an_aborted_grid_keeps_its_finished_rows(tmp_path, tiny_data, monkeypatc
     real_train = train_mod.train_model
 
     def second_row_aborts(cfg, *args, **kwargs):
-        if cfg.model.ablation.baseline_only:
+        result = real_train(cfg, *args, **kwargs)
+        if result["model"].d_i == 0:  # the baseline builds no HR route
             raise TrainAbort({"phase": "train", "step": 0})
-        return real_train(cfg, *args, **kwargs)
+        return result
 
     monkeypatch.setattr(train_mod, "train_model", second_row_aborts)
-    rows = [("full", Ablation()), ("baseline_only", Ablation(baseline_only=True))]
+    rows = [("full", Ablation()), ("baseline_only", baseline_only())]
     run_dir = tmp_path / "grid"
     with pytest.raises(TrainAbort):
         run_ablation_grid(tiny_cfg(steps=1), [0], tiny_data[0], tiny_data[1],
