@@ -17,7 +17,11 @@ graph and the sweep keep five rules:
 - A first gradient is adopted, not copied, when it is a writeable array of
   the node's dtype. So no closure may hand one buffer, or overlapping views
   of it, to two nodes.
-- A second backward over the same graph adds to the leaves exactly once more.
+- A graph is swept once. The sweep drops each node's closure, and with it
+  the arrays the closure saved, as soon as it has run (PyTorch's
+  `retain_graph=False`), so a step's activations are freed as its backward
+  goes. A backward that reaches a swept node raises `RuntimeError` naming
+  the op, before it adds anything anywhere.
 - Block graphs are swept apart. `join_blocks` sums the losses of blocks
   whose graphs share leaves but no interior node; its backward sweeps each
   block's graph on a `hirisk.workers` thread, from an order of its own
@@ -122,8 +126,9 @@ class Node:
 
 
 def grad_node(t: "Tensor") -> "Node | Tensor | None":
-    """The node a backward closure hands `t`'s gradient to, or None if `t` needs none."""
-    return t._node if t.requires_grad else None
+    """The node a backward closure hands `t`'s gradient to, or None if `t`
+    needs none or, inside `no_grad()`, no graph is being built."""
+    return t._node if _grad_enabled and t.requires_grad else None
 
 
 class Tensor:
@@ -219,11 +224,12 @@ class Tensor:
     def backward(self, grad=None) -> "ComputationTape":
         """Run one reverse sweep from this tensor's node; returns the tape used.
 
-        Only leaves keep a gradient: each interior node's gradient is dropped
-        as soon as its closure has passed it on. A first gradient is adopted,
-        not copied; the caller's `grad` is copied, so it is never written. The
-        graph stays, and a second backward over it adds its gradients to the
-        leaves exactly once more.
+        Only leaves keep a gradient: each interior node's gradient and closure
+        are dropped as soon as the closure has run, and with the closure the
+        arrays it saved. A first gradient is adopted, not copied; the caller's
+        `grad` is copied, so it is never written. A graph is swept once: a
+        second backward from this tensor, or from any root whose graph
+        reaches a swept node, raises `RuntimeError`.
         """
         if grad is None:
             if self.size != 1:
@@ -234,8 +240,7 @@ class Tensor:
             if grad.shape != self.shape:
                 raise ShapeError("explicit backward grad must match root shape")
         tape = ComputationTape.trace(self)
-        self._node._accum(grad)
-        _sweep(tape.nodes)
+        _sweep(tape.nodes, grad)
         return tape
 
     # -- operator overloads ----------------------------------------------------
@@ -327,13 +332,26 @@ def _topological(root: "Node | Tensor") -> list:
     return order
 
 
-def _sweep(nodes: list) -> None:
-    """Pass each gradient on, in reverse of `nodes`' parents-first order,
-    dropping every interior node's gradient once its closure has run."""
+def _sweep(nodes: list, seed: np.ndarray) -> None:
+    """Seed the root, the last of `nodes` (parents first), and pass each
+    gradient on in reverse order, dropping every interior node's gradient
+    and closure once the closure has run.
+
+    Raises RuntimeError, having changed nothing, if a node's closure has run
+    in an earlier sweep, naming the swept op nearest the root. A leaf is a
+    `Tensor`, so a `Node` without a closure has been swept.
+    """
     for node in reversed(nodes):
-        if node._backward is not None and node.grad is not None:
-            g, node.grad = node.grad, None
-            node._backward(g)
+        if type(node) is Node and node._backward is None:
+            raise RuntimeError(f"backward reached op '{node._op}', whose graph has already been "
+                               "swept: a graph is swept once, so build it again")
+    nodes[-1]._accum(seed)
+    for node in reversed(nodes):
+        backward, g = node._backward, node.grad
+        if backward is not None:
+            node._backward = node.grad = None
+            if g is not None:
+                backward(g)
 
 
 # -- primitive ops ------------------------------------------------------------
@@ -536,8 +554,7 @@ def join_blocks(losses: Sequence[Tensor]) -> Tensor:
 
     def backward(g):
         def sweep_block(node):
-            node._accum(g.copy())  # each block owns its seed
-            _sweep(_topological(node))
+            _sweep(_topological(node), g.copy())  # each block owns its seed
 
         sinks = map_sinks(sweep_block, [n for n in nodes if n is not None])
         for sink in sinks:

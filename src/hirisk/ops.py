@@ -4,25 +4,27 @@ Everything here takes and returns `Tensor`s and registers a hand-derived
 backward closure. Shapes follow a channels-last convention: images are
 [B, H, W, C] and token grids are [B, T, H, W, C].
 
-The graph holds nodes, not op outputs (see `autograd`), and keeps every
-closure until backward, so what the closures keep is most of a training
-step's memory. Each keeps its operands' nodes and only the arrays its
-backward reads: `relu` and `sigmoid` their output; `gelu` its input and
-the normal CDF of it; `softmax_rows` and `attention` their probabilities
-(`attention` also views of q, k and v, but no scores and no per-head
-copies); `linear` its input and weight; `layer_norm` the normalised input,
-inverse deviations and scale; `conv2d` its unpadded input and weight (never
-a padded copy or an im2col matrix); `depthwise_conv3d` its padded input and
-flipped kernel; `cross_entropy_logits` the logits, log-sum-exps and mask
-weights; `l1_loss` the residual; `binary_cross_entropy_logits` the logits
-and targets; and `embedding_lookup` the indices. An array an operand's
-gradient does not need (say, `linear`'s input when its weight is frozen) is
-not kept.
+The graph holds nodes, not op outputs (see `autograd`), and keeps each
+closure until the backward sweep has run it, so what the closures keep is
+most of a training step's memory. Each keeps its operands' nodes and only
+the arrays its backward reads: `relu` and `sigmoid` their output; `gelu`
+its derivative, computed in the forward pass; `softmax_rows` and
+`attention` their probabilities (`attention` also views of q, k and v, but
+no scores and no per-head copies); `linear` its input and weight;
+`layer_norm` the normalised input, inverse deviations and scale; `conv2d`
+its unpadded input and weight (never a padded copy or an im2col matrix);
+`depthwise_conv3d` its padded input and flipped kernel;
+`cross_entropy_logits` the logits, log-sum-exps and mask weights; `l1_loss`
+the residual; `binary_cross_entropy_logits` the logits and targets; and
+`embedding_lookup` the indices. An array an operand's gradient does not
+need (say, `linear`'s input when its weight is frozen) is not kept.
 
 `gelu` computes float64 with scipy's double-precision erf, the precision
-`gradcheck` and every finite-difference test run at. float32 takes a
-float32 rational erf, within 4.7e-7 of the double one on every float32
-input, so its normal CDF is within 2.6e-7: float32 noise.
+`gradcheck` and every finite-difference test run at; scipy is imported
+there, on the first float64 call, and nowhere else. float32 takes a float32
+rational erf, within 4.7e-7 of the double one on every float32 input, so
+its normal CDF is within 2.6e-7: float32 noise. A float32 run never loads
+scipy.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf
 
 from .autograd import ShapeError, Tensor, _check_finite, grad_node
 
@@ -105,30 +106,36 @@ def _erf32(v: np.ndarray) -> np.ndarray:
 def gelu(x: Tensor) -> Tensor:
     """Exact (erf-based) Gaussian error linear unit.
 
-    float64 takes scipy's erf, the precision gradient checks run at. float32
-    takes `_erf32`, whose normal CDF is within 2.6e-7 of the double one
-    (half its erf bound plus the rounding of 1 + erf).
+    float64 takes scipy's erf, the precision gradient checks run at, and is
+    the only caller that imports scipy. float32 takes `_erf32`, whose normal
+    CDF is within 2.6e-7 of the double one (half its erf bound plus the
+    rounding of 1 + erf). When the output records a node, the forward pass
+    also computes the derivative cdf + x * pdf, and the closure keeps that
+    one array rather than x and the CDF; under `no_grad` it is not computed.
     """
     nx, xd = grad_node(x), x.data
     cdf = xd * _INV_SQRT2
     if cdf.dtype == np.float32:
         cdf = _erf32(cdf)
     else:
+        from scipy.special import erf
+
         erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
     data = xd * cdf
+    if nx is None:
+        return Tensor._from_op(data, (x,), None, "gelu")
+    # cdf + x * pdf, built in one buffer
+    d = -0.5 * xd
+    d *= xd
+    np.exp(d, out=d)
+    d *= _INV_SQRT2PI
+    d *= xd
+    d += cdf
 
     def backward(g):
-        # g * (cdf + x * pdf), built in one buffer
-        d = -0.5 * xd
-        d *= xd
-        np.exp(d, out=d)
-        d *= _INV_SQRT2PI
-        d *= xd
-        d += cdf
-        d *= g
-        nx._accum(d)
+        nx._accum(g * d)
 
     return Tensor._from_op(data, (x,), backward, "gelu")
 

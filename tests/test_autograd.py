@@ -223,16 +223,31 @@ def test_first_gradient_takes_the_tensor_dtype():
     assert x.grad.dtype == np.float32
 
 
-def test_second_backward_over_one_graph_adds_exactly_once_more():
+def test_a_second_backward_through_a_swept_graph_raises_and_adds_nothing():
     x = Tensor(3.0, requires_grad=True)
     u = x * 2.0
     z = u * u  # z = 4x^2, dz/dx = 8x = 24
     z.backward()
     assert u.grad is None and z.grad is None
+    assert u._node._backward is None and z._node._backward is None
     assert x.grad.item() == 24.0
-    z.backward()
-    assert u.grad is None and z.grad is None
-    assert x.grad.item() == 48.0
+    # again from the same root
+    with pytest.raises(RuntimeError, match="'mul'"):
+        z.backward()
+    # from a new root whose graph shares the swept node u
+    with pytest.raises(RuntimeError, match="'mul'"):
+        (u + x).backward()
+    assert x.grad.item() == 24.0 and z._node.grad is None
+
+
+def test_a_second_join_of_swept_blocks_raises_and_adds_nothing():
+    x = Tensor(np.arange(3.0), requires_grad=True)
+    blocks = [(x * float(i + 1)).sum() for i in range(2)]
+    join_blocks(blocks).backward()
+    np.testing.assert_array_equal(x.grad, np.full(3, 3.0))
+    with pytest.raises(RuntimeError, match="'sum'"):
+        join_blocks(blocks).backward()
+    np.testing.assert_array_equal(x.grad, np.full(3, 3.0))
 
 
 def _shared_pairs(leaves):

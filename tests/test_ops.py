@@ -586,7 +586,7 @@ def test_an_output_no_closure_reads_is_freed_when_dropped(build):
         np.testing.assert_array_equal(got, want)
 
 
-def test_the_graph_keeps_linear_input_and_relu_output_until_it_goes():
+def test_the_sweep_frees_linear_input_and_relu_output_once_their_closures_run():
     r = rng("retain_kept")
     x, w = _leaf(r, 4, 6), _leaf(r, 6, 5)
     h = ops.gelu(x)  # linear's weight gradient reads its input
@@ -596,6 +596,66 @@ def test_the_graph_keeps_linear_input_and_relu_output_until_it_goes():
     del h, y
     assert all(ref() is not None for ref in refs)
     loss.backward()
-    assert all(ref() is not None for ref in refs) and w.grad is not None
-    del loss
-    assert all(ref() is None for ref in refs)
+    # the root is still alive, its graph's saved arrays are not
+    assert all(ref() is None for ref in refs) and w.grad is not None
+
+
+def test_gelu_keeps_one_array_and_frees_its_input_when_dropped():
+    r = rng("gelu_kept")
+    x, w = _leaf(r, 4, 6), _leaf(r, 6, 5)
+    h = ops.linear(x, w)  # linear's backward reads neither its output nor gelu's
+    y = ops.gelu(h)
+    ref = weakref.ref(_owner(h.data))
+    del h
+    assert ref() is None
+    saved = [c.cell_contents for c in y._node._backward.__closure__
+             if isinstance(c.cell_contents, np.ndarray)]
+    assert [a.shape for a in saved] == [y.shape]
+
+
+def test_gelu_under_no_grad_computes_no_derivative():
+    x = Tensor(rng("gelu_ng").normal(size=(1024, 1024)).astype(np.float32), requires_grad=True)
+    with no_grad():
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = ops.gelu(x)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    # the CDF and the output, plus the finite check's boolean array (a
+    # quarter); the derivative would add a third full array
+    assert peak < 2.6 * out.data.nbytes
+
+
+def _gelu_grad_from_x_and_cdf(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """GELU's x-gradient as a closure that keeps x and the normal CDF built it."""
+    cdf = x * ops._INV_SQRT2
+    if cdf.dtype == np.float32:
+        cdf = ops._erf32(cdf)
+    else:
+        from scipy.special import erf
+
+        erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    d = -0.5 * x
+    d *= x
+    np.exp(d, out=d)
+    d *= ops._INV_SQRT2PI
+    d *= x
+    d += cdf
+    d *= g
+    return d
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_gradient_is_the_two_array_backward_bit_for_bit(dtype):
+    r = rng("gelu_bits")
+    x = (r.normal(size=(30, 40)) * 3.0).astype(dtype)
+    g = r.normal(size=x.shape).astype(dtype)
+    t = Tensor(x.copy(), requires_grad=True)
+    (ops.gelu(t) * Tensor(g)).sum().backward()
+    want = _gelu_grad_from_x_and_cdf(x, g)
+    assert t.grad.dtype == dtype
+    np.testing.assert_array_equal(t.grad.view(np.uint8), want.view(np.uint8))

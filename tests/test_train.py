@@ -4,6 +4,8 @@ import csv
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -469,6 +471,35 @@ def test_each_step_graph_is_freed_before_the_next_forward(tiny_data, monkeypatch
     assert len(losses) == cfg.train.highlight_pretrain_steps + cfg.train.steps
     assert stale == [0] * len(losses)
     assert all(ref() is None for ref in losses)
+
+
+# one float32 train step and one decode in a fresh process; prints the scipy
+# modules it loaded
+_FLOAT32_RUN = """
+import sys
+from hirisk.config import RunConfig, SceneConfig, TrainConfig
+from hirisk.scenes import SceneDataset
+from hirisk.train import evaluate_model, train_model
+from tiny_model import tiny_model
+
+scene = SceneConfig(n_train=4, n_test=2, clip_len=4, lr_size=16, hr_size=64, seed=3)
+train = TrainConfig(steps=1, batch_size=4, highlight_pretrain_steps=1, log_every=100, eval_batch=2)
+cfg = RunConfig(model=tiny_model(), scene=scene, train=train)
+assert cfg.model.dtype == "float32"
+out = train_model(cfg, SceneDataset.generate(scene, "train"), log=lambda s: None)
+evaluate_model(out["model"], SceneDataset.generate(scene, "test"), batch_size=2)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_a_float32_train_step_and_decode_never_load_scipy():
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = [os.path.join(os.path.dirname(tests), "src"), tests]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path + [os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", _FLOAT32_RUN], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("ablation, n_models", [(Ablation(), 2), (baseline_only(), 1)])
