@@ -156,9 +156,12 @@ ANSWER_SPAN = (3, 5)
 def suggestion_index(obj_class: str, motion_key: str, position_key: str) -> int:
     """Deterministic paraphrase choice for a scene.
 
-    Spreads scenes across the full 20-entry bank while keeping the caption a
-    pure function of the scene, so caption entropy measures perception, not
-    a coin flip the model could never predict.
+    Keeps the caption a pure function of the scene, so caption entropy
+    measures perception, not a coin flip the model could never predict. Each
+    of the three scenarios (`scenes.SCENARIOS`) has one (motion, position)
+    pair, so a class uses 3 of its bank's 20 paraphrases: 3 each in yield,
+    avoid and wait, and 5 in distance, which car and truck share. The 15
+    (class, scenario) pairs reach 14 of the 80 paraphrases.
     """
     c = CLASSES.index(obj_class)
     m = sorted(MOTIONS).index(motion_key)

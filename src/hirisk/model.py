@@ -55,10 +55,10 @@ DECODE_MARGIN = 4
 # transients each worker holds (a [B*clip_len*(G*G+1), 4*d_v] MLP hidden, a
 # [B, hr/2, hr/2, cnn_width] stem), and it is the only bound on the stem's
 # [B*(hr/2)^2, 27] im2col matrix: `ops.conv2d` forms it for all B at once.
-# perfbench decode of 50-scene default-config batches on 2 CPUs (seed 0, 30 s
-# runs, two each): 6 gives 96-104 items/s at 125 MB peak RSS, against 82-88
-# at 4 and 84-85 at 3 (also 125 MB) and 95-101 at 8 (142 MB); serial blocks
-# of 8 gave 65-73 items/s at 130.5 MB.
+# perfbench decode of 50-scene default-config batches on 2 CPUs (seeds 0-2,
+# 25 s runs): 6 gives 98-111 items/s at 108-110 MB peak RSS, against 96-107
+# at 8 (119-121 MB). Earlier 30 s runs put 4 at 82-88 items/s and 3 at
+# 84-85, both slower than 6.
 TRUNK_BLOCK = 6
 
 # Samples per block of a training step: each block's forward pass and its

@@ -142,9 +142,9 @@ def load_or_generate(cfg: RunConfig, data_dir=None, log=print):
 # -- pre-training gate ---------------------------------------------------------
 
 
-def gating_gap(model: DualBranchModel, cfg: RunConfig, max_answer_len: int,
-               n_samples: int = 8) -> float:
-    """Max caption-logit gap between `model`, fresh from `cfg`, and a fresh baseline."""
+def gating_gap(model: DualBranchModel, cfg: RunConfig, max_answer_len: int) -> float:
+    """Max caption-logit gap between `model`, fresh from `cfg`, and a fresh
+    baseline, on 8 random probe samples."""
     base_flags = Ablation(**vars(dict(GRID_ROWS)["baseline_only"]))
     base_cfg = replace(cfg, model=replace(cfg.model, ablation=base_flags))
     base = DualBranchModel(base_cfg, model.vocab, max_answer_len, cfg.train.seed)
@@ -152,6 +152,7 @@ def gating_gap(model: DualBranchModel, cfg: RunConfig, max_answer_len: int,
     r = named_rng(cfg.train.seed, "gate/probe")
     s = cfg.scene
     ta = min(max_answer_len, 6)
+    n_samples = 8
     batch = {
         "clip": r.random((n_samples, s.clip_len, s.lr_size, s.lr_size, 3)).astype(np.float32),
         "hr": r.random((n_samples, s.hr_size, s.hr_size, 3)).astype(np.float32),

@@ -10,13 +10,13 @@ block per CPU at a time keeps every core busy. Each block's GEMMs must then
 run on one BLAS thread: two workers whose GEMMs each ask for both cores of a
 2-CPU box ran slower than one worker alone.
 
-The BLAS thread count is set through numpy's bundled OpenBLAS (the
-scipy-openblas build), whose `openblas_set_num_threads_local` sets it for
-the whole process, not per thread. So `map_blocks` drops it to one for as
-long as the workers run and puts the caller's count back after the last
-block; each worker also sets it once as it starts, which is what holds in a
-build where the count is per thread. Without that library the pool has one
-worker: the same code path, the same bits.
+Each worker sets the count to one as it starts, through numpy's bundled
+OpenBLAS (the scipy-openblas build). Its `openblas_set_num_threads_local`
+sets the count for the whole process, not per thread, so from the pool's
+first use every GEMM of the process runs on one thread. That includes the
+serial LM decode, which on 2 CPUs is no faster on two BLAS threads (about
+100 ms per default-config 50-scene batch either way). Without that library
+the pool has one worker: the same code path, the same bits.
 
 Before it starts more than one worker, the pool asks glibc for a single
 malloc arena. By default each thread allocates from an arena of its own,
@@ -107,23 +107,15 @@ def _get_pool() -> ThreadPoolExecutor:
 def map_blocks(fn: Callable, blocks: Sequence) -> list:
     """`[fn(b) for b in blocks]`, the blocks spread over the pool's workers.
 
-    Returns once every block has finished, so no worker is still running when
-    the caller's BLAS thread count is put back. A failing block raises its
-    exception here, the first failure in block order. One caller at a time:
-    the count it sets and puts back is the whole process's. A call from one
-    of the pool's own workers raises RuntimeError, since it would wait on a
-    pool whose workers may all be busy waiting for it.
+    Returns once every block has finished. A failing block raises its
+    exception here, the first failure in block order. A call from one of the
+    pool's own workers raises RuntimeError, since it would wait on a pool
+    whose workers may all be busy waiting for it.
     """
     if getattr(_local, "in_pool", False):
         raise RuntimeError("map_blocks called from one of its own workers")
-    pool = _get_pool()
-    prev = _SET_BLAS_THREADS(1) if _SET_BLAS_THREADS is not None else None
-    try:
-        futures = [pool.submit(fn, b) for b in blocks]
-        wait(futures)
-    finally:
-        if prev is not None:
-            _SET_BLAS_THREADS(prev)
+    futures = [_get_pool().submit(fn, b) for b in blocks]
+    wait(futures)
     return [f.result() for f in futures]
 
 

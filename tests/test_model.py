@@ -190,7 +190,7 @@ def test_fresh_full_model_matches_baseline_captions():
     # exact by construction: shared named init streams for the shared
     # modules, and every fusion gate starts closed
     cfg = tiny_cfg()
-    gap = gating_gap(make_model(cfg)[0], cfg, TA, n_samples=4)
+    gap = gating_gap(make_model(cfg)[0], cfg, TA)
     assert gap == 0.0
 
 
@@ -479,23 +479,6 @@ def test_more_workers_than_cores_switching_often_give_the_same_bits(monkeypatch)
     finally:
         sys.setswitchinterval(interval)
     assert got == want
-
-
-def test_decode_keeps_the_callers_blas_thread_count(monkeypatch):
-    setter = workers._SET_BLAS_THREADS
-    if setter is None:
-        pytest.skip("numpy's BLAS exposes no thread-count setter")
-    cfg = tiny_cfg()
-    model, vocab = make_model(cfg)
-    monkeypatch.setattr(model_module, "TRUNK_BLOCK", 2)
-    monkeypatch.setattr(workers, "worker_count", lambda: 2)
-    prev = setter(2)
-    try:
-        model.decode(random_batch(cfg, vocab, n=5))
-        # the setter returns the count it replaces
-        assert setter(2) == 2
-    finally:
-        setter(prev)
 
 
 def test_without_the_blas_setter_one_worker_gives_the_same_bits(monkeypatch):

@@ -573,8 +573,7 @@ def test_diverging_highlight_warmup_aborts_with_diagnostics(tiny_data):
 def test_a_non_finite_training_block_aborts_the_step_naming_its_op(tiny_data, monkeypatch, where):
     """A non-finite value in the second of three blocks, in its forward pass or
     in its backward sweep on a worker, reaches `_step` as one TrainAbort that
-    names the op; no parameter keeps a gradient and the caller's BLAS thread
-    count is put back."""
+    names the op; no parameter keeps a gradient."""
     cfg = tiny_cfg()
     vocab = build_vocab()
     data = prepare_data(tiny_data[0], vocab, cfg.model.head_variant)
@@ -598,18 +597,10 @@ def test_a_non_finite_training_block_aborts_the_step_naming_its_op(tiny_data, mo
             return out
 
         monkeypatch.setattr(ops, "l1_loss", l1_loss_failing_in_block_1)
-    setter = workers._SET_BLAS_THREADS
-    prev = setter(2) if setter is not None else None
     lines = []
-    try:
-        with pytest.raises(TrainAbort) as err:
-            _step(model, opt, "train", 7, lines.append,
-                  lambda: model.forward_train(batch, cfg.train.box_weight))
-        if setter is not None:
-            assert setter(2) == 2  # the setter returns the count it replaces
-    finally:
-        if setter is not None:
-            setter(prev)
+    with pytest.raises(TrainAbort) as err:
+        _step(model, opt, "train", 7, lines.append,
+              lambda: model.forward_train(batch, cfg.train.box_weight))
     diag = err.value.diagnostics
     assert f"op '{op}'" in diag["error"]
     assert _logs_one_abort(lines, diag)
