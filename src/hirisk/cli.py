@@ -20,7 +20,7 @@ import numpy as np
 from . import costmodel, ops
 from .autograd import Tensor, concat, swapaxes
 from .config import RunConfig, apply_override, load_config
-from .files import write_csv, write_json
+from .files import open_append, write_csv, write_json
 from .gradcheck import finite_difference_check
 from .model import MODEL_SCENE_FIELDS
 from .rng import named_rng
@@ -44,12 +44,11 @@ class Logger:
     def __init__(self, run_dir: str):
         with bad_input("--run-dir"):
             os.makedirs(run_dir, exist_ok=True)
-            self.fh = open(os.path.join(run_dir, "log.txt"), "a", encoding="utf-8")
+            self.fh = open_append(os.path.join(run_dir, "log.txt"))
 
     def __call__(self, msg: str):
         print(msg)
-        self.fh.write(msg + "\n")
-        self.fh.flush()
+        print(msg, file=self.fh, flush=True)
 
     def __enter__(self):
         return self

@@ -1,8 +1,8 @@
 """The one writer of every file the program leaves behind.
 
 Each file is written to `<path>.tmp` and renamed into place, so a run that
-stops part way leaves the previous file whole. JSON and CSV each have one
-rendering, so identical inputs give identical bytes.
+stops part way leaves the previous file whole; a log is appended to instead.
+JSON and CSV each have one rendering, so identical inputs give identical bytes.
 """
 
 from __future__ import annotations
@@ -27,6 +27,11 @@ def write_atomic(path, write) -> None:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def open_append(path):
+    """`path` opened to append UTF-8 text, created if missing: a log grows line by line."""
+    return open(path, "a", encoding="utf-8")
 
 
 def _numpy_value(obj):

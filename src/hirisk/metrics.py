@@ -1,9 +1,9 @@
 """Caption and localization metrics.
 
-All scores live in [0, 1]; presentation layers multiply by 100. The corpus
-BLEU-4 here is the classic clipped-precision formulation with a brevity
-penalty and no smoothing; a separately named add-one variant exists for
-per-sample diagnostics only and never feeds the headline numbers.
+All scores live in [0, 1]; presentation layers multiply by 100. Both BLEU
+scores come from one `clipped_counts` per sample. Corpus BLEU-4 sums them:
+clipped precisions, a brevity penalty and no smoothing. The add-one smoothed
+per-sample score is for diagnostics only; it never feeds the headline numbers.
 """
 
 from __future__ import annotations
@@ -17,15 +17,33 @@ from .grammar import parse_caption
 
 # -- caption overlap -----------------------------------------------------------
 
-
-def clipped_ngrams(cand, ref, n: int) -> tuple[int, int]:
-    """(clipped matches, total) of the order-`n` n-grams of `cand` against `ref`."""
-    cg = Counter(tuple(cand[i : i + n]) for i in range(len(cand) - n + 1))
-    rg = Counter(tuple(ref[i : i + n]) for i in range(len(ref) - n + 1))
-    return sum(min(c, rg[g]) for g, c in cg.items()), sum(cg.values())
+BLEU_ORDER = 4
 
 
-def corpus_bleu(candidates, references, max_n: int = 4) -> float:
+def clipped_counts(cand, ref) -> list[tuple[int, int]]:
+    """(clipped matches, total) of `cand`'s n-grams against `ref`'s, for orders 1 to BLEU_ORDER."""
+    counts = []
+    for n in range(1, BLEU_ORDER + 1):
+        cg, rg = (Counter(tuple(t[i : i + n]) for i in range(len(t) - n + 1)) for t in (cand, ref))
+        counts.append((sum(min(c, rg[g]) for g, c in cg.items()), sum(cg.values())))
+    return counts
+
+
+def _bleu(counts, ref_len: int, smooth: bool = False) -> float:
+    """BLEU of pairs' `clipped_counts`, summed per order, against `ref_len` reference
+    tokens. A zero precision gives 0; `smooth` adds one to both counts from order 2."""
+    counts = [(sum(m for m, _ in order), sum(t for _, t in order)) for order in zip(*counts)]
+    c_len = counts[0][1]
+    if smooth:
+        counts = counts[:1] + [(m + 1.0, t + 1.0) for m, t in counts[1:]]
+    if any(m == 0 for m, _ in counts):
+        return 0.0
+    log_p = sum(np.log(m / t) for m, t in counts) / BLEU_ORDER
+    bp = 1.0 if c_len >= ref_len else float(np.exp(1.0 - ref_len / c_len))
+    return float(bp * np.exp(log_p))
+
+
+def corpus_bleu(candidates, references) -> float:
     """Corpus-level BLEU with clipped precisions and brevity penalty.
 
     candidates and references are parallel lists of token lists (one
@@ -37,35 +55,13 @@ def corpus_bleu(candidates, references, max_n: int = 4) -> float:
     if not candidates:
         raise ValueError("cannot score an empty corpus")
     pairs = [(list(c), list(r)) for c, r in zip(candidates, references)]
-    c_len = sum(len(c) for c, _ in pairs)
-    r_len = sum(len(r) for _, r in pairs)
-    counts = [[clipped_ngrams(c, r, n) for c, r in pairs] for n in range(1, max_n + 1)]
-    match = [sum(m for m, _ in row) for row in counts]
-    total = [sum(t for _, t in row) for row in counts]
-    if c_len == 0 or any(t == 0 for t in total) or any(m == 0 for m in match):
-        return 0.0
-    log_p = sum(np.log(m / t) for m, t in zip(match, total)) / max_n
-    bp = 1.0 if c_len >= r_len else float(np.exp(1.0 - r_len / c_len))
-    return float(bp * np.exp(log_p))
+    return _bleu([clipped_counts(c, r) for c, r in pairs], sum(len(r) for _, r in pairs))
 
 
-def sentence_bleu_smoothed(candidate, reference, max_n: int = 4) -> float:
+def sentence_bleu_smoothed(candidate, reference) -> float:
     """Add-one smoothed single-sentence score, for inspection dumps only."""
-    candidate = list(candidate)
     reference = list(reference)
-    if not candidate:
-        return 0.0
-    log_p = 0.0
-    for n in range(1, max_n + 1):
-        m, t = clipped_ngrams(candidate, reference, n)
-        if n == 1:
-            if m == 0 or t == 0:
-                return 0.0
-            log_p += np.log(m / t)
-        else:
-            log_p += np.log((m + 1.0) / (t + 1.0))
-    bp = 1.0 if len(candidate) >= len(reference) else float(np.exp(1.0 - len(reference) / len(candidate)))
-    return float(bp * np.exp(log_p / max_n))
+    return _bleu([clipped_counts(list(candidate), reference)], len(reference), smooth=True)
 
 
 # -- boxes ---------------------------------------------------------------------
@@ -83,8 +79,6 @@ def _check_box(box) -> np.ndarray:
 
 
 def box_is_valid(box) -> bool:
-    if box is None:
-        return False
     try:
         _check_box(box)
     except (ValueError, TypeError):
@@ -129,9 +123,10 @@ def evaluate_predictions(samples, predictions) -> dict:
 
     refs = [list(s["caption_tokens"]) for s in samples]
     hyps = [list(p["tokens"]) for p in predictions]
+    counts = [clipped_counts(hyp, ref) for hyp, ref in zip(hyps, refs)]
     box_valid = [box_is_valid(p["box"]) for p in predictions]
     per_sample = []
-    for s, p, ref, hyp, valid in zip(samples, predictions, refs, hyps, box_valid):
+    for s, p, ref, hyp, c, valid in zip(samples, predictions, refs, hyps, counts, box_valid):
         pred_class = parse_caption(hyp).obj_class
         per_sample.append(
             {
@@ -146,7 +141,7 @@ def evaluate_predictions(samples, predictions) -> dict:
                 "class_hit": pred_class == s["risk_class"],
                 "exact": hyp == ref,
                 "box_source": p["box_source"],
-                "bleu_smoothed": sentence_bleu_smoothed(hyp, ref),
+                "bleu_smoothed": _bleu([c], len(ref), smooth=True),
             }
         )
 
@@ -159,7 +154,7 @@ def evaluate_predictions(samples, predictions) -> dict:
             slices.setdefault(f"risk_class_acc_{name}", []).append(r["class_hit"])
 
     n = len(per_sample)
-    bleu = corpus_bleu(hyps, refs)
+    bleu = _bleu(counts, sum(len(r) for r in refs))
     miou = sum(r["iou"] for r in per_sample) / n
     return {
         "n": n,

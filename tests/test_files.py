@@ -1,4 +1,4 @@
-"""The one file writer: JSON and CSV bytes, and atomic replacement."""
+"""The one file writer: JSON and CSV bytes, atomic replacement and the log appender."""
 
 import csv
 import json
@@ -9,7 +9,7 @@ import pytest
 
 from hirisk import costmodel
 from hirisk.config import RunConfig, SceneConfig, config_hash
-from hirisk.files import json_text, write_atomic, write_csv, write_json
+from hirisk.files import json_text, open_append, write_atomic, write_csv, write_json
 from hirisk.metrics import evaluate_predictions
 from hirisk.rng import named_rng
 from hirisk.scenes import MANIFEST_VERSION, SceneDataset, save_dataset
@@ -138,3 +138,11 @@ def test_a_write_that_fails_part_way_keeps_the_previous_file(tmp_path):
     with open(path, "rb") as fh:
         assert fh.read() == before
     assert os.listdir(tmp_path) == ["metrics.json"]
+
+
+def test_open_append_creates_the_file_then_appends_to_it(tmp_path):
+    path = tmp_path / "log.txt"
+    for line in ("first", "second"):
+        with open_append(path) as fh:
+            fh.write(line + "\n")
+    assert path.read_text(encoding="utf-8") == "first\nsecond\n"

@@ -2,14 +2,17 @@
 
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from hirisk import metrics
 from hirisk.files import json_text, write_csv, write_json
 from hirisk.metrics import (
     box_is_valid,
+    clipped_counts,
     corpus_bleu,
     evaluate_predictions,
     iou,
@@ -96,8 +99,7 @@ def test_bleu_unigram_clipping():
     # six candidate "the" against two reference "the": clipped to 2/6
     cand = ["the"] * 6
     ref = "the cat is on the mat".split()
-    got = corpus_bleu([cand], [ref], max_n=1)
-    assert abs(got - 1.0 / 3.0) < 1e-12
+    assert clipped_counts(cand, ref)[0] == (2, 6)
 
 
 def test_bleu_matches_reference_on_random_corpora():
@@ -144,6 +146,116 @@ def test_sentence_bleu_smoothed_basics():
     partial = sentence_bleu_smoothed("a b c x y".split(), toks)
     assert 0.0 < partial < 1.0
     assert sentence_bleu_smoothed("q r s t u".split(), toks) == 0.0
+
+
+# -- the scores are the bits of the two-count scorer they replaced -------------
+
+
+def _parent_clipped_ngrams(cand, ref, n):
+    cg = Counter(tuple(cand[i : i + n]) for i in range(len(cand) - n + 1))
+    rg = Counter(tuple(ref[i : i + n]) for i in range(len(ref) - n + 1))
+    return sum(min(c, rg[g]) for g, c in cg.items()), sum(cg.values())
+
+
+def _parent_corpus_bleu(candidates, references, max_n=4):
+    pairs = [(list(c), list(r)) for c, r in zip(candidates, references)]
+    c_len = sum(len(c) for c, _ in pairs)
+    r_len = sum(len(r) for _, r in pairs)
+    counts = [[_parent_clipped_ngrams(c, r, n) for c, r in pairs] for n in range(1, max_n + 1)]
+    match = [sum(m for m, _ in row) for row in counts]
+    total = [sum(t for _, t in row) for row in counts]
+    if c_len == 0 or any(t == 0 for t in total) or any(m == 0 for m in match):
+        return 0.0
+    log_p = sum(np.log(m / t) for m, t in zip(match, total)) / max_n
+    bp = 1.0 if c_len >= r_len else float(np.exp(1.0 - r_len / c_len))
+    return float(bp * np.exp(log_p))
+
+
+def _parent_sentence_bleu_smoothed(candidate, reference, max_n=4):
+    candidate = list(candidate)
+    reference = list(reference)
+    if not candidate:
+        return 0.0
+    log_p = 0.0
+    for n in range(1, max_n + 1):
+        m, t = _parent_clipped_ngrams(candidate, reference, n)
+        if n == 1:
+            if m == 0 or t == 0:
+                return 0.0
+            log_p += np.log(m / t)
+        else:
+            log_p += np.log((m + 1.0) / (t + 1.0))
+    bp = 1.0 if len(candidate) >= len(reference) else float(np.exp(1.0 - len(reference) / len(candidate)))
+    return float(bp * np.exp(log_p / max_n))
+
+
+def _random_corpus(rng, size):
+    """Pairs over a small vocabulary: empty candidates, no shared unigram and
+    short or long candidates (brevity penalty on or off) all occur."""
+    vocab, disjoint = list("abcde"), list("vwxyz")
+    pairs = []
+    for _ in range(size):
+        ref = [vocab[i] for i in rng.integers(0, 5, size=int(rng.integers(1, 12)))]
+        kind = int(rng.integers(0, 4))
+        if kind == 0:
+            cand = []
+        elif kind == 1:
+            cand = [disjoint[i] for i in rng.integers(0, 5, size=int(rng.integers(1, 8)))]
+        else:
+            cand = list(ref)
+            for _ in range(int(rng.integers(0, 4))):
+                i = int(rng.integers(0, len(cand) + 1))
+                op = int(rng.integers(0, 3))
+                if op == 0 and cand:
+                    del cand[min(i, len(cand) - 1)]
+                elif op == 1:
+                    cand.insert(i, vocab[int(rng.integers(0, 5))])
+                else:
+                    cand = cand[:i]
+        pairs.append((cand, ref))
+    return pairs
+
+
+def _eval_inputs(pairs):
+    samples = [{"id": i, "caption_tokens": ref, "box": [0.1, 0.1, 0.5, 0.5], "risk_class": "car",
+                "bucket": "M", "distractor": False, "hr_critical": True, "scenario": "cross_left"}
+               for i, (_, ref) in enumerate(pairs)]
+    preds = [{"tokens": cand, "box": None, "box_source": "head"} for cand, _ in pairs]
+    return samples, preds
+
+
+def test_scores_are_the_parents_bits_on_random_corpora():
+    rng = np.random.default_rng(33)
+    seen = {"bleu4 > 0": 0, "bleu4 == 0": 0, "brevity": 0, "empty": 0, "no unigram": 0}
+    for _ in range(300):
+        pairs = _random_corpus(rng, int(rng.integers(1, 7)))
+        cands, refs = [p[0] for p in pairs], [p[1] for p in pairs]
+        rep = evaluate_predictions(*_eval_inputs(pairs))
+        want = _parent_corpus_bleu(cands, refs)
+        assert rep["bleu4"] == want
+        assert corpus_bleu(cands, refs) == want
+        seen["bleu4 > 0" if want > 0 else "bleu4 == 0"] += 1
+        seen["brevity"] += want > 0 and sum(map(len, cands)) < sum(map(len, refs))
+        for (cand, ref), rec in zip(pairs, rep["per_sample"]):
+            want = _parent_sentence_bleu_smoothed(cand, ref)
+            assert rec["bleu_smoothed"] == want
+            assert sentence_bleu_smoothed(cand, ref) == want
+            seen["empty"] += not cand
+            seen["no unigram"] += bool(cand) and not set(cand) & set(ref)
+    assert min(seen.values()) > 10, seen
+
+
+def test_each_sample_is_counted_once(monkeypatch):
+    calls = []
+
+    def counting(cand, ref):
+        calls.append((cand, ref))
+        return clipped_counts(cand, ref)
+
+    monkeypatch.setattr(metrics, "clipped_counts", counting)
+    pairs = _random_corpus(np.random.default_rng(3), 9)
+    evaluate_predictions(*_eval_inputs(pairs))
+    assert calls == pairs
 
 
 # -- IoU -----------------------------------------------------------------------
